@@ -374,7 +374,7 @@ def run_scan(args) -> tuple[dict, int]:
     elif name == "slm":
         rep = concavity.slm_scan(args.bound, jobs=args.jobs)
     elif name == "conj1":
-        rep = concavity.conjecture1_scan(args.bound, args.rank, args.pq, jobs=args.jobs)
+        rep = concavity.conjecture1_scan(args.bound, args.rank, args.pq)
     elif name == "saturation":
         rep = concavity.saturation_scan_all(args.bound, args.rank, args.kmax)
     elif name == "logv":
@@ -382,11 +382,9 @@ def run_scan(args) -> tuple[dict, int]:
     elif name == "alpha":
         rep = concavity.alpha_scan(args.rank, args.bound, args.pq)
     elif name == "weyl":
-        rep = concavity.weyl_logconcavity_scan(args.rank, args.bound, jobs=args.jobs)
+        rep = concavity.weyl_logconcavity_scan(args.rank, args.bound)
     elif name == "restriction":
-        rep = concavity.restriction_logconcavity_scan(
-            args.n, args.k, args.bound, jobs=args.jobs
-        )
+        rep = concavity.restriction_logconcavity_scan(args.n, args.k, args.bound)
     elif name == "convolution":
         rep = concavity.convolution_random_suite(args.cases, args.bound, args.seed)
     else:  # pragma: no cover - argparse restricts choices

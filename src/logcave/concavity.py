@@ -14,7 +14,9 @@ reports whose content is independent of the worker count.
 
 from __future__ import annotations
 
+import os
 import random
+from collections import Counter
 from dataclasses import dataclass
 from math import comb, gcd
 from multiprocessing import Pool
@@ -100,6 +102,80 @@ def check_logconcave_instance(
 
 
 # ---------------------------------------------------------------------------
+# integral-midpoint pairing, shared by the midpoint scanners
+# ---------------------------------------------------------------------------
+
+
+def _residue(v: Sequence[int], m: int) -> tuple[int, ...]:
+    return tuple(x % m for x in v)
+
+
+def _partner(r: tuple[int, ...], p: int, q: int) -> tuple[int, ...]:
+    """The residue class r' with p*r + q*r' = 0 mod p+q (p, q coprime)."""
+    m = p + q
+    t = -p * pow(q, -1, m)
+    return tuple(t * x % m for x in r)
+
+
+def _midpoint_pairs(points: Sequence, flat: Callable, p: int, q: int):
+    """Yield every pair (A, B) of points whose midpoint (pA + qB)/(p+q) is integral.
+
+    p and q are coprime and positive.  Points are bucketed by
+    flat(x) mod p+q and the classes are visited in sorted residue order.
+    For p == q (that is, p = q = 1) pairs are unordered and each comes
+    once, as (members[i], members[j]) with j >= i in input order.
+    Otherwise pairs are ordered, from each class to its partner class.
+    """
+    m = p + q
+    classes: dict[tuple, list] = {}
+    for x in points:
+        classes.setdefault(_residue(flat(x), m), []).append(x)
+    for r in sorted(classes):
+        members = classes[r]
+        if p == q:
+            for i, a in enumerate(members):
+                for b in members[i:]:
+                    yield a, b
+        else:
+            partners = classes.get(_partner(r, p, q), ())
+            for a in members:
+                for b in partners:
+                    yield a, b
+
+
+def _midpoint_scan(
+    points: Sequence, flat: Callable, values: dict, p: int, q: int, unflat: Callable
+) -> tuple[int, list[tuple]]:
+    """Check F(C)**(p+q) >= F(A)**p * F(B)**q over every integral-midpoint pair.
+
+    values is the complete table of F on points, absent keys reading as
+    zero.  Every domain scanned here is convex, so each midpoint
+    C = unflat((p*flat(A) + q*flat(B)) / (p+q)) is again a point and
+    values.get(C, 0) is exact.  Every instance is counted from the class
+    sizes, but only pairs with two nonzero endpoint values are compared:
+    the others pass outright.  flat is recomputed per pair rather than
+    stored per point, which keeps the largest domains small in memory.
+    Returns the instance count and the violations
+    (A, B, C, F(A), F(B), F(C)) in pair order.
+    """
+    m = p + q
+    sizes = Counter(_residue(flat(x), m) for x in points)
+    if p == q:
+        checked = sum(n * (n + 1) // 2 for n in sizes.values())
+    else:
+        checked = sum(n * sizes[_partner(r, p, q)] for r, n in sizes.items())
+    support = [x for x in points if values.get(x)]
+    violations = []
+    for a, b in _midpoint_pairs(support, flat, p, q):
+        fa, fb = values[a], values[b]
+        c = unflat(tuple((p * x + q * y) // m for x, y in zip(flat(a), flat(b))))
+        fc = values.get(c, 0)
+        if fc**m < fa**p * fb**q:
+            violations.append((a, b, c, fa, fb, fc))
+    return checked, violations
+
+
+# ---------------------------------------------------------------------------
 # skew-shape midpoints and the square/product comparison
 # ---------------------------------------------------------------------------
 
@@ -176,22 +252,14 @@ def skew_shapes_up_to(max_weight: int) -> list[tuple[Partition, Partition]]:
     ]
 
 
-def _shape_parity(shape: tuple[Partition, Partition], rows: int) -> tuple:
-    lam, mu = shape
-    return (
-        tuple(x % 2 for x in pad(lam, rows)),
-        tuple(x % 2 for x in pad(mu, rows)),
-    )
-
-
 def _theorem1_unit(unit) -> dict | None:
     (l1, m1), (l3, m3) = unit
     r = theorem1_verify(l1, m1, l3, m3)
     if r.passed:
         return None
     return {
-        "shape1": f"{fmt_shape(l1, m1)}",
-        "shape3": f"{fmt_shape(l3, m3)}",
+        "shape1": str(SkewShape(l1, m1)),
+        "shape3": str(SkewShape(l3, m3)),
         "min_coefficient": str(r.min_coeff),
         "witness": ",".join(map(str, r.witness)),
     }
@@ -204,24 +272,21 @@ def _slm_unit(unit) -> dict | None:
         return None
     bad = min(k for k, v in expansion.terms.items() if v < 0)
     return {
-        "shape1": fmt_shape(l1, m1),
-        "shape3": fmt_shape(l3, m3),
+        "shape1": str(SkewShape(l1, m1)),
+        "shape3": str(SkewShape(l3, m3)),
         "partition": ",".join(map(str, bad)),
         "coefficient": str(expansion.terms[bad]),
     }
 
 
-def fmt_shape(lam: Partition, mu: Partition) -> str:
-    o = ",".join(map(str, lam)) or "0"
-    return f"{o}/{','.join(map(str, mu))}" if mu else o
-
-
 def _run_units(worker, units: Sequence, jobs: int) -> list:
     """Apply worker to every unit, optionally on a process pool.
 
-    Results come back in unit order regardless of the worker count, so
-    reports are reproducible byte for byte.
+    The pool never gets more workers than there are CPUs.  Results come
+    back in unit order regardless of the worker count, so reports are
+    reproducible byte for byte.
     """
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or len(units) < 4:
         return [worker(u) for u in units]
     chunk = max(1, len(units) // (jobs * 8))
@@ -229,19 +294,19 @@ def _run_units(worker, units: Sequence, jobs: int) -> list:
         return pool.map(worker, units, chunksize=chunk)
 
 
-def _skew_pair_units(max_weight: int) -> list:
+def _skew_pair_scan(worker, max_weight: int, jobs: int) -> ConcavityReport:
+    """Run worker over every unordered integral-midpoint pair of skew shapes."""
     shapes = skew_shapes_up_to(max_weight)
     rows = max((len(s[0]) for s in shapes), default=1)
-    groups: dict[tuple, list] = {}
-    for s in shapes:
-        groups.setdefault(_shape_parity(s, rows), []).append(s)
-    units = []
-    for sig in sorted(groups):
-        members = groups[sig]
-        for i in range(len(members)):
-            for j in range(i, len(members)):
-                units.append((members[i], members[j]))
-    return units
+    units = list(
+        _midpoint_pairs(shapes, lambda s: pad(s[0], rows) + pad(s[1], rows), 1, 1)
+    )
+    results = _run_units(worker, units, jobs)
+    return ConcavityReport(
+        checked=len(units),
+        violations=[r for r in results if r is not None],
+        params={"max_weight": max_weight, "pairs": "unordered"},
+    )
 
 
 def theorem1_scan(max_weight: int, jobs: int = 1) -> ConcavityReport:
@@ -251,14 +316,7 @@ def theorem1_scan(max_weight: int, jobs: int = 1) -> ConcavityReport:
     max_weight whose componentwise midpoint is integral.  Expected
     violations: none, ever.
     """
-    units = _skew_pair_units(max_weight)
-    results = _run_units(_theorem1_unit, units, jobs)
-    violations = [r for r in results if r is not None]
-    return ConcavityReport(
-        checked=len(units),
-        violations=violations,
-        params={"max_weight": max_weight, "pairs": "unordered"},
-    )
+    return _skew_pair_scan(_theorem1_unit, max_weight, jobs)
 
 
 def slm_scan(max_weight: int, jobs: int = 1) -> ConcavityReport:
@@ -266,14 +324,7 @@ def slm_scan(max_weight: int, jobs: int = 1) -> ConcavityReport:
 
     A conjecture scanner: violations are findings written to the report.
     """
-    units = _skew_pair_units(max_weight)
-    results = _run_units(_slm_unit, units, jobs)
-    violations = [r for r in results if r is not None]
-    return ConcavityReport(
-        checked=len(units),
-        violations=violations,
-        params={"max_weight": max_weight, "pairs": "unordered"},
-    )
+    return _skew_pair_scan(_slm_unit, max_weight, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -282,18 +333,17 @@ def slm_scan(max_weight: int, jobs: int = 1) -> ConcavityReport:
 
 
 def _primitive_pq(pq_bound: int) -> list[tuple[int, int]]:
-    """Coprime (p, q) with 1 <= p <= q and p + q <= pq_bound.
+    """Coprime (p, q) with p, q >= 1 and p + q <= pq_bound, ordered by (p+q, p).
 
-    Non-primitive pairs are omitted (their inequality is a power of the
-    primitive one) and (q, p) is covered by swapping the endpoints.
+    Non-primitive pairs are omitted: their inequality is a power of the
+    primitive one.
     """
-    out = []
-    for m in range(2, pq_bound + 1):
-        for p in range(1, m // 2 + 1):
-            q = m - p
-            if gcd(p, q) == 1:
-                out.append((p, q))
-    return out
+    return [
+        (p, m - p)
+        for m in range(2, pq_bound + 1)
+        for p in range(1, m)
+        if gcd(p, m - p) == 1
+    ]
 
 
 def _weight_triples(rank: int, bound: int) -> list[WeightTriple]:
@@ -305,16 +355,14 @@ def _flat(t: WeightTriple) -> tuple[int, ...]:
     return t[0] + t[1] + t[2]
 
 
-def conjecture1_scan(
-    weight_bound: int, rank_bound: int, pq_bound: int = 2, jobs: int = 1
-) -> ConcavityReport:
+def conjecture1_scan(weight_bound: int, rank_bound: int, pq_bound: int = 2) -> ConcavityReport:
     """Scan log-concavity of the triple invariant over bounded weight triples.
 
     For each rank r <= rank_bound, enumerates pairs (A, B) of dominant
     weight triples with entries in [-weight_bound, weight_bound] and every
-    coprime (p, q) with p + q <= pq_bound for which the weighted midpoint
-    C is integral.  C stays inside the box by convexity, so all values come
-    from one table.
+    coprime (p, q) with p <= q and p + q <= pq_bound for which the weighted
+    midpoint C is integral; (q, p) is covered by swapping the endpoints.
+    C stays inside the box by convexity, so all values come from one table.
 
     Instances where F(A) or F(B) vanishes pass outright (the right side is
     zero and F(C)**(p+q) >= 0 exactly), so only pairs of nonvanishing
@@ -324,67 +372,36 @@ def conjecture1_scan(
     checked = 0
     for rank in range(1, rank_bound + 1):
         triples = _weight_triples(rank, weight_bound)
+        # filled in enumeration order, which fixes the LR cache file's lines
         values: dict[WeightTriple, int] = {}
-        nonzero: list[WeightTriple] = []
         for t in triples:
-            if sum(_flat(t)) != 0:
-                continue
-            v = triple_invariant(t)
-            if v:
-                values[t] = v
-                nonzero.append(t)
+            if sum(_flat(t)) == 0:
+                v = triple_invariant(t)
+                if v:
+                    values[t] = v
+        # ascending order orients every unordered (1, 1) pair as a <= b
+        triples.sort()
+
+        def unflat(c, rank=rank):
+            return c[:rank], c[rank : 2 * rank], c[2 * rank :]
+
         for p, q in _primitive_pq(pq_bound):
-            m = p + q
-            by_residue: dict[tuple, int] = {}
-            nz_by_residue: dict[tuple, list[WeightTriple]] = {}
-            for t in triples:
-                r = tuple(x % m for x in _flat(t))
-                by_residue[r] = by_residue.get(r, 0) + 1
-            for t in nonzero:
-                r = tuple(x % m for x in _flat(t))
-                nz_by_residue.setdefault(r, []).append(t)
-            # count all integral-midpoint instances arithmetically
-            qinv = pow(q, -1, m)
-            for r, count in sorted(by_residue.items()):
-                target = tuple((-p * x * qinv) % m for x in r)
-                other = by_residue.get(target, 0)
-                if p == q:  # (p, q) = (1, 1): unordered pairs within a class
-                    checked += count * (count + 1) // 2
-                else:  # orientation matters: ordered pairs
-                    checked += count * other
-            # explicit checks only where both endpoint values are nonzero
-            for r in sorted(nz_by_residue):
-                target = tuple((-p * x * qinv) % m for x in r)
-                if target not in nz_by_residue:
-                    continue
-                left = nz_by_residue[r]
-                right = nz_by_residue[target]
-                for a in left:
-                    for b in right:
-                        if p == q and b < a:
-                            continue
-                        fa = tuple(_flat(a))
-                        fb = tuple(_flat(b))
-                        cflat = tuple((p * x + q * y) // m for x, y in zip(fa, fb))
-                        c = (
-                            cflat[:rank],
-                            cflat[rank : 2 * rank],
-                            cflat[2 * rank :],
-                        )
-                        va, vb = values[a], values[b]
-                        vc = triple_invariant(c)
-                        if vc ** m < va**p * vb**q:
-                            violations.append(
-                                {
-                                    "rank": rank,
-                                    "p": p,
-                                    "q": q,
-                                    "a": fmt_triple(a),
-                                    "b": fmt_triple(b),
-                                    "c": fmt_triple(c),
-                                    "values": [str(va), str(vb), str(vc)],
-                                }
-                            )
+            if p > q:
+                continue
+            n, bad = _midpoint_scan(triples, _flat, values, p, q, unflat)
+            checked += n
+            violations += [
+                {
+                    "rank": rank,
+                    "p": p,
+                    "q": q,
+                    "a": fmt_triple(a),
+                    "b": fmt_triple(b),
+                    "c": fmt_triple(c),
+                    "values": [str(fa), str(fb), str(fc)],
+                }
+                for a, b, c, fa, fb, fc in bad
+            ]
     violations.sort(key=lambda v: (v["rank"], v["p"], v["q"], v["a"], v["b"]))
     return ConcavityReport(
         checked=checked,
@@ -579,11 +596,7 @@ def alpha_scan(rank_bound: int, entry_bound: int, pq_bound: int = 2) -> Concavit
     the endpoints are the identity and the rotation, both trivial).
     Instances with a vanishing original invariant pass outright.
     """
-    pq_pairs = []
-    for m in range(2, pq_bound + 1):
-        for p in range(1, m):
-            if gcd(p, m - p) == 1:
-                pq_pairs.append((p, m - p))
+    pq_pairs = _primitive_pq(pq_bound)
     violations = []
     checked = 0
     for rank in range(1, rank_bound + 1):
@@ -721,7 +734,7 @@ def convolution_random_suite(cases: int, max_len: int, seed: int) -> ConcavityRe
 # ---------------------------------------------------------------------------
 
 
-def weyl_logconcavity_scan(rank: int, entry_bound: int, jobs: int = 1) -> ConcavityReport:
+def weyl_logconcavity_scan(rank: int, entry_bound: int) -> ConcavityReport:
     """Exhaustive log-concavity check of the Weyl dimension over bounded weights.
 
     Entries range over [0, entry_bound]; shifting by a constant changes
@@ -733,26 +746,18 @@ def weyl_logconcavity_scan(rank: int, entry_bound: int, jobs: int = 1) -> Concav
     for r in range(1, rank + 1):
         ws = list(dominant_weights(r, 0, entry_bound))
         dims = {w: weyl_dimension(w) for w in ws}
-        groups: dict[tuple, list[GLWeight]] = {}
-        for w in ws:
-            groups.setdefault(tuple(x % 2 for x in w), []).append(w)
-        for sig in sorted(groups):
-            members = groups[sig]
-            for i, a in enumerate(members):
-                for b in members[i:]:
-                    c = tuple((x + y) // 2 for x, y in zip(a, b))
-                    checked += 1
-                    da, db, dc = dims[a], dims[b], dims[c]
-                    if dc * dc < da * db:
-                        violations.append(
-                            {
-                                "rank": r,
-                                "a": ",".join(map(str, a)),
-                                "b": ",".join(map(str, b)),
-                                "c": ",".join(map(str, c)),
-                                "values": [str(da), str(db), str(dc)],
-                            }
-                        )
+        n, bad = _midpoint_scan(ws, tuple, dims, 1, 1, tuple)
+        checked += n
+        violations += [
+            {
+                "rank": r,
+                "a": ",".join(map(str, a)),
+                "b": ",".join(map(str, b)),
+                "c": ",".join(map(str, c)),
+                "values": [str(da), str(db), str(dc)],
+            }
+            for a, b, c, da, db, dc in bad
+        ]
     return ConcavityReport(
         checked=checked,
         violations=violations,
@@ -760,9 +765,7 @@ def weyl_logconcavity_scan(rank: int, entry_bound: int, jobs: int = 1) -> Concav
     )
 
 
-def restriction_logconcavity_scan(
-    n: int, k: int, weight_bound: int, jobs: int = 1
-) -> ConcavityReport:
+def restriction_logconcavity_scan(n: int, k: int, weight_bound: int) -> ConcavityReport:
     """Joint log-concavity of restriction multiplicities in the pair (lam, mu).
 
     Points are pairs of partitions (at most n and k parts) with weight at
@@ -779,34 +782,24 @@ def restriction_logconcavity_scan(
     values = {
         (lam, mu): restriction_multiplicity(lam, mu, n, k) for lam, mu in points
     }
-    groups: dict[tuple, list] = {}
-    for lam, mu in points:
-        sig = tuple(x % 2 for x in pad(lam, n) + pad(mu, k))
-        groups.setdefault(sig, []).append((lam, mu))
-    violations = []
-    checked = 0
-    for sig in sorted(groups):
-        members = groups[sig]
-        for i, a in enumerate(members):
-            for b in members[i:]:
-                flat_a = pad(a[0], n) + pad(a[1], k)
-                flat_b = pad(b[0], n) + pad(b[1], k)
-                mid = tuple((x + y) // 2 for x, y in zip(flat_a, flat_b))
-                c = (partition(mid[:n]), partition(mid[n:]))
-                checked += 1
-                fa, fb = values[a], values[b]
-                fc = values.get(c)
-                if fc is None:
-                    fc = restriction_multiplicity(c[0], c[1], n, k)
-                if fc * fc < fa * fb:
-                    violations.append(
-                        {
-                            "a": f"{fmt_shape(*a)}",
-                            "b": f"{fmt_shape(*b)}",
-                            "c": f"{fmt_shape(*c)}",
-                            "values": [str(fa), str(fb), str(fc)],
-                        }
-                    )
+    checked, bad = _midpoint_scan(
+        points,
+        lambda x: pad(x[0], n) + pad(x[1], k),
+        values,
+        1,
+        1,
+        lambda c: (partition(c[:n]), partition(c[n:])),
+    )
+    # a nonzero multiplicity needs mu inside lam, and averaging keeps that
+    violations = [
+        {
+            "a": str(SkewShape(*a)),
+            "b": str(SkewShape(*b)),
+            "c": str(SkewShape(*c)),
+            "values": [str(fa), str(fb), str(fc)],
+        }
+        for a, b, c, fa, fb, fc in bad
+    ]
     return ConcavityReport(
         checked=checked,
         violations=violations,

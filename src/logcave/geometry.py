@@ -13,6 +13,8 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+from .symfunc import det_fraction
+
 Point = tuple[Fraction, ...]
 
 
@@ -180,7 +182,7 @@ def _normal_vector(subset, d):
     normal = []
     for i in range(d):
         minor = [[row[j] for j in range(d) if j != i] for row in vecs]
-        normal.append((-1) ** i * _det(minor))
+        normal.append((-1) ** i * det_fraction(minor))
     if not any(normal):
         return None
     # clear denominators, reduce to primitive integers
@@ -190,33 +192,6 @@ def _normal_vector(subset, d):
         lcm = lcm * q // gcd(lcm, q)
     ints = [int(Fraction(x) * lcm) for x in normal]
     return _primitive(ints)
-
-
-def _det(rows) -> Fraction:
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return Fraction(rows[0][0])
-    if n == 2:
-        return Fraction(rows[0][0]) * rows[1][1] - Fraction(rows[0][1]) * rows[1][0]
-    m = [[Fraction(x) for x in r] for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det
 
 
 def _order_polygon(points_2d: list[tuple[Fraction, Fraction]]):
@@ -288,7 +263,7 @@ def hull_volume(vertices: list[Point]) -> Fraction:
                     [ring[i + 1][c] - ring[0][c] for c in range(3)],
                     [o[c] - ring[0][c] for c in range(3)],
                 ]
-                total += abs(_det(mat))
+                total += abs(det_fraction(mat))
         return total / 6
     raise NotImplementedError("volumes implemented for ambient dimension <= 3")
 
@@ -369,10 +344,11 @@ def lattice_covolume(rows: list[tuple[int, ...]], rank: int) -> int:
 def compare_root_sum(a: Fraction, b: Fraction, c: Fraction, d: int) -> int:
     """Sign of a**(1/d) - (b**(1/d) + c**(1/d)) for nonnegative rationals.
 
-    Pure rational arithmetic.  d = 2 squares out the cross term; d = 3
-    uses the rational norm form prod_{w^3=1, v^3=1} (A^(1/3) - w B^(1/3)
-    - v C^(1/3)) = m^3 - 27A^2C + 27AC^2 + 27mAC with m = A - B - C,
-    whose sign equals the sign of the real factor.
+    Pure rational arithmetic.  d = 2 squares out the cross term.  For
+    d = 3 write u = a^(1/3), v = -b^(1/3), w = -c^(1/3) and m = a - b - c;
+    then u^3 + v^3 + w^3 - 3uvw = (u + v + w) * Q with Q > 0 when b, c > 0,
+    so the sign of u + v + w is that of m - 3(abc)^(1/3), which is the
+    sign of m^3 - 27abc.
     """
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     if min(a, b, c) < 0:
@@ -393,6 +369,6 @@ def compare_root_sum(a: Fraction, b: Fraction, c: Fraction, d: int) -> int:
         return (t > 0) - (t < 0)
     if d == 3:
         m = a - b - c
-        n = m**3 - 27 * a * a * c + 27 * a * c * c + 27 * m * a * c
+        n = m**3 - 27 * a * b * c
         return (n > 0) - (n < 0)
     raise NotImplementedError("root comparison implemented for d <= 3")

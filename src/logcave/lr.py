@@ -25,6 +25,7 @@ from .partitions import (
     pad,
     partition,
     partitions_of,
+    shift_to_partition,
     weight,
 )
 from .symfunc import kostka_table, multiply, skew_schur, to_schur_basis
@@ -193,8 +194,8 @@ def tensor_product_multiplicities(w1: GLWeight, w2: GLWeight) -> dict[GLWeight, 
         raise ValueError("rank mismatch")
     weight(w1)
     weight(w2)
-    p1, s1 = _shift(w1)
-    p2, s2 = _shift(w2)
+    p1, s1 = shift_to_partition(w1)
+    p2, s2 = shift_to_partition(w2)
     total = sum(p1) + sum(p2)
     out: dict[GLWeight, int] = {}
     first_cap = (p1[0] if p1 else 0) + (p2[0] if p2 else 0)
@@ -205,18 +206,9 @@ def tensor_product_multiplicities(w1: GLWeight, w2: GLWeight) -> dict[GLWeight, 
     return out
 
 
-def _shift(w: GLWeight) -> tuple[Partition, int]:
-    shift = min(w) if min(w) < 0 else 0
-    return partition(x - shift for x in w), shift
-
-
 def tensor_square_multiplicities(w: GLWeight) -> dict[GLWeight, int]:
     """Decomposition of V^w tensor V^w."""
     return tensor_product_multiplicities(w, w)
-
-
-def format_weight(w: GLWeight) -> str:
-    return ",".join(map(str, w))
 
 
 class LRCache:
@@ -260,9 +252,8 @@ class LRCache:
             self._memory[key] = value
             if self._path:
                 lam, mu, nu, n = key
-                line = ";".join(
-                    (format_weight(lam), format_weight(mu), format_weight(nu), str(n), str(value))
-                )
+                fields = [",".join(map(str, w)) for w in (lam, mu, nu)]
+                line = ";".join([*fields, str(n), str(value)])
                 with open(self._path, "a", encoding="ascii") as fh:
                     fh.write(line + "\n")
                     fh.flush()

@@ -46,14 +46,6 @@ def weight(entries) -> GLWeight:
     return w
 
 
-def is_partition(p) -> bool:
-    return all(p[i] >= p[i + 1] for i in range(len(p) - 1)) and (not p or p[-1] >= 0)
-
-
-def weight_of(p: Partition) -> int:
-    return sum(p)
-
-
 def pad(p: Partition, n: int) -> tuple[int, ...]:
     """Right-pad with zeros to length n (n >= len(p))."""
     if len(p) > n:

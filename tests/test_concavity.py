@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from logcave import concavity
 from logcave.concavity import (
     ConcavityInstance,
     SequencePreconditionError,
@@ -23,9 +26,7 @@ from logcave.concavity import (
     theorem1_verify,
     weyl_logconcavity_scan,
 )
-import random
-
-from logcave.partitions import dual_weight
+from logcave.partitions import contains, dual_weight
 
 
 def test_instance_validation():
@@ -211,3 +212,146 @@ def test_restriction_scan_clean():
     assert rep.clean and rep.checked > 3000
     with pytest.raises(ValueError):
         restriction_logconcavity_scan(2, 2, 3)
+
+
+@pytest.mark.parametrize("p, q", [(1, 1), (1, 2), (2, 3)])
+def test_midpoint_engine_matches_brute_force(p, q):
+    m = p + q
+    points = [(x, y) for x in range(-2, 4) for y in range(5)]
+    rng = random.Random(10 * p + q)
+    values = {pt: v for pt in points if (v := rng.choice([0, 1, 2, 3, 5]))}
+    pairs = [
+        (a, b)
+        for i, a in enumerate(points)
+        for b in (points[i:] if p == q else points)
+        if all((p * x + q * y) % m == 0 for x, y in zip(a, b))
+    ]
+    assert sorted(concavity._midpoint_pairs(points, tuple, p, q)) == sorted(pairs)
+    expected = []
+    for a, b in pairs:
+        c = tuple((p * x + q * y) // m for x, y in zip(a, b))
+        fa, fb, fc = (values.get(x, 0) for x in (a, b, c))
+        if fc**m < fa**p * fb**q:
+            expected.append((a, b, c, fa, fb, fc))
+    checked, violations = concavity._midpoint_scan(points, tuple, values, p, q, tuple)
+    assert checked == len(pairs)
+    assert expected and sorted(violations) == sorted(expected)
+
+
+def test_run_units_caps_workers_at_cpu_count(monkeypatch):
+    started = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, worker, units, chunksize=1):
+            return [worker(u) for u in units]
+
+    serial = theorem1_scan(4)
+    monkeypatch.setattr(concavity, "Pool", RecordingPool)
+    monkeypatch.setattr(concavity.os, "cpu_count", lambda: 3)
+    rep = theorem1_scan(4, jobs=64)
+    assert started == [3]
+    assert (rep.checked, rep.violations) == (serial.checked, serial.violations)
+    monkeypatch.setattr(concavity.os, "cpu_count", lambda: None)
+    theorem1_scan(4, jobs=64)
+    assert started == [3]  # unknown CPU count: serial, no pool
+
+
+# Deterministic stand-ins that are positive and affine on a convex support,
+# except for planted zeros, so every violation has a planted zero as its
+# midpoint.  The real multiplicities scan clean at these sizes, so only the
+# stand-ins exercise the violation records.
+
+def _fake_weyl_dimension(w):
+    return 0 if w == (3, 2, 1) else 1 + w[0]
+
+
+def _fake_restriction_multiplicity(lam, mu, n, k):
+    if not contains(lam, mu) or (lam, mu) == ((3, 1), (1,)):
+        return 0
+    return 1 + sum(mu)
+
+
+_PLANTED_TRIPLE_ZEROS = {((1,), (0,), (-1,)), ((1, 0), (0, -1), (0, 0))}
+
+
+def _fake_triple_invariant(t):
+    flat = t[0] + t[1] + t[2]
+    if sum(flat) != 0 or max(flat) > 1 or t in _PLANTED_TRIPLE_ZEROS:
+        return 0
+    return 7 + t[0][0] + 2 * t[2][-1]
+
+
+def _weyl_record(a, b, da, db):
+    return {"rank": 3, "a": a, "b": b, "c": "3,2,1", "values": [da, db, "0"]}
+
+
+def _conj1_record(rank, p, q, a, b, c, fa, fb):
+    return {"rank": rank, "p": p, "q": q, "a": a, "b": b, "c": c, "values": [fa, fb, "0"]}
+
+
+def _restriction_record(a, b, fa, fb):
+    return {"a": a, "b": b, "c": "3,1/1", "values": [fa, fb, "0"]}
+
+
+def test_midpoint_scanner_violation_records(monkeypatch):
+    """Counts, record format and pair orientation of three midpoint scanners.
+
+    conj1 orients each unordered (1, 1) pair with a <= b as tuples, weyl and
+    restriction by enumeration order; ordered (p, q) pairs keep p on a.
+    """
+    monkeypatch.setattr(concavity, "weyl_dimension", _fake_weyl_dimension)
+    monkeypatch.setattr(
+        concavity, "restriction_multiplicity", _fake_restriction_multiplicity
+    )
+    monkeypatch.setattr(concavity, "triple_invariant", _fake_triple_invariant)
+
+    rep = weyl_logconcavity_scan(3, 4)
+    assert rep.checked == 164
+    assert rep.violations == [
+        _weyl_record("4,4,2", "2,0,0", "5", "3"),
+        _weyl_record("4,2,2", "2,2,0", "5", "3"),
+        _weyl_record("4,2,0", "2,2,2", "5", "3"),
+        _weyl_record("4,2,1", "2,2,1", "5", "3"),
+        _weyl_record("4,3,2", "2,1,0", "5", "3"),
+        _weyl_record("4,3,1", "2,1,1", "5", "3"),
+        _weyl_record("3,2,2", "3,2,0", "4", "4"),
+        _weyl_record("3,3,2", "3,1,0", "4", "4"),
+        _weyl_record("3,3,1", "3,1,1", "4", "4"),
+    ]
+
+    rep = conjecture1_scan(2, 2, 5)
+    assert rep.checked == 181142
+    mid = "1,0 0,-1 0,0"
+    assert rep.violations == [
+        _conj1_record(1, 1, 1, "1 -1 0", "1 1 -2", "1 0 -1", "8", "4"),
+        _conj1_record(1, 1, 2, "1 -2 1", "1 1 -2", "1 0 -1", "10", "4"),
+        _conj1_record(2, 1, 1, "1,-1 -1,-1 1,1", "1,1 1,-1 -1,-1", mid, "10", "6"),
+        _conj1_record(2, 1, 1, "1,-1 0,-2 1,1", "1,1 0,0 -1,-1", mid, "10", "6"),
+        _conj1_record(2, 1, 1, "1,-1 0,0 0,0", "1,1 0,-2 0,0", mid, "8", "8"),
+        _conj1_record(2, 1, 1, "1,-1 1,-1 0,0", "1,1 -1,-1 0,0", mid, "8", "8"),
+        _conj1_record(2, 1, 1, "1,0 -1,-2 1,1", "1,0 1,0 -1,-1", mid, "10", "6"),
+    ]
+
+    rep = restriction_logconcavity_scan(4, 2, 5)
+    assert rep.checked == 1068
+    assert rep.violations == [
+        _restriction_record("4", "2,2/2", "1", "3"),
+        _restriction_record("4/2", "2,2", "3", "1"),
+        _restriction_record("4/1", "2,2/1", "2", "2"),
+        _restriction_record("2,1", "4,1/2", "1", "3"),
+        _restriction_record("2,1/2", "4,1", "3", "1"),
+        _restriction_record("2,1/1", "4,1/1", "2", "2"),
+        _restriction_record("3", "3,2/2", "1", "3"),
+        _restriction_record("3/2", "3,2", "3", "1"),
+        _restriction_record("3/1", "3,2/1", "2", "2"),
+        _restriction_record("3,1", "3,1/2", "1", "3"),
+    ]
