@@ -365,9 +365,36 @@ _VERIFIERS = [
 ]
 
 
+# The least value of each option a scanner reads at which its domain is
+# nonempty; below it a scan would check nothing and still report clean.
+_SCAN_MINIMUMS = {
+    "theorem1": {"bound": 0},
+    "slm": {"bound": 0},
+    "conj1": {"bound": 0, "rank": 1, "pq": 2},
+    "saturation": {"bound": 0, "rank": 1, "kmax": 1},
+    "logv": {"bound": 0, "rank": 1},
+    "alpha": {"bound": 0, "rank": 1, "pq": 2},
+    "weyl": {"bound": 0, "rank": 1},
+    "restriction": {"bound": 0, "n": 1, "k": 0},
+    "convolution": {"bound": 1, "cases": 1},
+}
+
+
+def _check_scan_args(args) -> None:
+    """Raise ParseError for an option value that would make the scan vacuous."""
+    minimums = {"jobs": 1, **_SCAN_MINIMUMS[args.scanner]}
+    for option, least in minimums.items():
+        value = getattr(args, option)
+        if value < least:
+            raise ParseError(
+                f"verify {args.scanner}: --{option} must be >= {least}, got {value}"
+            )
+
+
 def run_scan(args) -> tuple[dict, int]:
     """Dispatch a verify subcommand; returns (report, exit code)."""
     name = args.scanner
+    _check_scan_args(args)
     t0 = time.monotonic()
     if name == "theorem1":
         rep = concavity.theorem1_scan(args.bound, jobs=args.jobs)

@@ -234,9 +234,11 @@ def theorem1_verify(l1, m1, l3, m3) -> SquareComparison:
 
 
 def slm_schur_positivity(l1, m1, l3, m3) -> tuple[bool, SchurExpansion, SquareComparison]:
-    """Schur expansion of the same difference; conjecturally nonnegative.
+    """Schur expansion of the same difference, and whether it is nonnegative.
 
-    A negative Schur coefficient is a reportable discovery, not an error.
+    Schur positivity of the difference is a theorem (Lam, Postnikov and
+    Pylyavskyy, Amer. J. Math. 129, 2007), so a negative Schur coefficient
+    would be a bug.
     """
     diff, result = _square_minus_product(l1, m1, l3, m3)
     expansion = to_schur_basis(diff)
@@ -322,7 +324,8 @@ def theorem1_scan(max_weight: int, jobs: int = 1) -> ConcavityReport:
 def slm_scan(max_weight: int, jobs: int = 1) -> ConcavityReport:
     """Schur-positivity scanner for the squared-midpoint difference.
 
-    A conjecture scanner: violations are findings written to the report.
+    Same pairs as theorem1_scan.  The positivity is a theorem (Lam,
+    Postnikov and Pylyavskyy, 2007), so expected violations: none, ever.
     """
     return _skew_pair_scan(_slm_unit, max_weight, jobs)
 

@@ -216,9 +216,14 @@ class LRCache:
 
     File lines are "lam;mu;nu;n;value" in the comma-separated weight
     syntax.  Writes happen under a lock and each entry is a single
-    buffered write followed by a flush, so concurrent readers never see a
-    torn value; at worst two processes compute the same key and append it
-    twice, which is harmless.
+    buffered write followed by a flush; at worst two processes compute the
+    same key and append it twice, which is harmless.
+
+    A write cut short (a killed process, a full disk) leaves a last line
+    without its newline, whose value may be a prefix of the true one.
+    Loading skips such a line, and the next append first closes it with
+    "#\n": the "#" keeps the fragment from ever parsing, and the new entry
+    starts on a fresh line.
     """
 
     def __init__(self, path: str | None = None):
@@ -228,6 +233,8 @@ class LRCache:
         if path and os.path.exists(path):
             with open(path, "r", encoding="ascii") as fh:
                 for line in fh:
+                    if not line.endswith("\n"):
+                        break  # torn tail
                     line = line.strip()
                     if not line:
                         continue
@@ -254,8 +261,12 @@ class LRCache:
                 lam, mu, nu, n = key
                 fields = [",".join(map(str, w)) for w in (lam, mu, nu)]
                 line = ";".join([*fields, str(n), str(value)])
-                with open(self._path, "a", encoding="ascii") as fh:
-                    fh.write(line + "\n")
+                with open(self._path, "a+b") as fh:
+                    if fh.tell() > 0:
+                        fh.seek(-1, os.SEEK_END)
+                        if fh.read(1) != b"\n":
+                            line = "#\n" + line
+                    fh.write((line + "\n").encode("ascii"))
                     fh.flush()
         return value
 

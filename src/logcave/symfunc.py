@@ -13,6 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import factorial
 from typing import Iterator, Mapping
 
@@ -20,8 +21,8 @@ from .partitions import (
     Partition,
     SkewShape,
     arrangement_count,
+    contains,
     dominance_leq,
-    iter_ssyt_rows,
     pad,
     partition,
 )
@@ -90,21 +91,48 @@ def kostka_table(outer: Partition, inner: Partition, max_entry: int) -> dict[Par
 
     Entry [alpha] is the number of fillings whose content sorts to alpha
     (Kostka numbers, which are symmetric in the content).
+
+    Computed by the branching rule (Macdonald, I.5): the cells holding the
+    largest entry N form a horizontal strip outer/nu, and the rest is an
+    SSYT of nu/inner with entries <= N-1.  By the symmetry, a dominant
+    content with exactly N parts is alpha' + (s,) for a strip of size s and
+    a dominant alpha' with N-1 parts, the last of them >= s.  Contents with
+    fewer parts are the table for N-1.
     """
-    shape = SkewShape(outer, inner)
-    table: Counter[Partition] = Counter()
-    counts = [0] * max_entry
-    for rows in iter_ssyt_rows(shape, max_entry):
-        for row in rows:
-            for v in row:
-                counts[v - 1] += 1
-        # Kostka numbers are symmetric in the content, so one representative
-        # per orbit suffices: keep only weakly decreasing content vectors.
-        if all(counts[i] >= counts[i + 1] for i in range(max_entry - 1)):
-            table[partition(counts)] += 1
-        for i in range(max_entry):
-            counts[i] = 0
+    if not contains(outer, inner):
+        raise ValueError(f"inner {inner} not contained in outer {outer}")
+    if max_entry <= 0:
+        return {(): 1} if outer == inner else {}
+    table = Counter(kostka_table(outer, inner, max_entry - 1))
+    # every part of alpha' is >= s, so the strip takes at most |outer/inner|/N cells
+    max_strip = (sum(outer) - sum(inner)) // max_entry
+    for nu, s in _horizontal_strips(outer, inner, max_strip):
+        for alpha, c in kostka_table(nu, inner, max_entry - 1).items():
+            if len(alpha) == max_entry - 1 and (not alpha or alpha[-1] >= s):
+                table[alpha + (s,)] += c
     return dict(table)
+
+
+def _horizontal_strips(
+    outer: Partition, inner: Partition, max_size: int
+) -> Iterator[tuple[Partition, int]]:
+    """(nu, |outer/nu|) for each nu with inner <= nu <= outer, outer/nu a
+    horizontal strip of 1..max_size cells.
+
+    A horizontal strip has at most one cell per column, which is
+    outer[i+1] <= nu[i] <= outer[i] in every row.
+    """
+    rows = len(outer)
+    inner = pad(inner, rows)
+    ranges = [
+        range(outer[i], max(inner[i], outer[i + 1] if i + 1 < rows else 0) - 1, -1)
+        for i in range(rows)
+    ]
+    total = sum(outer)
+    for nu in product(*ranges):
+        s = total - sum(nu)
+        if 0 < s <= max_size:
+            yield partition(nu), s
 
 
 def skew_schur(shape: SkewShape, n: int) -> MonomialExpansion:

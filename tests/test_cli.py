@@ -177,3 +177,34 @@ def test_manifest_replay_reproduces_reports(tmp_path):
 def test_cli_usage_error_is_exit_2():
     assert main(["verify", "nonsense"]) == 2
     assert main([]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (["verify", "weyl", "--rank", "0"], "--rank"),
+        (["verify", "conj1", "--bound", "-1"], "--bound"),
+        (["verify", "theorem1", "--bound", "-1"], "--bound"),
+        (["verify", "slm", "--bound", "-2"], "--bound"),
+        (["verify", "theorem1", "--bound", "2", "--jobs", "0"], "--jobs"),
+        (["verify", "convolution", "--bound", "0"], "--bound"),
+    ],
+)
+def test_verify_rejects_vacuous_inputs_before_scanning(argv, option, monkeypatch, capsys):
+    import logcave.concavity as concavity
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scan started")
+
+    for name in (
+        "theorem1_scan",
+        "slm_scan",
+        "conjecture1_scan",
+        "weyl_logconcavity_scan",
+        "convolution_random_suite",
+    ):
+        monkeypatch.setattr(concavity, name, no_scan)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{option} must be >=" in err
+    assert "randrange" not in err

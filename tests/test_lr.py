@@ -104,10 +104,13 @@ def test_restriction_multiplicity_examples():
 
 
 def test_restriction_matches_direct_tableau_count():
-    for lam in partitions_up_to(5, 4):
-        for mu in partitions_up_to(3, 2):
-            expected = count_ssyt(SkewShape(lam, mu), 2) if contains(lam, mu) else 0
-            assert restriction_multiplicity(lam, mu, 4, 2) == expected, (lam, mu)
+    # n - k is the largest tableau entry, so the branching recursion runs n - k levels deep
+    for n, k in ((4, 2), (5, 2), (6, 2)):
+        for lam in partitions_up_to(5, n):
+            for mu in partitions_up_to(3, k):
+                m = n - k
+                expected = count_ssyt(SkewShape(lam, mu), m) if contains(lam, mu) else 0
+                assert restriction_multiplicity(lam, mu, n, k) == expected, (lam, mu, n, k)
 
 
 def test_skew_schur_decomposes_with_lr_coefficients():
@@ -165,6 +168,37 @@ def test_cache_round_trip(tmp_path):
     with open(path) as fh:
         line = fh.read().strip()
     assert line == "1,0,-1;1,0,-1;1,0,-1;3;2"
+
+
+def test_cache_torn_tail_is_ignored_and_closed(tmp_path):
+    path = os.path.join(tmp_path, "lr_cache.txt")
+    t = ((1, 0, -1), (1, 0, -1), (1, 0, -1))
+    key = (*t, 3)
+    whole = "2,0,0;0,0,-1;0,0,-1;3;5\n"
+    # "...;3;12" cut short after its first digit and before its newline
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(whole + "1,0,-1;1,0,-1;1,0,-1;3;1")
+    c1 = LRCache(path)
+    assert len(c1) == 1
+    assert c1.get_or_compute(key, lambda: 12) == 12
+    with open(path, encoding="ascii") as fh:
+        text = fh.read()
+    assert text == whole + "1,0,-1;1,0,-1;1,0,-1;3;1#\n1,0,-1;1,0,-1;1,0,-1;3;12\n"
+    # the closed fragment never loads; the appended line does
+    c2 = LRCache(path)
+    assert len(c2) == 2
+    assert c2.get_or_compute(key, lambda: -999) == 12
+
+
+def test_cache_closed_fragment_without_recompute_stays_unloaded(tmp_path):
+    path = os.path.join(tmp_path, "lr_cache.txt")
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("1,0,-1;1,0,-1;1,0,-1;3;1")
+    LRCache(path).get_or_compute(((0,), (0,), (0,), 1), lambda: 1)
+    c2 = LRCache(path)
+    assert len(c2) == 1
+    t = ((1, 0, -1), (1, 0, -1), (1, 0, -1))
+    assert c2.get_or_compute((*t, 3), lambda: 2) == 2
 
 
 def test_cache_concurrent_access(tmp_path):

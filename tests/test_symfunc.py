@@ -1,13 +1,24 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from logcave.partitions import SkewShape, pad, partition, partitions_up_to, subdiagrams, weyl_dimension
+from logcave.partitions import (
+    SkewShape,
+    iter_ssyt_rows,
+    pad,
+    partition,
+    partitions_of,
+    partitions_up_to,
+    subdiagrams,
+    weyl_dimension,
+)
 from logcave.symfunc import (
     MonomialExpansion,
+    kostka_table,
     monomial_product_row,
     multiply,
     schur_to_monomials,
@@ -60,6 +71,50 @@ def brute_force_skew_schur(outer, inner, n):
             key = tuple(content)
             out[key] = out.get(key, 0) + 1
     return out
+
+
+def enumerated_kostka_table(outer, inner, max_entry):
+    """Oracle: enumerate every SSYT and keep the weakly decreasing contents."""
+    table = Counter()
+    for rows in iter_ssyt_rows(SkewShape(outer, inner), max_entry):
+        content = [0] * max_entry
+        for row in rows:
+            for v in row:
+                content[v - 1] += 1
+        if all(content[i] >= content[i + 1] for i in range(max_entry - 1)):
+            table[partition(content)] += 1
+    return dict(table)
+
+
+def test_kostka_table_matches_enumeration_up_to_weight_6():
+    checked = 0
+    for lam in partitions_up_to(6):
+        for mu in subdiagrams(lam):
+            for n in range(8):
+                assert kostka_table(lam, mu, n) == enumerated_kostka_table(lam, mu, n), (
+                    lam,
+                    mu,
+                    n,
+                )
+                checked += 1
+    assert checked == 1840
+
+
+_WEIGHT_7_AND_8 = [lam for w in (7, 8) for lam in partitions_of(w)]
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.data())
+def test_kostka_table_matches_enumeration_at_weight_7_and_8(data):
+    lam = data.draw(st.sampled_from(_WEIGHT_7_AND_8))
+    mu = data.draw(st.sampled_from(list(subdiagrams(lam))))
+    n = data.draw(st.integers(0, 6))
+    assert kostka_table(lam, mu, n) == enumerated_kostka_table(lam, mu, n)
+
+
+def test_kostka_table_rejects_inner_outside_outer():
+    with pytest.raises(ValueError):
+        kostka_table((1,), (2,), 2)
 
 
 @pytest.mark.parametrize(
