@@ -169,10 +169,7 @@ def power_subspace(s: PolynomialSubspace, k: int) -> PolynomialSubspace:
     """The k-th power subspace, spanned by k-fold products of elements of s."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    out = s
-    for _ in range(k - 1):
-        out = subspace_product(out, s)
-    return out
+    return _power_tower(s, k)[-1]
 
 
 def _power_tower(s: PolynomialSubspace, k_max: int) -> list[PolynomialSubspace]:
@@ -189,7 +186,8 @@ class BodyApprox:
     points are the scaled valuations v(f)/k for k <= level; hull is the
     vertex list of their convex hull; lattice is a Hermite basis of the
     group generated by the semigroup points (k, v); stable records whether
-    the hull already agreed at the previous level.
+    the hull already agreed at the previous level; dims[k-1] is dim s^k for
+    k = 1..level.
     """
 
     level: int
@@ -197,6 +195,7 @@ class BodyApprox:
     hull: list[Point]
     lattice: list[tuple[int, ...]]
     stable: bool
+    dims: list[int]
 
 
 def body_approximation(s: PolynomialSubspace, k_max: int) -> BodyApprox:
@@ -227,6 +226,7 @@ def body_approximation(s: PolynomialSubspace, k_max: int) -> BodyApprox:
         hull=hull,
         lattice=hermite_basis(generators),
         stable=stable,
+        dims=[sk.dimension for sk in tower],
     )
 
 
@@ -275,7 +275,12 @@ def degree_estimate(s: PolynomialSubspace, k_max: int) -> DegreeEstimate:
     d = s.dim
     if k_max < d + 1:
         raise ValueError(f"need k_max >= d+1 = {d + 1}")
-    dims = [sk.dimension for sk in _power_tower(s, k_max)]
+    return _fit_degree([sk.dimension for sk in _power_tower(s, k_max)], d)
+
+
+def _fit_degree(dims: list[int], d: int) -> DegreeEstimate:
+    """The degree estimate from dims[k-1] = dim s^k, k = 1..len(dims) >= d+1."""
+    k_max = len(dims)
 
     def finite_difference(samples: list[int]) -> Fraction:
         vals = [Fraction(x) for x in samples]
@@ -307,6 +312,18 @@ def degree_estimate(s: PolynomialSubspace, k_max: int) -> DegreeEstimate:
     return DegreeEstimate(degree=degree, residuals=residuals, stable=stable, dims=dims)
 
 
+def _pair_bodies(
+    s1: PolynomialSubspace, s2: PolynomialSubspace, k_max: int
+) -> tuple[BodyApprox, BodyApprox, BodyApprox]:
+    """The level-k_max bodies of s1, s2 and their product subspace."""
+    if s1.dim != s2.dim:
+        raise ValueError("dimension mismatch")
+    b1 = body_approximation(s1, k_max)
+    b2 = body_approximation(s2, k_max)
+    b12 = body_approximation(subspace_product(s1, s2), k_max)
+    return b1, b2, b12
+
+
 def minkowski_inclusion_check(
     s1: PolynomialSubspace, s2: PolynomialSubspace, k_max: int
 ) -> tuple[bool, Point | None]:
@@ -317,11 +334,7 @@ def minkowski_inclusion_check(
     subspaces; for monomial subspaces the hulls are Newton polytopes and
     the inclusion is exact at every level).
     """
-    if s1.dim != s2.dim:
-        raise ValueError("dimension mismatch")
-    b1 = body_approximation(s1, k_max)
-    b2 = body_approximation(s2, k_max)
-    b12 = body_approximation(subspace_product(s1, s2), k_max)
+    b1, b2, b12 = _pair_bodies(s1, s2, k_max)
     for p in minkowski_sum(b1.hull, b2.hull):
         if not in_convex_hull(p, b12.hull):
             return False, p
@@ -346,21 +359,16 @@ def brunn_minkowski_check(
     exact rational arithmetic.  Stability flags of the three degree
     estimates are reported alongside.
     """
-    if s1.dim != s2.dim:
-        raise ValueError("dimension mismatch")
     d = s1.dim
-    s12 = subspace_product(s1, s2)
-    b1 = body_approximation(s1, k_max)
-    b2 = body_approximation(s2, k_max)
-    b12 = body_approximation(s12, k_max)
+    b1, b2, b12 = _pair_bodies(s1, s2, k_max)
     covol = lattice_covolume(level_one_lattice(b12), d)
     v1 = hull_volume(b1.hull) / covol
     v2 = hull_volume(b2.hull) / covol
     v12 = hull_volume(b12.hull) / covol
     sign = compare_root_sum(v12, v1, v2, d)
     stable = tuple(
-        degree_estimate(s, k_max).stable if k_max >= s.dim + 2 else False
-        for s in (s1, s2, s12)
+        _fit_degree(b.dims, d).stable if k_max >= d + 2 else False
+        for b in (b1, b2, b12)
     )
     return BrunnMinkowskiResult(
         passed=sign >= 0,

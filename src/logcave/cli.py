@@ -225,17 +225,14 @@ def build_report(
             "argv": argv,
             "jobs": jobs,
             "artifact_version": ARTIFACT_VERSION,
-            "wall_time_ms": runtime_ms,
             "output_digest": "sha256:" + hashlib.sha256(payload).hexdigest(),
         },
     }
 
 
 def write_report(report: dict, out_path: str | None) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2)
+    _emit(report, out_path)
     if out_path:
-        with open(out_path, "w", encoding="ascii") as fh:
-            fh.write(text + "\n")
         csv_path = re.sub(r"\.json$", "", out_path) + ".csv"
         with open(csv_path, "w", newline="", encoding="ascii") as fh:
             w = csv.writer(fh)
@@ -248,8 +245,6 @@ def write_report(report: dict, out_path: str | None) -> None:
                     json.dumps(report["params"], sort_keys=True),
                 ]
             )
-    else:
-        print(text)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +322,9 @@ def _cmd_toeplitz(args) -> int:
 
 
 def _cmd_body(args) -> int:
+    # exact hull volumes exist for ambient dimension 1..3 only
+    if not 1 <= args.dim <= 3:
+        raise ParseError(f"body: --dim must be 1, 2 or 3, got {args.dim}")
     polys = [parse_polynomial(p, args.dim) for p in args.basis.split(";") if p.strip()]
     subspace = PolynomialSubspace(args.dim, polys)
     b = bodies.body_approximation(subspace, args.kmax)
@@ -352,37 +350,53 @@ def _cmd_body(args) -> int:
     return 0
 
 
-_VERIFIERS = [
-    "theorem1",
-    "slm",
-    "conj1",
-    "saturation",
-    "logv",
-    "alpha",
-    "weyl",
-    "restriction",
-    "convolution",
-]
-
-
-# The least value of each option a scanner reads at which its domain is
-# nonempty; below it a scan would check nothing and still report clean.
-_SCAN_MINIMUMS = {
-    "theorem1": {"bound": 0},
-    "slm": {"bound": 0},
-    "conj1": {"bound": 0, "rank": 1, "pq": 2},
-    "saturation": {"bound": 0, "rank": 1, "kmax": 1},
-    "logv": {"bound": 0, "rank": 1},
-    "alpha": {"bound": 0, "rank": 1, "pq": 2},
-    "weyl": {"bound": 0, "rank": 1},
-    "restriction": {"bound": 0, "n": 1, "k": 0},
-    "convolution": {"bound": 1, "cases": 1},
+# Each scanner: how to run it on the parsed arguments, and the least value
+# of each option it reads at which its domain is nonempty; below it a scan
+# would check nothing and still report clean.  The lookups stay late-bound
+# so that a replaced concavity function is the one that runs.
+_SCANNERS = {
+    "theorem1": (
+        lambda a: concavity.theorem1_scan(a.bound, jobs=a.jobs),
+        {"bound": 0},
+    ),
+    "slm": (
+        lambda a: concavity.slm_scan(a.bound, jobs=a.jobs),
+        {"bound": 0},
+    ),
+    "conj1": (
+        lambda a: concavity.conjecture1_scan(a.bound, a.rank, a.pq),
+        {"bound": 0, "rank": 1, "pq": 2},
+    ),
+    "saturation": (
+        lambda a: concavity.saturation_scan_all(a.bound, a.rank, a.kmax),
+        {"bound": 0, "rank": 1, "kmax": 1},
+    ),
+    "logv": (
+        lambda a: concavity.logv_scan(a.rank, a.bound),
+        {"bound": 0, "rank": 1},
+    ),
+    "alpha": (
+        lambda a: concavity.alpha_scan(a.rank, a.bound, a.pq),
+        {"bound": 0, "rank": 1, "pq": 2},
+    ),
+    "weyl": (
+        lambda a: concavity.weyl_logconcavity_scan(a.rank, a.bound),
+        {"bound": 0, "rank": 1},
+    ),
+    "restriction": (
+        lambda a: concavity.restriction_logconcavity_scan(a.n, a.k, a.bound),
+        {"bound": 0, "n": 1, "k": 0},
+    ),
+    "convolution": (
+        lambda a: concavity.convolution_random_suite(a.cases, a.bound, a.seed),
+        {"bound": 1, "cases": 1},
+    ),
 }
 
 
 def _check_scan_args(args) -> None:
     """Raise ParseError for an option value that would make the scan vacuous."""
-    minimums = {"jobs": 1, **_SCAN_MINIMUMS[args.scanner]}
+    minimums = {"jobs": 1, **_SCANNERS[args.scanner][1]}
     for option, least in minimums.items():
         value = getattr(args, option)
         if value < least:
@@ -396,26 +410,7 @@ def run_scan(args) -> tuple[dict, int]:
     name = args.scanner
     _check_scan_args(args)
     t0 = time.monotonic()
-    if name == "theorem1":
-        rep = concavity.theorem1_scan(args.bound, jobs=args.jobs)
-    elif name == "slm":
-        rep = concavity.slm_scan(args.bound, jobs=args.jobs)
-    elif name == "conj1":
-        rep = concavity.conjecture1_scan(args.bound, args.rank, args.pq)
-    elif name == "saturation":
-        rep = concavity.saturation_scan_all(args.bound, args.rank, args.kmax)
-    elif name == "logv":
-        rep = concavity.logv_scan(args.rank, args.bound)
-    elif name == "alpha":
-        rep = concavity.alpha_scan(args.rank, args.bound, args.pq)
-    elif name == "weyl":
-        rep = concavity.weyl_logconcavity_scan(args.rank, args.bound)
-    elif name == "restriction":
-        rep = concavity.restriction_logconcavity_scan(args.n, args.k, args.bound)
-    elif name == "convolution":
-        rep = concavity.convolution_random_suite(args.cases, args.bound, args.seed)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ParseError(f"unknown scanner {name!r}")
+    rep = _SCANNERS[name][0](args)
     runtime_ms = int((time.monotonic() - t0) * 1000)
     argv = getattr(args, "argv", None)
     if argv is None:
@@ -487,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_body)
 
     p = sub.add_parser("verify", help="run a verifier scan")
-    p.add_argument("scanner", choices=_VERIFIERS)
+    p.add_argument("scanner", choices=list(_SCANNERS))
     p.add_argument("--bound", type=int, default=4, help="weight/entry/length bound")
     p.add_argument("--rank", type=int, default=2)
     p.add_argument("--pq", type=int, default=2, help="bound on p+q for midpoints")

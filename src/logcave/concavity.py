@@ -485,24 +485,19 @@ def saturation_scan_all(max_weight: int, rank: int, k_max: int) -> ConcavityRepo
         checked += len(rows)
         base = rows[0].value
         for row in rows:
-            if not row.saturation_ok:
-                violations.append(
-                    {
-                        "kind": "saturation",
-                        "triple": fmt_triple(t),
-                        "k": row.k,
-                        "values": [str(base), str(row.value)],
-                    }
-                )
-            if not row.power_bound_ok:
-                violations.append(
-                    {
-                        "kind": "power_bound",
-                        "triple": fmt_triple(t),
-                        "k": row.k,
-                        "values": [str(base), str(row.value)],
-                    }
-                )
+            for kind, ok in (
+                ("saturation", row.saturation_ok),
+                ("power_bound", row.power_bound_ok),
+            ):
+                if not ok:
+                    violations.append(
+                        {
+                            "kind": kind,
+                            "triple": fmt_triple(t),
+                            "k": row.k,
+                            "values": [str(base), str(row.value)],
+                        }
+                    )
     return ConcavityReport(
         checked=checked,
         violations=violations,
@@ -559,6 +554,22 @@ def logv_scan(rank_bound: int, entry_bound: int) -> ConcavityReport:
     )
 
 
+def _circulant_image(t: WeightTriple, p: int, q: int) -> WeightTriple | None:
+    """(p*lam + q*nu, p*mu + q*lam, p*nu + q*mu) / (p+q), or None if not integral."""
+    m = p + q
+    lam, mu, nu = t
+    image = []
+    for first, second in ((lam, nu), (mu, lam), (nu, mu)):
+        w = []
+        for x, y in zip(first, second):
+            entry, rem = divmod(p * x + q * y, m)
+            if rem:
+                return None
+            w.append(entry)
+        image.append(tuple(w))
+    return tuple(image)
+
+
 def alpha_matrix_check(t: WeightTriple, p: int, q: int) -> tuple[bool, int, int]:
     """Compare the invariant of the circulant-averaged triple with the original.
 
@@ -572,21 +583,11 @@ def alpha_matrix_check(t: WeightTriple, p: int, q: int) -> tuple[bool, int, int]
     """
     if p < 0 or q < 0 or p + q < 1:
         raise ValueError("need p, q >= 0 with p + q >= 1")
-    lam, mu, nu = t
     for w in t:
         weight(w)
-    m = p + q
-
-    def mix(first: GLWeight, second: GLWeight) -> GLWeight:
-        entries = []
-        for x, y in zip(first, second):
-            num = p * x + q * y
-            if num % m:
-                raise ValueError("image is not an integral weight")
-            entries.append(num // m)
-        return weight(entries)
-
-    t2 = (mix(lam, nu), mix(mu, lam), mix(nu, mu))
+    t2 = _circulant_image(t, p, q)
+    if t2 is None:
+        raise ValueError("image is not an integral weight")
     v2 = triple_invariant(t2)
     v1 = triple_invariant(t)
     return v2 >= v1, v2, v1
@@ -605,21 +606,16 @@ def alpha_scan(rank_bound: int, entry_bound: int, pq_bound: int = 2) -> Concavit
     for rank in range(1, rank_bound + 1):
         triples = _weight_triples(rank, entry_bound)
         for p, q in pq_pairs:
-            m = p + q
             for t in triples:
-                lam, mu, nu = t
-                if any(
-                    (p * x + q * y) % m
-                    for first, second in ((lam, nu), (mu, lam), (nu, mu))
-                    for x, y in zip(first, second)
-                ):
+                t2 = _circulant_image(t, p, q)
+                if t2 is None:
                     continue
                 checked += 1
                 v1 = triple_invariant(t)
                 if v1 == 0:
                     continue
-                ok, v2, _ = alpha_matrix_check(t, p, q)
-                if not ok:
+                v2 = triple_invariant(t2)
+                if v2 < v1:
                     violations.append(
                         {
                             "rank": rank,

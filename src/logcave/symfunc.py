@@ -61,13 +61,6 @@ class MonomialExpansion:
             c * arrangement_count(a, self.num_variables) for a, c in self.terms.items()
         )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, MonomialExpansion)
-            and self.num_variables == other.num_variables
-            and self.terms == other.terms
-        )
-
 
 @dataclass(frozen=True)
 class SchurExpansion:
@@ -80,9 +73,6 @@ class SchurExpansion:
 
     def is_nonnegative(self) -> bool:
         return all(c >= 0 for c in self.terms.values())
-
-    def __eq__(self, other):
-        return isinstance(other, SchurExpansion) and self.terms == other.terms
 
 
 @lru_cache(maxsize=None)

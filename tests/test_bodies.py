@@ -178,6 +178,25 @@ def test_degree_estimate_flags_unstable_growth():
     assert not de.stable
 
 
+def test_body_dims_are_power_dimensions():
+    s = monomial_subspace(2, [(1, 0), (0, 2)])
+    dims = [power_subspace(s, k).dimension for k in range(1, 5)]
+    assert body_approximation(s, 4).dims == dims == degree_estimate(s, 4).dims
+
+
+def test_brunn_minkowski_reports_degree_stability_of_all_three():
+    slow = monomial_subspace(1, [(1,), (5,)])
+    line = monomial_subspace(1, [(1,)])
+    for s1, s2, k_max in ((slow, line, 3), (line, line, 3), (slow, slow, 4), (slow, line, 2)):
+        r = brunn_minkowski_check(s1, s2, k_max)
+        expected = tuple(
+            k_max >= 3 and degree_estimate(s, k_max).stable
+            for s in (s1, s2, subspace_product(s1, s2))
+        )
+        assert r.degrees_stable == expected
+    assert brunn_minkowski_check(slow, line, 3).degrees_stable == (False, True, True)
+
+
 def test_minkowski_inclusion_examples():
     s = monomial_subspace(2, [(1, 0), (0, 1)])
     assert minkowski_inclusion_check(s, s, 3) == (True, None)

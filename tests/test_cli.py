@@ -1,10 +1,13 @@
+import argparse
 import json
 from fractions import Fraction as F
 
 import pytest
 
 from logcave.cli import (
+    _SCANNERS,
     ParseError,
+    build_parser,
     canonical_payload,
     format_partition,
     format_weight,
@@ -117,6 +120,14 @@ def test_cli_body(tmp_path):
     assert ["1", "0"] in doc["hull_vertices"]
 
 
+@pytest.mark.parametrize(
+    "dim,basis", [("0", "1"), ("4", "1;x1;x2;x3;x4")]
+)
+def test_cli_body_rejects_unsupported_dimension(dim, basis, capsys):
+    assert main(["body", "--dim", dim, "--basis", basis, "--kmax", "2"]) == 2
+    assert "--dim must be 1, 2 or 3" in capsys.readouterr().err
+
+
 def test_cli_error_exit_code(capsys):
     assert main(["lr", "--lam", "1,2", "--mu", "0", "--nu", "0", "--rank", "2"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -208,3 +219,21 @@ def test_verify_rejects_vacuous_inputs_before_scanning(argv, option, monkeypatch
     err = capsys.readouterr().err
     assert f"{option} must be >=" in err
     assert "randrange" not in err
+
+
+def test_scanner_table_matches_verify_choices():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    scanner = next(a for a in sub.choices["verify"]._actions if a.dest == "scanner")
+    assert list(scanner.choices) == list(_SCANNERS)
+
+
+@pytest.mark.parametrize("scanner", list(_SCANNERS))
+def test_every_scanner_runs_at_its_option_minimums(scanner, tmp_path):
+    argv = ["verify", scanner]
+    for option, least in _SCANNERS[scanner][1].items():
+        argv += [f"--{option}", str(least)]
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["checked"] >= 1
+    assert "wall_time_ms" not in doc["manifest"]

@@ -355,3 +355,50 @@ def test_midpoint_scanner_violation_records(monkeypatch):
         _restriction_record("3/1", "3,2/1", "2", "2"),
         _restriction_record("3,1", "3,1/2", "1", "3"),
     ]
+
+
+def _fake_saturation_invariant(t):
+    # zero at every triple with top entry 1 and nonzero at its stretches
+    # (a saturation record), and growing linearly rather than as a power
+    # under stretching (power-bound records)
+    flat = t[0] + t[1] + t[2]
+    return max(flat) // 2 if sum(flat) == 0 else 0
+
+
+def _alpha_record(triple, v1, v2):
+    return {"rank": 2, "p": 1, "q": 1, "triple": triple, "values": [v1, v2]}
+
+
+def _saturation_record(kind, triple, k, base, value):
+    return {"kind": kind, "triple": triple, "k": k, "values": [base, value]}
+
+
+def test_alpha_and_saturation_violation_records(monkeypatch):
+    """Counts and record format of the alpha and saturation scanners.
+
+    alpha records the original value before the image value; saturation
+    emits a "saturation" record before a "power_bound" record of one row.
+    """
+    monkeypatch.setattr(concavity, "triple_invariant", _fake_triple_invariant)
+    rep = alpha_scan(2, 1, 5)
+    assert rep.checked == 111
+    assert rep.violations == [
+        _alpha_record("1,1 1,-1 -1,-1", "6", "5"),
+        _alpha_record("1,-1 -1,-1 1,1", "10", "0"),
+        _alpha_record("-1,-1 1,-1 1,1", "8", "7"),
+    ]
+
+    monkeypatch.setattr(concavity, "triple_invariant", _fake_saturation_invariant)
+    rep = saturation_scan_all(2, 1, 2)
+    assert rep.checked == 54
+    sat, power = "saturation", "power_bound"
+    assert rep.violations == [
+        _saturation_record(sat, "-1 0 1", 2, "0", "1"),
+        _saturation_record(power, "-1 0 1", 2, "0", "1"),
+        _saturation_record(sat, "-1 1 0", 2, "0", "1"),
+        _saturation_record(power, "-1 1 0", 2, "0", "1"),
+        _saturation_record(power, "-2 0 2", 2, "1", "2"),
+        _saturation_record(sat, "-2 1 1", 2, "0", "1"),
+        _saturation_record(power, "-2 1 1", 2, "0", "1"),
+        _saturation_record(power, "-2 2 0", 2, "1", "2"),
+    ]

@@ -20,6 +20,7 @@ from logcave.partitions import (
     count_ssyt,
     dual_weight,
     pad,
+    partitions_of,
     partitions_up_to,
     weyl_dimension,
 )
@@ -65,6 +66,29 @@ def test_lr_tableau_count_matches_schur_peel():
                     pad(lam, rank), pad(mu, rank), pad(nu, rank)
                 )
                 assert a == b, (lam, mu, nu)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_lr_routes_agree_beyond_weight_8_under_shifts(data):
+    # the tableau count and the Schur peel are independent routes; weights
+    # with negative entries come from shifting mu, nu and lam together
+    rank = data.draw(st.integers(4, 5))
+    size = data.draw(st.integers(9, 11))
+    k = data.draw(st.integers(0, size))
+    mu = data.draw(st.sampled_from(list(partitions_of(k, rank))))
+    nu = data.draw(st.sampled_from(list(partitions_of(size - k, rank))))
+    lams = [l for l in partitions_of(size, rank) if contains(l, mu) and contains(l, nu)]
+    lam = data.draw(st.sampled_from(lams))
+    a = data.draw(st.integers(-3, 3))
+    b = data.draw(st.integers(-3, 3))
+    lam, mu, nu = pad(lam, rank), pad(mu, rank), pad(nu, rank)
+    value = lr_coefficient(lam, mu, nu)
+    lam_s = tuple(x + a + b for x in lam)
+    mu_s = tuple(x + a for x in mu)
+    nu_s = tuple(x + b for x in nu)
+    assert lr_coefficient(lam_s, mu_s, nu_s) == value
+    assert lr_coefficient_schur_peel(lam_s, mu_s, nu_s) == value
 
 
 def test_lr_dimension_bookkeeping():
