@@ -335,7 +335,7 @@ def _cmd_body(args) -> int:
     except bodies.DegenerateBodyError as exc:
         volume = f"degenerate: {exc}"
     if args.kmax >= args.dim + 1:
-        degree = format_fraction(bodies.degree_estimate(subspace, args.kmax).degree)
+        degree = format_fraction(bodies._fit_degree(b.dims, args.dim).degree)
     doc = {
         "dim": args.dim,
         "kmax": args.kmax,

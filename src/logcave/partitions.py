@@ -255,20 +255,6 @@ def dominant_weights(rank: int, lo: int, hi: int) -> Iterator[GLWeight]:
     yield from gen(0, hi)
 
 
-def dominance_leq(a: Partition, b: Partition) -> bool:
-    """True if a is dominated by b (same weight, prefix sums of a <= those of b)."""
-    if sum(a) != sum(b):
-        return False
-    ta = 0
-    tb = 0
-    for i in range(max(len(a), len(b))):
-        ta += a[i] if i < len(a) else 0
-        tb += b[i] if i < len(b) else 0
-        if ta > tb:
-            return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def arrangement_count(alpha: Partition, slots: int) -> int:
     """Number of distinct rearrangements of alpha padded with zeros to `slots` entries.

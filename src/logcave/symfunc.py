@@ -22,7 +22,6 @@ from .partitions import (
     SkewShape,
     arrangement_count,
     contains,
-    dominance_leq,
     pad,
     partition,
 )
@@ -140,64 +139,86 @@ def skew_schur(shape: SkewShape, n: int) -> MonomialExpansion:
     return MonomialExpansion(n, {a: c for a, c in table.items() if len(a) <= n})
 
 
-def _multiset_perms(values: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Distinct permutations of a multiset of ints."""
-    items = sorted(Counter(values).items())
-    n = len(values)
-    out = [0] * n
-
-    def rec(k: int) -> Iterator[tuple[int, ...]]:
-        if k == n:
-            yield tuple(out)
-            return
-        for i, (v, c) in enumerate(items):
-            if c == 0:
-                continue
-            items[i] = (v, c - 1)
-            out[k] = v
-            yield from rec(k + 1)
-            items[i] = (v, c)
-
-    yield from rec(0)
-
-
-def _stabilizer_order(v: tuple[int, ...]) -> int:
-    out = 1
-    for c in Counter(v).values():
-        out *= factorial(c)
-    return out
-
-
 @lru_cache(maxsize=None)
 def monomial_product_row(alpha: Partition, beta: Partition) -> dict[Partition, int]:
     """Structure constants of m_alpha * m_beta in the monomial basis.
 
     The row is independent of the number of variables as long as each
     resulting orbit fits; callers drop orbits with too many parts.
-    Computed by symmetrizing z^alpha * m_beta over len(alpha)+len(beta)
-    slots, with stabilizer orders supplying the multiplicities.
+
+    Symmetrizing z^base * m_beta over L = len(alpha)+len(beta) slots, with
+    base = pad(alpha, L), gives stab(base) * m_alpha * m_beta, where stab
+    is the order of a stabilizer in S_L.  A rearrangement c of pad(beta, L)
+    contributes stab(base + c) at the orbit of base + c, and both depend
+    only on the contingency table t: t[b][m] counts the slots of the b-th
+    value block of base that receive the m-th value of pad(beta, L).  The
+    table is reached by prod_b size_b! / prod_m t[b][m]! rearrangements.
     """
     if (len(alpha), alpha) < (len(beta), beta):
         return monomial_product_row(beta, alpha)
     L = len(alpha) + len(beta)
-    # iterate the orbit with fewer rearrangements; the formula is symmetric
-    if arrangement_count(beta, L) <= arrangement_count(alpha, L):
-        fixed, moving = alpha, beta
-    else:
-        fixed, moving = beta, alpha
-    base = pad(fixed, L)
+    fact = [factorial(k) for k in range(L + 1)]
+    base = pad(alpha, L)
+    blocks = sorted(Counter(base).items(), reverse=True)
+    columns = sorted(Counter(pad(beta, L)).items(), reverse=True)
+    values = [m for m, _ in columns]
     row: Counter[Partition] = Counter()
-    for c in _multiset_perms(pad(moving, L)):
-        v = tuple(base[i] + c[i] for i in range(L))
-        row[partition(sorted(v, reverse=True))] += _stabilizer_order(v)
-    stab = _stabilizer_order(base)
+    for table in _contingency_tables(
+        tuple(size for _, size in blocks), tuple(n for _, n in columns)
+    ):
+        ways = 1
+        content: Counter[int] = Counter()
+        for (a, size), counts in zip(blocks, table):
+            ways *= fact[size]
+            for m, k in zip(values, counts):
+                if k:
+                    ways //= fact[k]
+                    content[a + m] += k
+        stab = 1
+        gamma: list[int] = []
+        for v in sorted(content, reverse=True):
+            k = content[v]
+            stab *= fact[k]
+            if v:
+                gamma += [v] * k
+        row[tuple(gamma)] += ways * stab
+    stab_base = 1
+    for _, size in blocks:
+        stab_base *= fact[size]
     out = {}
     for gamma, total in row.items():
-        q, r = divmod(total, stab)
+        q, r = divmod(total, stab_base)
         if r:
             raise AssertionError("monomial structure constant not integral")
         out[gamma] = q
     return out
+
+
+def _contingency_tables(
+    row_sums: tuple[int, ...], col_sums: tuple[int, ...]
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Nonnegative integer matrices with the given row and column sums."""
+    if not row_sums:
+        yield ()
+        return
+    for first in _bounded_compositions(row_sums[0], col_sums):
+        rest = tuple(c - k for c, k in zip(col_sums, first))
+        for tail in _contingency_tables(row_sums[1:], rest):
+            yield (first,) + tail
+
+
+def _bounded_compositions(
+    total: int, caps: tuple[int, ...]
+) -> Iterator[tuple[int, ...]]:
+    """Vectors k with 0 <= k[i] <= caps[i] summing to total."""
+    if not caps:
+        if total == 0:
+            yield ()
+        return
+    room = sum(caps[1:])
+    for k in range(max(0, total - room), min(total, caps[0]) + 1):
+        for tail in _bounded_compositions(total - k, caps[1:]):
+            yield (k,) + tail
 
 
 def multiply(a: MonomialExpansion, b: MonomialExpansion) -> MonomialExpansion:
@@ -207,12 +228,16 @@ def multiply(a: MonomialExpansion, b: MonomialExpansion) -> MonomialExpansion:
             f"variable count mismatch: {a.num_variables} != {b.num_variables}"
         )
     n = a.num_variables
-    out: Counter[Partition] = Counter()
+    out: dict[Partition, int] = {}
+    get = out.get
     for alpha, ca in a.terms.items():
         for beta, cb in b.terms.items():
+            c = ca * cb
+            # every orbit of the row has at most len(alpha)+len(beta) parts
+            fits = len(alpha) + len(beta) <= n
             for gamma, m in monomial_product_row(alpha, beta).items():
-                if len(gamma) <= n:
-                    out[gamma] += ca * cb * m
+                if fits or len(gamma) <= n:
+                    out[gamma] = get(gamma, 0) + c * m
     return MonomialExpansion(n, {k: v for k, v in out.items() if v})
 
 
@@ -247,20 +272,15 @@ def to_schur_basis(a: MonomialExpansion) -> SchurExpansion:
     Repeatedly peels the dominance-maximal orbit of the top degree: its
     coefficient is the Schur coefficient of that partition, because every
     s_lambda contributes m-orbits only below lambda in dominance order.
-    Lex tie-break among incomparable maxima keeps the order deterministic.
+    The lex-largest orbit of the top degree is such a maximum, since an
+    orbit that dominates another is also lex larger; it is also the lex
+    tie-break among incomparable maxima, so the order stays deterministic.
     """
     n = a.num_variables
     remaining = dict(a.terms)
     out: dict[Partition, int] = {}
     while remaining:
-        top_degree = max(sum(k) for k in remaining)
-        candidates = [k for k in remaining if sum(k) == top_degree]
-        maximal = [
-            k
-            for k in candidates
-            if not any(o != k and dominance_leq(k, o) for o in candidates)
-        ]
-        lam = max(maximal)
+        lam = max(remaining, key=lambda k: (sum(k), k))
         coeff = remaining[lam]
         out[lam] = coeff
         for alpha, k in skew_schur(SkewShape(lam, ()), n).terms.items():
@@ -270,15 +290,6 @@ def to_schur_basis(a: MonomialExpansion) -> SchurExpansion:
             else:
                 remaining.pop(alpha, None)
     return SchurExpansion(out)
-
-
-def schur_to_monomials(e: SchurExpansion, n: int) -> MonomialExpansion:
-    """Re-expand a Schur expansion into the monomial basis (round-trip helper)."""
-    out: Counter[Partition] = Counter()
-    for lam, c in e.terms.items():
-        for alpha, k in skew_schur(SkewShape(lam, ()), n).terms.items():
-            out[alpha] += c * k
-    return MonomialExpansion(n, {k: v for k, v in out.items() if v})
 
 
 def det_fraction(rows: list[list[Fraction]]) -> Fraction:

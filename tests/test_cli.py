@@ -1,14 +1,18 @@
 import argparse
+import hashlib
 import json
 from fractions import Fraction as F
 
 import pytest
 
+from logcave import bodies
+from logcave.bodies import PolynomialSubspace
 from logcave.cli import (
     _SCANNERS,
     ParseError,
     build_parser,
     canonical_payload,
+    format_fraction,
     format_partition,
     format_weight,
     main,
@@ -118,6 +122,40 @@ def test_cli_body(tmp_path):
     assert doc["degree"] == "1"
     assert doc["stable"] is True
     assert ["1", "0"] in doc["hull_vertices"]
+
+
+def test_cli_body_builds_one_power_tower(tmp_path, monkeypatch):
+    calls = []
+    real = bodies.subspace_product
+
+    def counting(s1, s2):
+        calls.append(1)
+        return real(s1, s2)
+
+    monkeypatch.setattr(bodies, "subspace_product", counting)
+    out = tmp_path / "body.json"
+    argv = ["body", "--dim", "2", "--basis", "1; x; y", "--kmax", "6", "--out", str(out)]
+    assert main(argv) == 0
+    # s^2 .. s^6: the body and its degree share one tower
+    assert len(calls) == 5
+    # recorded while the degree came from a second tower; the bytes must not move
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "98d11202edafd28de4f98bd5e2ef3d467da348fa3163a475599f580eac4a80f7"
+
+
+@pytest.mark.parametrize(
+    "dim,basis,kmax",
+    [("1", "1; x^2; x^3", "5"), ("2", "1; x; y^2; x*y", "5"), ("3", "1; x; y; z", "4")],
+)
+def test_cli_body_degree_matches_degree_estimate(dim, basis, kmax, tmp_path):
+    out = tmp_path / "body.json"
+    argv = ["body", "--dim", dim, "--basis", basis, "--kmax", kmax, "--out", str(out)]
+    assert main(argv) == 0
+    subspace = PolynomialSubspace(
+        int(dim), [parse_polynomial(p, int(dim)) for p in basis.split(";")]
+    )
+    expected = bodies.degree_estimate(subspace, int(kmax)).degree
+    assert json.loads(out.read_text())["degree"] == format_fraction(expected)
 
 
 @pytest.mark.parametrize(

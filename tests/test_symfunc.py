@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,7 +22,6 @@ from logcave.symfunc import (
     kostka_table,
     monomial_product_row,
     multiply,
-    schur_to_monomials,
     skew_schur,
     subtract_and_min_coefficient,
     to_schur_basis,
@@ -172,6 +172,74 @@ def test_monomial_product_row_symmetry():
     assert monomial_product_row((2, 1), (1,)) == monomial_product_row((1,), (2, 1))
 
 
+def _multiset_perms(values):
+    """Distinct permutations of a multiset of ints."""
+    items = sorted(Counter(values).items())
+    n = len(values)
+    out = [0] * n
+
+    def rec(k):
+        if k == n:
+            yield tuple(out)
+            return
+        for i, (v, c) in enumerate(items):
+            if c == 0:
+                continue
+            items[i] = (v, c - 1)
+            out[k] = v
+            yield from rec(k + 1)
+            items[i] = (v, c)
+
+    yield from rec(0)
+
+
+def _stabilizer_order(v):
+    out = 1
+    for c in Counter(v).values():
+        out *= factorial(c)
+    return out
+
+
+def permutation_product_row(alpha, beta):
+    """Oracle: symmetrize z^pad(alpha) * m_beta over len(alpha)+len(beta) slots.
+
+    Every distinct rearrangement c of pad(beta) contributes stab(v) at the
+    orbit of v = pad(alpha) + c; the sum is stab(pad(alpha)) * m_alpha * m_beta.
+    """
+    L = len(alpha) + len(beta)
+    base = pad(alpha, L)
+    row = Counter()
+    for c in _multiset_perms(pad(beta, L)):
+        v = tuple(base[i] + c[i] for i in range(L))
+        row[partition(sorted(v, reverse=True))] += _stabilizer_order(v)
+    stab = _stabilizer_order(base)
+    assert all(total % stab == 0 for total in row.values())
+    return {gamma: total // stab for gamma, total in row.items()}
+
+
+def test_monomial_product_row_matches_permutation_oracle_up_to_weight_11():
+    checked = 0
+    for w in range(12):
+        for wa in range(w + 1):
+            for alpha in partitions_of(wa):
+                for beta in partitions_of(w - wa):
+                    expected = permutation_product_row(alpha, beta)
+                    assert monomial_product_row(alpha, beta) == expected, (alpha, beta)
+                    checked += 1
+    assert checked == 1967
+
+
+_WEIGHT_4_TO_9 = [lam for lam in partitions_up_to(9, 5) if sum(lam) >= 4]
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.data())
+def test_monomial_product_row_matches_permutation_oracle_at_larger_weights(data):
+    alpha = data.draw(st.sampled_from(_WEIGHT_4_TO_9))
+    beta = data.draw(st.sampled_from(_WEIGHT_4_TO_9))
+    assert monomial_product_row(alpha, beta) == permutation_product_row(alpha, beta)
+
+
 def test_subtract_and_min_coefficient():
     a = skew_schur(SkewShape((2, 1), ()), 3)
     diff, mc, witness = subtract_and_min_coefficient(a, a)
@@ -192,6 +260,25 @@ def test_squared_midpoint_difference_is_nonnegative():
     assert mc >= 0
 
 
+def dominated_by(a, b):
+    """True if a is dominated by b: same weight, prefix sums of a <= those of b."""
+    pa, pb = pad(a, max(len(a), len(b))), pad(b, max(len(a), len(b)))
+    return sum(a) == sum(b) and all(
+        sum(pa[: i + 1]) <= sum(pb[: i + 1]) for i in range(len(pa))
+    )
+
+
+def test_dominance_implies_lex_order_up_to_weight_9():
+    # why the Schur peel may take the lex-largest orbit of the top degree:
+    # nothing of the same degree dominates it
+    for w in range(10):
+        lams = list(partitions_of(w))
+        for a in lams:
+            for b in lams:
+                if a != b and dominated_by(a, b):
+                    assert a < b, (a, b)
+
+
 def test_to_schur_basis_examples():
     s21 = skew_schur(SkewShape((2, 1), ()), 3)
     assert to_schur_basis(s21).terms == {(2, 1): 1}
@@ -209,6 +296,15 @@ def test_to_schur_basis_examples():
         (2, 2, 2): 1,
         (2, 2, 1, 1): 1,
     }
+
+
+def schur_to_monomials(e, n):
+    """Re-expand a Schur expansion into the monomial basis."""
+    out = Counter()
+    for lam, c in e.terms.items():
+        for alpha, k in skew_schur(SkewShape(lam, ()), n).terms.items():
+            out[alpha] += c * k
+    return MonomialExpansion(n, {k: v for k, v in out.items() if v})
 
 
 def test_to_schur_basis_round_trip():
