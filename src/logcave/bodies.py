@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
+from operator import add
 
 from .geometry import (
     DegenerateBodyError,
@@ -32,7 +33,10 @@ Exponent = tuple[int, ...]
 
 @dataclass(frozen=True)
 class MultiPolynomial:
-    """A polynomial in d variables: exponent vector -> nonzero rational coefficient."""
+    """A polynomial in d variables: exponent vector -> nonzero rational coefficient.
+
+    Integral coefficients are stored as int, the others as Fraction.
+    """
 
     dim: int
     terms: dict[Exponent, Fraction] = field(default_factory=dict)
@@ -46,8 +50,17 @@ class MultiPolynomial:
                 raise ValueError(f"negative exponent in {e}")
             c = Fraction(c)
             if c:
-                clean[tuple(int(x) for x in e)] = c
+                clean[tuple(int(x) for x in e)] = _exact(c)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, dim: int, terms: dict) -> "MultiPolynomial":
+        """Wrap terms that are already clean, skipping every check: exponent
+        tuples of dim ints, nonzero coefficients, integral ones as int."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "dim", dim)
+        object.__setattr__(p, "terms", terms)
+        return p
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -58,26 +71,35 @@ class MultiPolynomial:
         out: dict[Exponent, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                v = out.get(e, Fraction(0)) + c1 * c2
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
-        return MultiPolynomial(self.dim, out)
+                e = tuple(map(add, e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        return MultiPolynomial._trusted(self.dim, {e: _exact(c) for e, c in out.items() if c})
 
     def scaled(self, c: Fraction) -> "MultiPolynomial":
-        return MultiPolynomial(self.dim, {e: v * c for e, v in self.terms.items()})
+        c = _exact(Fraction(c))
+        if not c:
+            return MultiPolynomial._trusted(self.dim, {})
+        return MultiPolynomial._trusted(self.dim, {e: _exact(v * c) for e, v in self.terms.items()})
 
     def minus(self, other: "MultiPolynomial") -> "MultiPolynomial":
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e, Fraction(0)) - c
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-        return MultiPolynomial(self.dim, out)
+        _subtract(out, other.terms, 1)
+        return MultiPolynomial._trusted(self.dim, out)
+
+
+def _exact(c):
+    """An integral Fraction as int; ints and other Fractions unchanged."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
+
+
+def _subtract(terms: dict, other: dict, c) -> None:
+    """terms -= c * other in place, keeping the terms clean."""
+    for e, v in other.items():
+        nv = terms.get(e, 0) - c * v
+        if nv:
+            terms[e] = _exact(nv)
+        else:
+            terms.pop(e, None)
 
 
 def constant_one(dim: int) -> MultiPolynomial:
@@ -114,10 +136,11 @@ class PolynomialSubspace:
         for f in polys:
             if f.dim != dim:
                 raise ValueError("dimension mismatch in basis")
-            g = _reduce_against(f, pivots)
-            if not g.is_zero():
-                v = flag_valuation(g)
-                pivots[v] = g.scaled(1 / g.terms[v])
+            terms = _reduce_against(f, pivots)
+            if terms:
+                v = min(terms)
+                g = MultiPolynomial._trusted(dim, terms)
+                pivots[v] = g if terms[v] == 1 else g.scaled(Fraction(1) / terms[v])
         self._pivots = dict(sorted(pivots.items()))
         if (0,) * dim not in self._pivots or not self.contains(constant_one(dim)):
             raise ValueError("the subspace must contain the constant 1")
@@ -131,25 +154,27 @@ class PolynomialSubspace:
         return len(self._pivots)
 
     def contains(self, f: MultiPolynomial) -> bool:
-        return _reduce_against(f, self._pivots).is_zero()
+        return not _reduce_against(f, self._pivots)
 
     def valuation_set(self) -> set[Exponent]:
         """The set v(S \\ 0); its size equals dim S exactly."""
         return set(self._pivots)
 
 
-def _reduce_against(
-    f: MultiPolynomial, pivots: dict[Exponent, MultiPolynomial]
-) -> MultiPolynomial:
+def _reduce_against(f: MultiPolynomial, pivots: dict[Exponent, MultiPolynomial]) -> dict:
+    """The terms of f reduced against the pivots, as a plain dict."""
     # eliminating a pivot exponent only introduces lex-larger ones,
     # so the loop advances strictly and terminates
-    while not f.is_zero():
-        v = flag_valuation(f)
+    terms = dict(f.terms)
+    while terms:
+        v = min(terms)
         p = pivots.get(v)
         if p is None:
-            return f
-        f = f.minus(p.scaled(f.terms[v]))
-    return f
+            break
+        _subtract(terms, p.terms, terms[v])
+        if v in terms:
+            raise AssertionError(f"pivot at {v} does not lead with coefficient 1")
+    return terms
 
 
 def valuation_set(s: PolynomialSubspace) -> set[Exponent]:
@@ -203,26 +228,26 @@ def body_approximation(s: PolynomialSubspace, k_max: int) -> BodyApprox:
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     tower = _power_tower(s, k_max)
-    points: set[Point] = set()
-    prev_points: set[Point] = set()
+    # the points v/k, kept as integers v * (scale/k) until the end
+    scale = lcm(*range(1, k_max + 1))
+    scaled: set[tuple[int, ...]] = set()
+    prev: set[tuple[int, ...]] = set()
     generators: list[tuple[int, ...]] = []
     for k, sk in enumerate(tower, start=1):
         vs = sorted(sk.valuation_set())
         if len(vs) != sk.dimension:
             raise AssertionError("valuation set size disagrees with dimension")
         for v in vs:
-            points.add(tuple(Fraction(x, k) for x in v))
+            scaled.add(tuple(x * (scale // k) for x in v))
             generators.append((k, *v))
         if k == k_max - 1:
-            prev_points = set(points)
-    hull = hull_vertices(points)
-    if k_max == 1:
-        stable = False
-    else:
-        stable = hull == hull_vertices(prev_points)
+            prev = set(scaled)
+    point = {q: tuple(Fraction(x, scale) for x in q) for q in sorted(scaled)}
+    hull = hull_vertices(point.values())
+    stable = k_max > 1 and hull == hull_vertices(point[q] for q in prev)
     return BodyApprox(
         level=k_max,
-        points=sorted(points),
+        points=list(point.values()),
         hull=hull,
         lattice=hermite_basis(generators),
         stable=stable,

@@ -1,17 +1,19 @@
 """Exact rational convex geometry and integer lattice utilities.
 
-Everything here runs over Fraction coordinates: hull vertex extraction by
-exact LP feasibility, facet enumeration over vertex subsets, pyramid
-volume decomposition, Hermite reduction of integer lattices, and exact
-comparison of d-th root sums.  Supports ambient dimension d <= 3, which
-covers every consumer in this package.
+Hulls scale their points by the lcm of the denominators and run on
+integers: a monotone chain in the plane and gift wrapping over facets in
+space.  Membership in a hull is itself a hull computation, so no linear
+program is solved.  Volumes (facet enumeration over vertex subsets and
+pyramid decomposition), Hermite reduction of integer lattices and exact
+comparison of d-th root sums run over Fractions and integers.  Supports
+ambient dimension d <= 3, which covers every consumer in this package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from .symfunc import det_fraction
 
@@ -29,60 +31,13 @@ def _frac_point(p) -> Point:
 def in_convex_hull(point, points) -> bool:
     """Exact membership of a point in the convex hull of a finite set.
 
-    Phase-1 simplex with Bland's rule over Fractions: feasibility of
-    sum t_i q_i = p, sum t_i = 1, t >= 0.
+    A point outside the hull of Q is a vertex of the hull of Q plus that
+    point, and a point inside it is not, so p is in the hull of Q exactly
+    when p is in Q or hull_vertices(Q | {p}) == hull_vertices(Q).
     """
     p = _frac_point(point)
-    pts = [_frac_point(q) for q in points]
-    if not pts:
-        return False
-    d = len(p)
-    rows = d + 1
-    ncols = len(pts)
-    # constraint matrix [q_i; 1], rhs [p; 1]
-    a = [[pts[j][i] for j in range(ncols)] for i in range(d)]
-    a.append([Fraction(1)] * ncols)
-    b = [*p, Fraction(1)]
-    # make rhs nonnegative
-    for i in range(rows):
-        if b[i] < 0:
-            b[i] = -b[i]
-            a[i] = [-x for x in a[i]]
-    # tableau with artificial variables; minimize their sum
-    width = ncols + rows
-    tab = [a[i] + [Fraction(1) if j == i else Fraction(0) for j in range(rows)] + [b[i]] for i in range(rows)]
-    basis = list(range(ncols, ncols + rows))
-    cost = [Fraction(0)] * (width + 1)
-    for i in range(rows):
-        for j in range(width + 1):
-            col = tab[i][j]
-            if j < ncols or j == width:
-                cost[j] -= col
-    while True:
-        enter = next((j for j in range(width) if cost[j] < 0), None)
-        if enter is None:
-            break
-        leave = None
-        best = None
-        for i in range(rows):
-            if tab[i][enter] > 0:
-                ratio = tab[i][width] / tab[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        if leave is None:
-            return False  # unbounded phase-1 cannot happen, defensive
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
-        for i in range(rows):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
-        if cost[enter] != 0:
-            f = cost[enter]
-            cost = [x - f * y for x, y in zip(cost, tab[leave])]
-        basis[leave] = enter
-    return -cost[width] == 0
+    pts = {_frac_point(q) for q in points}
+    return p in pts or p not in hull_vertices(pts | {p})
 
 
 def affine_rank(points) -> int:
@@ -114,32 +69,132 @@ def _matrix_rank(vecs) -> int:
 
 
 def hull_vertices(points) -> list[Point]:
-    """Vertex set of the convex hull, sorted, exact.
+    """Vertex set of the convex hull, sorted, exact; ambient dimension <= 3.
 
-    Dimensions 1 and 2 use direct extreme-point extraction (monotone
-    chain); higher dimensions filter through exact LP membership tests.
+    The points are scaled by the lcm of their denominators, the hull is
+    found on those integers, and the vertices are returned as Fraction
+    points.  Raises NotImplementedError in dimension d > 3.
     """
-    pts = sorted(set(_frac_point(p) for p in points))
-    if len(pts) <= 1:
+    pts = {_frac_point(p) for p in points}
+    if not pts:
+        return []
+    d = len(next(iter(pts)))
+    if d > 3:
+        raise NotImplementedError("hulls implemented for ambient dimension <= 3")
+    scale = lcm(*(x.denominator for p in pts for x in p))
+    back = {tuple(x.numerator * (scale // x.denominator) for x in p): p for p in pts}
+    return [back[v] for v in sorted(_int_hull_vertices(sorted(back)))]
+
+
+def _int_hull_vertices(pts: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Hull vertices of distinct, lex-sorted integer points, d <= 3."""
+    if len(pts) <= 2:
         return pts
-    d = len(pts[0])
-    if d == 1:
-        return [pts[0], pts[-1]] if pts[0] != pts[-1] else [pts[0]]
-    if d == 2:
-        ring = _order_polygon([(p[0], p[1]) for p in pts])
-        return sorted(ring)
-    # seed with coordinate extremes for fast early rejection
-    seed: set[Point] = set()
-    for i in range(d):
-        seed.add(min(pts, key=lambda p: (p[i], p)))
-        seed.add(max(pts, key=lambda p: (p[i], p)))
-    cand: list[Point] = sorted(seed)
-    for p in pts:
-        if p not in seed and not in_convex_hull(p, cand):
-            cand.append(p)
-    return sorted(
-        v for v in cand if not in_convex_hull(v, [u for u in cand if u != v])
+    if len(pts[0]) == 1:
+        return [pts[0], pts[-1]]
+    if len(pts[0]) == 2:
+        return _order_polygon(pts)
+    # the lex extremes are vertices; the rank decides the rest
+    u, w = pts[0], pts[-1]
+    e = _sub(w, u)
+    normal = next((n for n in (_cross(e, _sub(q, u)) for q in pts) if any(n)), None)
+    if normal is None:
+        return [u, w]
+    if all(_dot(normal, _sub(q, u)) == 0 for q in pts):
+        return _planar_ring(pts, normal)
+    return _wrap_vertices(pts)
+
+
+def _sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a, b):
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
     )
+
+
+def _planar_ring(pts, normal):
+    """Boundary cycle of coplanar 3d points: the monotone chain on their
+    projection along the axis where the plane normal is largest."""
+    drop = max(range(3), key=lambda i: abs(normal[i]))
+    lift = {p[:drop] + p[drop + 1 :]: p for p in pts}
+    return [lift[q] for q in _order_polygon(list(lift))]
+
+
+def _wrap_vertices(pts):
+    """Vertices of full-dimensional 3d integer points by gift wrapping.
+
+    A first facet comes from an edge of the 2d hull of the projection to
+    the first two coordinates, which lifts to a supporting plane through a
+    face of dimension 1 or 2.  From each facet, a plane turned about each
+    boundary edge meets the neighbouring facet.  The facet graph of a
+    polytope is connected, so the walk meets every facet, and the vertices
+    are the union of the facet rings.
+    """
+    # the ring runs counterclockwise, so (b - a) turned clockwise points out
+    (a0, a1), (b0, b1) = _order_polygon([p[:2] for p in pts])[:2]
+    normal = (b1 - a1, a0 - b0, 0)
+    offset = _dot(normal, (a0, a1, 0))
+    face = [p for p in pts if _dot(normal, p) == offset]
+    u, w = face[0], face[-1]
+    e = _sub(w, u)
+    if any(any(_cross(e, _sub(q, u))) for q in face):
+        start = _plane(normal, u)
+    else:
+        start = _turn(pts, u, w, _cross(normal, e))
+    rings = {}
+    edges = set()
+    todo = [start]
+    while todo:
+        plane = todo.pop()
+        if plane in rings:
+            continue
+        normal, offset = plane
+        ring = _planar_ring([p for p in pts if _dot(normal, p) == offset], normal)
+        rings[plane] = ring
+        for i, w in enumerate(ring):
+            u, m = ring[i - 1], ring[i - 2]
+            edge = min(u, w), max(u, w)
+            if edge not in edges:
+                edges.add(edge)
+                todo.append(_turn(pts, u, w, _sub(m, u)))
+    return sorted({v for ring in rings.values() for v in ring})
+
+
+def _plane(normal, at):
+    """(primitive normal, offset) of the plane through `at`."""
+    normal = _primitive(list(normal))
+    return normal, _dot(normal, at)
+
+
+def _turn(pts, u, w, ref):
+    """The facet met by a supporting plane turned about the hull edge uw.
+
+    The plane starts as the supporting plane through uw and the direction
+    ref, which points from uw into the hull's side of it, and turns away
+    from ref.  A point that lies beyond the current plane turns it further;
+    the angles all lie in (0, pi), so one pass ends on the facet.  Returns
+    its outward normal and offset.
+    """
+    e = _sub(w, u)
+    best = None
+    for q in pts:
+        n = _cross(e, _sub(q, u))
+        side = _dot(n, ref)
+        # q on the line uw or in the starting plane
+        if side == 0:
+            continue
+        if best is None or _dot(best, _sub(q, u)) > 0:
+            best = n if side < 0 else (-n[0], -n[1], -n[2])
+    return _plane(best, u)
 
 
 def _primitive(ints: list[int]) -> tuple[int, ...]:
@@ -194,8 +249,9 @@ def _normal_vector(subset, d):
     return _primitive(ints)
 
 
-def _order_polygon(points_2d: list[tuple[Fraction, Fraction]]):
-    """Hull vertices of a 2d point set in boundary order (monotone chain).
+def _order_polygon(points_2d: list[tuple]):
+    """Hull vertices of a 2d point set in counterclockwise boundary order
+    (monotone chain), on exact coordinates: ints or Fractions.
 
     Collinear boundary points are dropped, so the result is the strict
     vertex cycle.

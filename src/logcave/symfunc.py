@@ -275,6 +275,9 @@ def to_schur_basis(a: MonomialExpansion) -> SchurExpansion:
     The lex-largest orbit of the top degree is such a maximum, since an
     orbit that dominates another is also lex larger; it is also the lex
     tie-break among incomparable maxima, so the order stays deterministic.
+    The monomial expansion of s_lambda is read straight from its Kostka
+    table.  A peeled orbit that is not a partition is not cancelled by its
+    own table, and raises ValueError.
     """
     n = a.num_variables
     remaining = dict(a.terms)
@@ -283,12 +286,15 @@ def to_schur_basis(a: MonomialExpansion) -> SchurExpansion:
         lam = max(remaining, key=lambda k: (sum(k), k))
         coeff = remaining[lam]
         out[lam] = coeff
-        for alpha, k in skew_schur(SkewShape(lam, ()), n).terms.items():
+        for alpha, k in kostka_table(lam, (), min(n, sum(lam))).items():
             nv = remaining.get(alpha, 0) - coeff * k
             if nv:
                 remaining[alpha] = nv
             else:
                 remaining.pop(alpha, None)
+        # K_{lam,lam} = 1 cancels lam; no table key is a non-partition
+        if lam in remaining:
+            raise ValueError(f"orbit {lam} is not a partition")
     return SchurExpansion(out)
 
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations_with_replacement
 from math import factorial
 
 import pytest
@@ -104,6 +105,90 @@ def test_power_subspace_examples():
             sub = degree_bounded_monomials(d, e)
             for k in (1, 2, 3):
                 assert power_subspace(sub, k).dimension == binomial_dimension(e, d, k)
+
+
+def _dict_product(f: dict, g: dict) -> dict:
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
+
+
+def _rank(rows: list[dict]) -> int:
+    """Rank of the dense coefficient matrix, by Fraction Gaussian elimination."""
+    cols = sorted({e for row in rows for e in row})
+    m = [[F(row.get(e, 0)) for e in cols] for row in rows]
+    rank = 0
+    for j in range(len(cols)):
+        piv = next((i for i in range(rank, len(m)) if m[i][j]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(rank + 1, len(m)):
+            if m[i][j]:
+                f = m[i][j] / m[rank][j]
+                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def test_power_dimensions_match_rank_of_all_products():
+    # dim s^k is the rank of the coefficient matrix of all k-fold products
+    # of a spanning set; checked on non-monomial subspaces with Fractions
+    rng = random.Random(14)
+    for _ in range(12):
+        dim = rng.randint(1, 3)
+        gens = [{(0,) * dim: 1}]
+        while len(gens) < rng.randint(2, 4):
+            g = rand_poly(rng, dim, max_deg=2, max_terms=3)
+            gens.append(dict(g.terms))
+        s = PolynomialSubspace(dim, [MultiPolynomial(dim, g) for g in gens])
+        for k in (1, 2, 3):
+            products = []
+            for combo in combinations_with_replacement(gens, k):
+                prod = {(0,) * dim: 1}
+                for g in combo:
+                    prod = _dict_product(prod, g)
+                products.append(prod)
+            assert power_subspace(s, k).dimension == _rank(products), (gens, k)
+
+
+def _exact_terms(p: MultiPolynomial) -> bool:
+    """Integral coefficients are ints, the others Fractions; never a float."""
+    return all(
+        type(c) is int or (type(c) is F and c.denominator != 1) for c in p.terms.values()
+    )
+
+
+def test_coefficients_stay_exact_through_every_operation():
+    f = MultiPolynomial(2, {(0, 0): F(4, 2), (1, 0): F(1, 3), (0, 1): 2.5})
+    assert f.terms == {(0, 0): 2, (1, 0): F(1, 3), (0, 1): F(5, 2)} and _exact_terms(f)
+    g = MultiPolynomial(2, {(1, 0): 3, (0, 2): F(-3, 2)})
+    for h in (f * g, g * g, f.scaled(F(3)), f.scaled(F(3, 2)), f.scaled(0.5), f.minus(g), g.minus(g)):
+        assert _exact_terms(h), h.terms
+    # pivots are normalised by an exact division: x + 3y -> y + x/3
+    s = PolynomialSubspace(2, [constant_one(2), g, MultiPolynomial(2, {(1, 0): 1, (0, 1): 3})])
+    for b in s.basis:
+        assert _exact_terms(b) and b.terms[flag_valuation(b)] == 1, b.terms
+    assert MultiPolynomial(2, {(0, 1): 1, (1, 0): F(1, 3)}) in s.basis
+    for k in (2, 3):
+        assert all(_exact_terms(b) for b in power_subspace(s, k).basis)
+    rng = random.Random(15)
+    for _ in range(100):
+        dim = rng.randint(1, 3)
+        f, g = rand_poly(rng, dim), rand_poly(rng, dim)
+        for h in (f * g, f.minus(g), f.scaled(F(rng.randint(-4, 4), rng.randint(1, 4)))):
+            assert _exact_terms(h), h.terms
+
+
+def test_reduction_stops_at_a_pivot_that_does_not_lead_with_one():
+    from logcave.bodies import _reduce_against
+
+    x = monomial(1, (1,))
+    with pytest.raises(AssertionError):
+        _reduce_against(x, {(1,): x.scaled(F(1, 2))})
 
 
 def test_body_approximation_examples():

@@ -21,6 +21,125 @@ from logcave.geometry import (
 SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
 
 
+# ---------------------------------------------------------------------------
+# oracle: exact phase-1 simplex membership and the LP vertex filter, the
+# route hull_vertices and in_convex_hull took before they ran on integers
+# ---------------------------------------------------------------------------
+
+
+def lp_in_hull(point, points) -> bool:
+    """Feasibility of sum t_i q_i = p, sum t_i = 1, t >= 0 (Bland's rule)."""
+    p = tuple(map(F, point))
+    pts = [tuple(map(F, q)) for q in points]
+    if not pts:
+        return False
+    rows, ncols = len(p) + 1, len(pts)
+    a = [[q[i] for q in pts] for i in range(len(p))] + [[F(1)] * ncols]
+    b = [*p, F(1)]
+    for i in range(rows):
+        if b[i] < 0:
+            b[i], a[i] = -b[i], [-x for x in a[i]]
+    width = ncols + rows
+    tab = [a[i] + [F(int(j == i)) for j in range(rows)] + [b[i]] for i in range(rows)]
+    basis = list(range(ncols, width))
+    cost = [-sum(tab[i][j] for i in range(rows)) if j < ncols or j == width else F(0)
+            for j in range(width + 1)]
+    while True:
+        enter = next((j for j in range(width) if cost[j] < 0), None)
+        if enter is None:
+            return cost[width] == 0
+        leave = None
+        for i in range(rows):
+            if tab[i][enter] > 0:
+                ratio = tab[i][width] / tab[i][enter]
+                if leave is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        piv = tab[leave][enter]
+        tab[leave] = [x / piv for x in tab[leave]]
+        for i in range(rows):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
+        f = cost[enter]
+        cost = [x - f * y for x, y in zip(cost, tab[leave])]
+        basis[leave] = enter
+
+
+def lp_hull_vertices(points):
+    """The points that are not in the hull of the others."""
+    pts = sorted({tuple(map(F, p)) for p in points})
+    return [v for v in pts if not lp_in_hull(v, [u for u in pts if u != v])]
+
+
+def _coord(rng):
+    return F(rng.randint(-7, 7), rng.choice([1, 2, 3, 5]))
+
+
+def _cloud(rng, base, directions, count):
+    """Random rational combinations of the directions around base, with repeats."""
+    pts = [
+        tuple(b + sum(t * v[i] for t, v in zip(ts, directions)) for i, b in enumerate(base))
+        for ts in ([_coord(rng) for _ in directions] for _ in range(count))
+    ]
+    return pts + rng.sample(pts, 2)
+
+
+def _check_against_oracle(rng, pts):
+    assert hull_vertices(pts) == lp_hull_vertices(pts), pts
+    d = len(pts[0])
+    queries = pts[:2]
+    queries += [tuple((x + y) / 2 for x, y in zip(p, q)) for p, q in zip(pts, pts[1:4])]
+    queries += [tuple(_coord(rng) for _ in range(d)) for _ in range(4)]
+    for q in queries:
+        assert in_convex_hull(q, pts) == lp_in_hull(q, pts), (q, pts)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("seed", [21, 22])
+def test_hull_and_membership_match_lp_oracle_at_every_rank(d, seed):
+    rng = random.Random(seed)
+    for rank in range(d + 1):
+        for _ in range(6):
+            base = tuple(_coord(rng) for _ in range(d))
+            while True:
+                dirs = [tuple(F(rng.randint(-4, 4)) for _ in range(d)) for _ in range(rank)]
+                pts = _cloud(rng, base, dirs, rng.randint(3, 9))
+                if affine_rank(pts) == rank:
+                    break
+            _check_against_oracle(rng, pts)
+
+
+@pytest.mark.parametrize(
+    "normal",
+    # a planar hull projects along the axis of the largest component:
+    # x for the first two (a tie goes to x), y for the third, z for the
+    # last two; where a component is 0, projecting along it would collapse
+    [(1, 1, 1), (3, -1, 2), (0, 3, 1), (-1, 2, -4), (0, 0, 1)],
+)
+def test_tilted_planes_match_lp_oracle(normal):
+    rng = random.Random(sum(normal) + 40)
+    axis = max(range(3), key=lambda i: abs(normal[i]))
+    # normal x e for the two other unit vectors e span the plane normal . x = 0
+    a, b, c = normal
+    dirs = [v for j, v in enumerate([(0, c, -b), (-c, 0, a), (b, -a, 0)]) if j != axis]
+    for _ in range(5):
+        base = tuple(_coord(rng) for _ in range(3))
+        pts = _cloud(rng, base, dirs, rng.randint(4, 10))
+        assert affine_rank(pts) == 2
+        _check_against_oracle(rng, pts)
+        # the same plane as a facet of a full-dimensional body
+        apex = tuple(x + n for x, n in zip(base, normal))
+        _check_against_oracle(rng, pts + [apex])
+
+
+def test_hull_4d_raises():
+    tesseract = [tuple((m >> i) & 1 for i in range(4)) for m in range(16)]
+    with pytest.raises(NotImplementedError):
+        hull_vertices(tesseract)
+    with pytest.raises(NotImplementedError):
+        in_convex_hull((F(1, 2),) * 4, tesseract)
+
+
 def test_in_convex_hull_basics():
     assert in_convex_hull((F(1, 2), F(1, 2)), SQUARE)
     assert in_convex_hull((1, 0), SQUARE)

@@ -307,6 +307,12 @@ def schur_to_monomials(e, n):
     return MonomialExpansion(n, {k: v for k, v in out.items() if v})
 
 
+def test_to_schur_basis_rejects_orbits_that_are_not_partitions():
+    for orbit in ((1, 2), (2, 1, 0)):
+        with pytest.raises(ValueError):
+            to_schur_basis(MonomialExpansion(3, {orbit: 1}))
+
+
 def test_to_schur_basis_round_trip():
     rng = random.Random(3)
     for _ in range(15):

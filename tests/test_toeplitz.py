@@ -4,8 +4,13 @@ from math import comb, gcd
 
 import pytest
 
-from logcave.partitions import partition, partitions_up_to
-from logcave.symfunc import MonomialExpansion, to_schur_basis, toeplitz_schur_coefficient
+from logcave.partitions import SkewShape, pad, partition, partitions_of, partitions_up_to, subdiagrams
+from logcave.symfunc import (
+    MonomialExpansion,
+    skew_schur,
+    to_schur_basis,
+    toeplitz_schur_coefficient,
+)
 from logcave.toeplitz import (
     FiniteSequence,
     character_positivity_check,
@@ -120,3 +125,24 @@ def test_product_closure_spot_checks():
             ok, bad = character_positivity_check(a.convolve(b), 2, 6)
             assert ok, (a.support, b.support, bad)
     assert found >= 5
+
+
+def test_toeplitz_minors_match_tableau_counts_at_weight_9_and_10():
+    # Jacobi-Trudi: s_{lam/mu}(1^n) is the minor with rows mu_a - a and
+    # columns lam_b - b of the Toeplitz matrix of h_k(1^n) = C(n+k-1, k);
+    # the tableau route counts SSYT of lam/mu with entries <= n
+    rng = random.Random(31)
+    checked = 0
+    for n in (5, 6):
+        x = FiniteSequence({k: comb(n + k - 1, k) for k in range(11)})
+        for size in (9, 10):
+            for lam in partitions_of(size):
+                mus = list(subdiagrams(lam))
+                for mu in rng.sample(mus, min(8, len(mus))):
+                    ell = len(lam)
+                    rows = sorted(m - a for a, m in enumerate(pad(mu, ell), start=1))
+                    cols = sorted(p - b for b, p in enumerate(lam, start=1))
+                    minor = toeplitz_minor(x, rows, cols)
+                    assert minor == skew_schur(SkewShape(lam, mu), n).evaluate_ones(), (lam, mu, n)
+                    checked += 1
+    assert checked >= 1000
