@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import comb, gcd
 from multiprocessing import Pool
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .lr import (
     WeightTriple,
@@ -110,21 +110,20 @@ def _residue(v: Sequence[int], m: int) -> tuple[int, ...]:
     return tuple(x % m for x in v)
 
 
-def _partner(r: tuple[int, ...], p: int, q: int) -> tuple[int, ...]:
-    """The residue class r' with p*r + q*r' = 0 mod p+q (p, q coprime)."""
-    m = p + q
-    t = -p * pow(q, -1, m)
-    return tuple(t * x % m for x in r)
+def _class_sizes(points: Sequence, flat: Callable, m: int) -> list[int]:
+    """Sizes of the classes of points under flat(x) mod m, entrywise."""
+    return list(Counter(_residue(flat(x), m) for x in points).values())
 
 
 def _midpoint_pairs(points: Sequence, flat: Callable, p: int, q: int):
     """Yield every pair (A, B) of points whose midpoint (pA + qB)/(p+q) is integral.
 
-    p and q are coprime and positive.  Points are bucketed by
-    flat(x) mod p+q and the classes are visited in sorted residue order.
-    For p == q (that is, p = q = 1) pairs are unordered and each comes
-    once, as (members[i], members[j]) with j >= i in input order.
-    Otherwise pairs are ordered, from each class to its partner class.
+    p and q are coprime and positive, so pA + qB = p(A - B) + (p+q)B is
+    divisible by p+q exactly when A = B mod p+q entrywise.  Points are
+    bucketed by flat(x) mod p+q and the classes are visited in sorted
+    residue order.  For p == q (that is, p = q = 1) pairs are unordered
+    and each comes once, as (members[i], members[j]) with j >= i in input
+    order.  Otherwise pairs are ordered, every pair within a class.
     """
     m = p + q
     classes: dict[tuple, list] = {}
@@ -132,38 +131,45 @@ def _midpoint_pairs(points: Sequence, flat: Callable, p: int, q: int):
         classes.setdefault(_residue(flat(x), m), []).append(x)
     for r in sorted(classes):
         members = classes[r]
-        if p == q:
-            for i, a in enumerate(members):
-                for b in members[i:]:
-                    yield a, b
-        else:
-            partners = classes.get(_partner(r, p, q), ())
-            for a in members:
-                for b in partners:
-                    yield a, b
+        for i, a in enumerate(members):
+            for b in members[i:] if p == q else members:
+                yield a, b
+
+
+def _midpoint_count(points: Sequence, flat: Callable, p: int, q: int, power: int = 1) -> int:
+    """Number of pairs _midpoint_pairs yields over the domain points**power.
+
+    A member of points**power is a power-tuple of points, flattened by
+    concatenating flat of each entry, and its class mod p+q is the tuple
+    of its entries' classes.  So class sizes multiply, and nothing beyond
+    points itself is enumerated: with n_r the size of class r of points,
+    the ordered pairs within classes number ordered**power, where
+    ordered = sum_r n_r**2.  For p == q pairs are unordered, a class of
+    size N giving N(N+1)/2 of them: (ordered**power + len(points)**power)/2
+    in all.
+    """
+    ordered = sum(n * n for n in _class_sizes(points, flat, p + q))
+    if p == q:
+        return (ordered**power + len(points) ** power) // 2
+    return ordered**power
 
 
 def _midpoint_scan(
     points: Sequence, flat: Callable, values: dict, p: int, q: int, unflat: Callable
-) -> tuple[int, list[tuple]]:
-    """Check F(C)**(p+q) >= F(A)**p * F(B)**q over every integral-midpoint pair.
+) -> list[tuple]:
+    """Check F(C)**(p+q) >= F(A)**p * F(B)**q over the integral-midpoint pairs.
 
-    values is the complete table of F on points, absent keys reading as
-    zero.  Every domain scanned here is convex, so each midpoint
-    C = unflat((p*flat(A) + q*flat(B)) / (p+q)) is again a point and
-    values.get(C, 0) is exact.  Every instance is counted from the class
-    sizes, but only pairs with two nonzero endpoint values are compared:
-    the others pass outright.  flat is recomputed per pair rather than
-    stored per point, which keeps the largest domains small in memory.
-    Returns the instance count and the violations
+    values is the complete table of F on the domain, absent keys reading
+    as zero.  Every domain scanned here is convex, so each midpoint
+    C = unflat((p*flat(A) + q*flat(B)) / (p+q)) is again in the domain and
+    values.get(C, 0) is exact.  Only pairs of points with two nonzero
+    values are evaluated: the others pass outright, so points may be just
+    the support of F, and _midpoint_count counts the instances.  flat is
+    recomputed per pair rather than stored per point, which keeps the
+    largest domains small in memory.  Returns the violations
     (A, B, C, F(A), F(B), F(C)) in pair order.
     """
     m = p + q
-    sizes = Counter(_residue(flat(x), m) for x in points)
-    if p == q:
-        checked = sum(n * (n + 1) // 2 for n in sizes.values())
-    else:
-        checked = sum(n * sizes[_partner(r, p, q)] for r, n in sizes.items())
     support = [x for x in points if values.get(x)]
     violations = []
     for a, b in _midpoint_pairs(support, flat, p, q):
@@ -172,7 +178,7 @@ def _midpoint_scan(
         fc = values.get(c, 0)
         if fc**m < fa**p * fb**q:
             violations.append((a, b, c, fa, fb, fc))
-    return checked, violations
+    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +355,20 @@ def _primitive_pq(pq_bound: int) -> list[tuple[int, int]]:
     ]
 
 
-def _weight_triples(rank: int, bound: int) -> list[WeightTriple]:
-    ws = list(dominant_weights(rank, -bound, bound))
-    return [(a, b, c) for a in ws for b in ws for c in ws]
+def _sum_zero_triples(ws: Sequence[GLWeight]) -> Iterator[WeightTriple]:
+    """The triples (a, b, c) in ws**3 whose entries sum to zero.
+
+    They come in the lexicographic order of their positions in ws, the
+    order of ws**3 restricted to the slice.  Off the slice the triple
+    invariant vanishes, so the triple scanners evaluate nothing else.
+    """
+    by_sum: dict[int, list[GLWeight]] = {}
+    for w in ws:
+        by_sum.setdefault(sum(w), []).append(w)
+    for a in ws:
+        for b in ws:
+            for c in by_sum.get(-sum(a) - sum(b), ()):
+                yield a, b, c
 
 
 def _flat(t: WeightTriple) -> tuple[int, ...]:
@@ -361,29 +378,31 @@ def _flat(t: WeightTriple) -> tuple[int, ...]:
 def conjecture1_scan(weight_bound: int, rank_bound: int, pq_bound: int = 2) -> ConcavityReport:
     """Scan log-concavity of the triple invariant over bounded weight triples.
 
-    For each rank r <= rank_bound, enumerates pairs (A, B) of dominant
-    weight triples with entries in [-weight_bound, weight_bound] and every
-    coprime (p, q) with p <= q and p + q <= pq_bound for which the weighted
-    midpoint C is integral; (q, p) is covered by swapping the endpoints.
-    C stays inside the box by convexity, so all values come from one table.
+    For each rank r <= rank_bound, the instances are the pairs (A, B) in
+    ws**3, ws the dominant weights with entries in
+    [-weight_bound, weight_bound], and every coprime (p, q) with p <= q
+    and p + q <= pq_bound for which the weighted midpoint C is integral;
+    (q, p) is covered by swapping the endpoints.  C stays inside the box
+    by convexity, so all values come from one table.
 
+    The invariant vanishes off the sum-zero slice, so only slice triples
+    are evaluated, in ws**3 order (which fixes the LR cache file's lines).
     Instances where F(A) or F(B) vanishes pass outright (the right side is
-    zero and F(C)**(p+q) >= 0 exactly), so only pairs of nonvanishing
-    triples are evaluated explicitly; all instances are counted.
+    zero and F(C)**(p+q) >= 0 exactly), so only pairs from the nonzero
+    support are compared.  All instances are counted, arithmetically from
+    the residue classes of ws by _midpoint_count with power 3.
     """
     violations: list[dict] = []
     checked = 0
     for rank in range(1, rank_bound + 1):
-        triples = _weight_triples(rank, weight_bound)
-        # filled in enumeration order, which fixes the LR cache file's lines
+        ws = list(dominant_weights(rank, -weight_bound, weight_bound))
         values: dict[WeightTriple, int] = {}
-        for t in triples:
-            if sum(_flat(t)) == 0:
-                v = triple_invariant(t)
-                if v:
-                    values[t] = v
+        for t in _sum_zero_triples(ws):
+            v = triple_invariant(t)
+            if v:
+                values[t] = v
         # ascending order orients every unordered (1, 1) pair as a <= b
-        triples.sort()
+        support = sorted(values)
 
         def unflat(c, rank=rank):
             return c[:rank], c[rank : 2 * rank], c[2 * rank :]
@@ -391,8 +410,8 @@ def conjecture1_scan(weight_bound: int, rank_bound: int, pq_bound: int = 2) -> C
         for p, q in _primitive_pq(pq_bound):
             if p > q:
                 continue
-            n, bad = _midpoint_scan(triples, _flat, values, p, q, unflat)
-            checked += n
+            checked += _midpoint_count(ws, tuple, p, q, 3)
+            bad = _midpoint_scan(support, _flat, values, p, q, unflat)
             violations += [
                 {
                     "rank": rank,
@@ -593,24 +612,39 @@ def alpha_matrix_check(t: WeightTriple, p: int, q: int) -> tuple[bool, int, int]
     return v2 >= v1, v2, v1
 
 
+def _circulant_count(ws: Sequence[GLWeight], p: int, q: int) -> int:
+    """Number of triples in ws**3 with an integral circulant image.
+
+    For coprime p, q the entry p*x + q*y = p(x - y) + (p+q)y of the image
+    is divisible by p+q exactly when x = y mod p+q, so the image of
+    (lam, mu, nu) is integral iff lam = mu = nu mod p+q entrywise.  The
+    count is the sum of n_r**3 over the classes r of ws, n_r their sizes.
+    """
+    return sum(n**3 for n in _class_sizes(ws, tuple, p + q))
+
+
 def alpha_scan(rank_bound: int, entry_bound: int, pq_bound: int = 2) -> ConcavityReport:
     """Scan the circulant inequality over bounded triples and alpha = p/(p+q).
 
     Only primitive (p, q) with p, q >= 1 are enumerated (alpha in (0, 1);
-    the endpoints are the identity and the rotation, both trivial).
-    Instances with a vanishing original invariant pass outright.
+    the endpoints are the identity and the rotation, both trivial).  The
+    instances are the triples in ws**3 with an integral image, counted
+    arithmetically by _circulant_count.  Instances with a vanishing
+    original invariant pass outright, so only the sum-zero slice is
+    visited, in ws**3 order, and invariants are looked up only there.
     """
     pq_pairs = _primitive_pq(pq_bound)
     violations = []
     checked = 0
     for rank in range(1, rank_bound + 1):
-        triples = _weight_triples(rank, entry_bound)
+        ws = list(dominant_weights(rank, -entry_bound, entry_bound))
+        triples = list(_sum_zero_triples(ws))
         for p, q in pq_pairs:
+            checked += _circulant_count(ws, p, q)
             for t in triples:
                 t2 = _circulant_image(t, p, q)
                 if t2 is None:
                     continue
-                checked += 1
                 v1 = triple_invariant(t)
                 if v1 == 0:
                     continue
@@ -745,8 +779,8 @@ def weyl_logconcavity_scan(rank: int, entry_bound: int) -> ConcavityReport:
     for r in range(1, rank + 1):
         ws = list(dominant_weights(r, 0, entry_bound))
         dims = {w: weyl_dimension(w) for w in ws}
-        n, bad = _midpoint_scan(ws, tuple, dims, 1, 1, tuple)
-        checked += n
+        checked += _midpoint_count(ws, tuple, 1, 1)
+        bad = _midpoint_scan(ws, tuple, dims, 1, 1, tuple)
         violations += [
             {
                 "rank": r,
@@ -781,13 +815,13 @@ def restriction_logconcavity_scan(n: int, k: int, weight_bound: int) -> Concavit
     values = {
         (lam, mu): restriction_multiplicity(lam, mu, n, k) for lam, mu in points
     }
-    checked, bad = _midpoint_scan(
-        points,
-        lambda x: pad(x[0], n) + pad(x[1], k),
-        values,
-        1,
-        1,
-        lambda c: (partition(c[:n]), partition(c[n:])),
+
+    def flat(x):
+        return pad(x[0], n) + pad(x[1], k)
+
+    checked = _midpoint_count(points, flat, 1, 1)
+    bad = _midpoint_scan(
+        points, flat, values, 1, 1, lambda c: (partition(c[:n]), partition(c[n:]))
     )
     # a nonzero multiplicity needs mu inside lam, and averaging keeps that
     violations = [

@@ -121,7 +121,12 @@ def _horizontal_strips(
     for nu in product(*ranges):
         s = total - sum(nu)
         if 0 < s <= max_size:
-            yield partition(nu), s
+            # the ranges make nu weakly decreasing and nonnegative, so only
+            # trailing zeros stand between nu and a partition
+            k = rows
+            while k and not nu[k - 1]:
+                k -= 1
+            yield nu[:k], s
 
 
 def skew_schur(shape: SkewShape, n: int) -> MonomialExpansion:

@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 
 from logcave import concavity
+from logcave import lr as lrmod
 from logcave.concavity import (
     ConcavityInstance,
     SequencePreconditionError,
@@ -26,7 +28,7 @@ from logcave.concavity import (
     theorem1_verify,
     weyl_logconcavity_scan,
 )
-from logcave.partitions import contains, dual_weight
+from logcave.partitions import contains, dominant_weights, dual_weight
 
 
 def test_instance_validation():
@@ -233,8 +235,8 @@ def test_midpoint_engine_matches_brute_force(p, q):
         fa, fb, fc = (values.get(x, 0) for x in (a, b, c))
         if fc**m < fa**p * fb**q:
             expected.append((a, b, c, fa, fb, fc))
-    checked, violations = concavity._midpoint_scan(points, tuple, values, p, q, tuple)
-    assert checked == len(pairs)
+    assert concavity._midpoint_count(points, tuple, p, q) == len(pairs)
+    violations = concavity._midpoint_scan(points, tuple, values, p, q, tuple)
     assert expected and sorted(violations) == sorted(expected)
 
 
@@ -402,3 +404,154 @@ def test_alpha_and_saturation_violation_records(monkeypatch):
         _saturation_record(power, "-2 1 1", 2, "0", "1"),
         _saturation_record(power, "-2 2 0", 2, "1", "2"),
     ]
+
+
+# ---------------------------------------------------------------------------
+# ws**3 oracles: the triple scans as they were before they were restricted
+# to the sum-zero slice, every triple visited and every instance enumerated
+# ---------------------------------------------------------------------------
+
+
+def _oracle_weight_triples(rank, bound):
+    ws = list(dominant_weights(rank, -bound, bound))
+    return [(a, b, c) for a in ws for b in ws for c in ws]
+
+
+def _oracle_conj1_count(sizes, p, q):
+    """Integral-midpoint pairs from the class sizes of the flattened triples."""
+    if p == q:
+        return sum(n * (n + 1) // 2 for n in sizes.values())
+    m = p + q
+    # the residue y with p*x + q*y = 0 mod m, found by search
+    partner = {x: next(y for y in range(m) if (p * x + q * y) % m == 0) for x in range(m)}
+    return sum(n * sizes[tuple(partner[x] for x in r)] for r, n in sizes.items())
+
+
+def _oracle_triple_sizes(triples, m):
+    return Counter(tuple(x % m for w in t for x in w) for t in triples)
+
+
+def _oracle_alpha_count(triples, p, q):
+    return sum(concavity._circulant_image(t, p, q) is not None for t in triples)
+
+
+def _oracle_conjecture1_scan(weight_bound, rank_bound, pq_bound):
+    checked, violations = 0, []
+    for rank in range(1, rank_bound + 1):
+        triples = _oracle_weight_triples(rank, weight_bound)
+        values = {}
+        for t in triples:
+            if sum(map(sum, t)) == 0 and (v := concavity.triple_invariant(t)):
+                values[t] = v
+        support = sorted(values)
+        flats = {t: sum(t, ()) for t in support}
+        for p, q in concavity._primitive_pq(pq_bound):
+            if p > q:
+                continue
+            m = p + q
+            checked += _oracle_conj1_count(_oracle_triple_sizes(triples, m), p, q)
+            for a in support:
+                for b in support:
+                    if (p == q and b < a) or any(
+                        (p * x + q * y) % m for x, y in zip(flats[a], flats[b])
+                    ):
+                        continue
+                    c = tuple(
+                        tuple((p * x + q * y) // m for x, y in zip(u, w))
+                        for u, w in zip(a, b)
+                    )
+                    fa, fb, fc = values[a], values[b], values.get(c, 0)
+                    if fc**m < fa**p * fb**q:
+                        a_s, b_s, c_s = map(concavity.fmt_triple, (a, b, c))
+                        violations.append(
+                            {"rank": rank, "p": p, "q": q, "a": a_s, "b": b_s, "c": c_s,
+                             "values": [str(fa), str(fb), str(fc)]}
+                        )
+    violations.sort(key=lambda v: (v["rank"], v["p"], v["q"], v["a"], v["b"]))
+    return checked, violations
+
+
+def _oracle_alpha_scan(rank_bound, entry_bound, pq_bound):
+    checked, violations = 0, []
+    for rank in range(1, rank_bound + 1):
+        triples = _oracle_weight_triples(rank, entry_bound)
+        for p, q in concavity._primitive_pq(pq_bound):
+            for t in triples:
+                t2 = concavity._circulant_image(t, p, q)
+                if t2 is None:
+                    continue
+                checked += 1
+                v1 = concavity.triple_invariant(t)
+                if v1 == 0:
+                    continue
+                v2 = concavity.triple_invariant(t2)
+                if v2 < v1:
+                    violations.append(
+                        {
+                            "rank": rank,
+                            "p": p,
+                            "q": q,
+                            "triple": concavity.fmt_triple(t),
+                            "values": [str(v1), str(v2)],
+                        }
+                    )
+    return checked, violations
+
+
+@pytest.mark.parametrize("rank, bound", [(r, b) for r in (1, 2, 3) for b in (1, 2)])
+def test_triple_scan_counts_match_ws3_oracle(rank, bound):
+    """conj1's product formula and alpha's 3-cycle formula against ws**3."""
+    ws = list(dominant_weights(rank, -bound, bound))
+    triples = _oracle_weight_triples(rank, bound)
+    sizes = {m: _oracle_triple_sizes(triples, m) for m in range(2, 8)}
+    for p, q in concavity._primitive_pq(7):
+        assert concavity._midpoint_count(ws, tuple, p, q, 3) == _oracle_conj1_count(
+            sizes[p + q], p, q
+        ), (p, q)
+        assert concavity._circulant_count(ws, p, q) == _oracle_alpha_count(
+            triples, p, q
+        ), (p, q)
+    assert list(concavity._sum_zero_triples(ws)) == [
+        t for t in triples if sum(map(sum, t)) == 0
+    ]
+
+
+@pytest.mark.parametrize("fake", [False, True])
+def test_triple_scans_match_ws3_oracle_scans(fake, monkeypatch):
+    if fake:
+        monkeypatch.setattr(concavity, "triple_invariant", _fake_triple_invariant)
+    for bound, rank, pq in ((2, 2, 7), (1, 4, 4)):
+        rep = conjecture1_scan(bound, rank, pq)
+        assert (rep.checked, rep.violations) == _oracle_conjecture1_scan(bound, rank, pq)
+        assert bool(rep.violations) == fake
+    for rank, bound, pq in ((2, 2, 7), (4, 1, 4), (1, 4, 4)):
+        rep = alpha_scan(rank, bound, pq)
+        assert (rep.checked, rep.violations) == _oracle_alpha_scan(rank, bound, pq)
+
+
+def test_triple_scans_write_lr_cache_in_ws3_order(tmp_path, monkeypatch):
+    """The LR cache file's lines come in the order of the ws**3 scans."""
+
+    def cache_bytes(name, *runs):
+        monkeypatch.setenv("LOGCAVE_CACHE_DIR", str(tmp_path / name))
+        try:
+            for run in runs:
+                lrmod.reset_default_cache()
+                run()
+        finally:
+            lrmod.reset_default_cache()
+        return (tmp_path / name / "lr_cache.txt").read_bytes()
+
+    def oracle_fill():
+        for rank in (1, 2, 3):
+            for t in _oracle_weight_triples(rank, 1):
+                if sum(map(sum, t)) == 0:
+                    concavity.triple_invariant(t)
+
+    scans = cache_bytes(
+        "scans", lambda: conjecture1_scan(1, 3, 5), lambda: alpha_scan(3, 1, 5)
+    )
+    assert scans and scans == cache_bytes("oracle", oracle_fill)
+    # alone, alpha also looks up images, in the order of the ws**3 loop
+    alpha = cache_bytes("alpha", lambda: alpha_scan(2, 2, 5))
+    assert alpha == cache_bytes("alpha-oracle", lambda: _oracle_alpha_scan(2, 2, 5))
