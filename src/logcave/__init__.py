@@ -32,10 +32,8 @@ from .lr import (
     triple_invariant,
 )
 from .concavity import (
-    ConcavityInstance,
     ConcavityReport,
     alpha_matrix_check,
-    check_logconcave_instance,
     conjecture1_scan,
     convolution_logconcavity_check,
     logv_inclusion_check,

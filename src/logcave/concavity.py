@@ -35,6 +35,7 @@ from .partitions import (
     SkewShape,
     contains,
     dominant_weights,
+    dual_weight,
     pad,
     partition,
     partitions_up_to,
@@ -51,29 +52,6 @@ from .symfunc import (
 )
 
 
-@dataclass(frozen=True)
-class ConcavityInstance:
-    """Points A, B, C of an integer semigroup with (p+q)C = pA + qB."""
-
-    a: tuple[int, ...]
-    b: tuple[int, ...]
-    c: tuple[int, ...]
-    p: int = 1
-    q: int = 1
-
-    def __post_init__(self):
-        if self.p < 0 or self.q < 0 or self.p + self.q < 1:
-            raise ValueError("need p, q >= 0 with p + q >= 1")
-        m = self.p + self.q
-        if len({len(self.a), len(self.b), len(self.c)}) != 1:
-            raise ValueError("A, B, C must live in the same ambient space")
-        for x, y, z in zip(self.a, self.b, self.c):
-            if m * z != self.p * x + self.q * y:
-                raise ValueError(
-                    f"(p+q)C = pA + qB fails: {self.p}*{x} + {self.q}*{y} != {m}*{z}"
-                )
-
-
 @dataclass
 class ConcavityReport:
     """Outcome of an exhaustive scan: instance count, violations, parameters."""
@@ -85,20 +63,6 @@ class ConcavityReport:
     @property
     def clean(self) -> bool:
         return not self.violations
-
-
-def check_logconcave_instance(
-    F: Callable[[tuple[int, ...]], int], inst: ConcavityInstance
-) -> tuple[bool, tuple[int, int, int]]:
-    """Evaluate one log-concavity instance exactly.
-
-    Returns (passed, (F(A), F(B), F(C))).  Only integer multiplication and
-    comparison are used, so zero multiplicities need no special casing.
-    """
-    fa, fb, fc = F(inst.a), F(inst.b), F(inst.c)
-    if fa < 0 or fb < 0 or fc < 0:
-        raise ValueError("multiplicity functions must be nonnegative")
-    return fc ** (inst.p + inst.q) >= fa**inst.p * fb**inst.q, (fa, fb, fc)
 
 
 # ---------------------------------------------------------------------------
@@ -484,9 +448,9 @@ def saturation_domain(max_weight: int, rank: int) -> list[WeightTriple]:
     parts = list(partitions_up_to(max_weight, max_parts=rank))
     out = []
     for lam in parts:
+        dual_lam = dual_weight(pad(lam, rank))
         for mu in parts:
             for nu in parts:
-                dual_lam = tuple(-x for x in reversed(pad(lam, rank)))
                 out.append((dual_lam, pad(mu, rank), pad(nu, rank)))
     return out
 

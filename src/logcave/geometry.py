@@ -1,21 +1,20 @@
 """Exact rational convex geometry and integer lattice utilities.
 
-Hulls scale their points by the lcm of the denominators and run on
-integers: a monotone chain in the plane and gift wrapping over facets in
-space.  Membership in a hull is itself a hull computation, so no linear
-program is solved.  Volumes (facet enumeration over vertex subsets and
-pyramid decomposition), Hermite reduction of integer lattices and exact
-comparison of d-th root sums run over Fractions and integers.  Supports
-ambient dimension d <= 3, which covers every consumer in this package.
+Every hull routine scales its points by the lcm of their denominators and
+runs on integers: a monotone chain in the plane and a walk over the facets
+in space.  The walk returns each facet as its ring of vertices, which gives
+both the vertex set and the volume (pyramids from one hull vertex over a
+triangle fan of each ring).  Affine ranks come from the Hermite reduction
+of the scaled difference vectors.  Membership in a hull is itself a hull
+computation, so no linear program is solved.  Exact comparison of d-th
+root sums runs over Fractions.  Supports ambient dimension d <= 3, which
+covers every consumer in this package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, lcm
-
-from .symfunc import det_fraction
 
 Point = tuple[Fraction, ...]
 
@@ -26,6 +25,14 @@ class DegenerateBodyError(ValueError):
 
 def _frac_point(p) -> Point:
     return tuple(Fraction(x) for x in p)
+
+
+def _scaled(points) -> tuple[int, dict[tuple[int, ...], Point]]:
+    """(s, {s * p: p}) over the distinct points p, s the lcm of their
+    denominators, so the keys are integer points."""
+    pts = {_frac_point(p) for p in points}
+    scale = lcm(*(x.denominator for p in pts for x in p))
+    return scale, {tuple(x.numerator * (scale // x.denominator) for x in p): p for p in pts}
 
 
 def in_convex_hull(point, points) -> bool:
@@ -41,31 +48,15 @@ def in_convex_hull(point, points) -> bool:
 
 
 def affine_rank(points) -> int:
-    """Dimension of the affine span of a finite point set (-1 if empty)."""
-    pts = [_frac_point(p) for p in points]
+    """Dimension of the affine span of a finite point set (-1 if empty).
+
+    The rank of the differences to one point, scaled to integers, read off
+    their Hermite basis.
+    """
+    pts = list(_scaled(points)[1])
     if not pts:
         return -1
-    base = pts[0]
-    vecs = [tuple(x - y for x, y in zip(p, base)) for p in pts[1:]]
-    return _matrix_rank(vecs)
-
-
-def _matrix_rank(vecs) -> int:
-    rows = [list(v) for v in vecs if any(v)]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / Fraction(rows[rank][col])
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+    return len(hermite_basis([_sub(p, pts[0]) for p in pts[1:]]))
 
 
 def hull_vertices(points) -> list[Point]:
@@ -75,14 +66,11 @@ def hull_vertices(points) -> list[Point]:
     found on those integers, and the vertices are returned as Fraction
     points.  Raises NotImplementedError in dimension d > 3.
     """
-    pts = {_frac_point(p) for p in points}
-    if not pts:
+    back = _scaled(points)[1]
+    if not back:
         return []
-    d = len(next(iter(pts)))
-    if d > 3:
+    if len(next(iter(back))) > 3:
         raise NotImplementedError("hulls implemented for ambient dimension <= 3")
-    scale = lcm(*(x.denominator for p in pts for x in p))
-    back = {tuple(x.numerator * (scale // x.denominator) for x in p): p for p in pts}
     return [back[v] for v in sorted(_int_hull_vertices(sorted(back)))]
 
 
@@ -102,7 +90,7 @@ def _int_hull_vertices(pts: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
         return [u, w]
     if all(_dot(normal, _sub(q, u)) == 0 for q in pts):
         return _planar_ring(pts, normal)
-    return _wrap_vertices(pts)
+    return list({v for ring in _facet_rings(pts) for v in ring})
 
 
 def _sub(a, b):
@@ -129,15 +117,15 @@ def _planar_ring(pts, normal):
     return [lift[q] for q in _order_polygon(list(lift))]
 
 
-def _wrap_vertices(pts):
-    """Vertices of full-dimensional 3d integer points by gift wrapping.
+def _facet_rings(pts):
+    """Facet rings of full-dimensional 3d integer points by gift wrapping.
 
     A first facet comes from an edge of the 2d hull of the projection to
     the first two coordinates, which lifts to a supporting plane through a
     face of dimension 1 or 2.  From each facet, a plane turned about each
     boundary edge meets the neighbouring facet.  The facet graph of a
-    polytope is connected, so the walk meets every facet, and the vertices
-    are the union of the facet rings.
+    polytope is connected, so the walk meets every facet.  Each ring is
+    the boundary cycle of a facet's vertices.
     """
     # the ring runs counterclockwise, so (b - a) turned clockwise points out
     (a0, a1), (b0, b1) = _order_polygon([p[:2] for p in pts])[:2]
@@ -166,7 +154,7 @@ def _wrap_vertices(pts):
             if edge not in edges:
                 edges.add(edge)
                 todo.append(_turn(pts, u, w, _sub(m, u)))
-    return sorted({v for ring in rings.values() for v in ring})
+    return list(rings.values())
 
 
 def _plane(normal, at):
@@ -204,54 +192,9 @@ def _primitive(ints: list[int]) -> tuple[int, ...]:
     return tuple(x // g for x in ints) if g else tuple(ints)
 
 
-def facet_hyperplanes(vertices: list[Point]):
-    """Supporting hyperplanes of the facets, as (normal, offset) pairs.
-
-    The normal is an outward primitive integer vector with normal . x <=
-    offset on the polytope.  Assumes the vertex set is full-dimensional.
-    """
-    d = len(vertices[0])
-    if d == 1:
-        xs = [v[0] for v in vertices]
-        return [((1,), max(xs)), ((-1,), -min(xs))]
-    planes = {}
-    for subset in combinations(vertices, d):
-        normal = _normal_vector(subset, d)
-        if normal is None:
-            continue
-        offset = sum(n * x for n, x in zip(normal, subset[0]))
-        sides = [sum(n * x for n, x in zip(normal, v)) - offset for v in vertices]
-        if all(s <= 0 for s in sides):
-            planes[(normal, offset)] = True
-        elif all(s >= 0 for s in sides):
-            normal = tuple(-x for x in normal)
-            planes[(normal, -offset)] = True
-    return sorted(planes)
-
-
-def _normal_vector(subset, d):
-    """Primitive integer normal of the hyperplane through d points, or None."""
-    base = subset[0]
-    vecs = [[p[i] - base[i] for i in range(d)] for p in subset[1:]]
-    # cofactor expansion: normal_i = (-1)^i det(minor_i) of the (d-1) x d matrix
-    normal = []
-    for i in range(d):
-        minor = [[row[j] for j in range(d) if j != i] for row in vecs]
-        normal.append((-1) ** i * det_fraction(minor))
-    if not any(normal):
-        return None
-    # clear denominators, reduce to primitive integers
-    denoms = [x.denominator for x in map(Fraction, normal)]
-    lcm = 1
-    for q in denoms:
-        lcm = lcm * q // gcd(lcm, q)
-    ints = [int(Fraction(x) * lcm) for x in normal]
-    return _primitive(ints)
-
-
-def _order_polygon(points_2d: list[tuple]):
-    """Hull vertices of a 2d point set in counterclockwise boundary order
-    (monotone chain), on exact coordinates: ints or Fractions.
+def _order_polygon(points_2d: list[tuple[int, int]]):
+    """Hull vertices of a 2d integer point set in counterclockwise boundary
+    order (monotone chain).
 
     Collinear boundary points are dropped, so the result is the strict
     vertex cycle.
@@ -277,51 +220,37 @@ def _order_polygon(points_2d: list[tuple]):
 
 
 def hull_volume(vertices: list[Point]) -> Fraction:
-    """Euclidean volume of a full-dimensional polytope given by its vertices.
+    """Euclidean volume of the convex hull of a full-dimensional point set.
 
-    d = 1: length; d = 2: shoelace over the ordered boundary; d = 3:
-    pyramids from the vertex centroid over triangulated facets.  Raises
-    DegenerateBodyError when the vertices do not span dimension d.
+    On the points scaled by s, the lcm of their denominators: for d = 1
+    the length; for d = 2 twice the area, the shoelace sum over the
+    monotone chain; for d = 3 six times the volume, the sum of |det| over
+    the pyramids from the lex-least point, a hull vertex, to a triangle
+    fan of each facet ring.  One division by s, 2 s^2 or 6 s^3 ends it.
+    Raises DegenerateBodyError when the points do not span dimension d.
     """
     if not vertices:
         raise DegenerateBodyError("empty vertex set")
     d = len(vertices[0])
     if affine_rank(vertices) < d:
         raise DegenerateBodyError(f"vertices span less than dimension {d}")
+    if d > 3:
+        raise NotImplementedError("volumes implemented for ambient dimension <= 3")
+    scale, back = _scaled(vertices)
+    pts = sorted(back)
     if d == 1:
-        xs = [v[0] for v in vertices]
-        return max(xs) - min(xs)
+        return Fraction(pts[-1][0] - pts[0][0], scale)
     if d == 2:
-        ring = _order_polygon([(v[0], v[1]) for v in vertices])
-        area = Fraction(0)
-        for i in range(len(ring)):
-            x1, y1 = ring[i]
-            x2, y2 = ring[(i + 1) % len(ring)]
-            area += x1 * y2 - x2 * y1
-        return abs(area) / 2
-    if d == 3:
-        o = tuple(sum(v[i] for v in vertices) / len(vertices) for i in range(3))
-        total = Fraction(0)
-        for normal, offset in facet_hyperplanes(vertices):
-            face = [
-                v
-                for v in vertices
-                if sum(n * x for n, x in zip(normal, v)) == offset
-            ]
-            drop = max(range(3), key=lambda i: abs(normal[i]))
-            keep = [i for i in range(3) if i != drop]
-            ring2d = _order_polygon([(v[keep[0]], v[keep[1]]) for v in face])
-            lift = {(v[keep[0]], v[keep[1]]): v for v in face}
-            ring = [lift[p] for p in ring2d]
-            for i in range(1, len(ring) - 1):
-                mat = [
-                    [ring[i][c] - ring[0][c] for c in range(3)],
-                    [ring[i + 1][c] - ring[0][c] for c in range(3)],
-                    [o[c] - ring[0][c] for c in range(3)],
-                ]
-                total += abs(det_fraction(mat))
-        return total / 6
-    raise NotImplementedError("volumes implemented for ambient dimension <= 3")
+        ring = _order_polygon(pts)
+        twice = sum(p[0] * q[1] - q[0] * p[1] for p, q in zip(ring, ring[1:] + ring[:1]))
+        return Fraction(twice, 2 * scale**2)
+    o = pts[0]
+    six = 0
+    for ring in _facet_rings(pts):
+        a = ring[0]
+        for b, c in zip(ring[1:], ring[2:]):
+            six += abs(_dot(_cross(_sub(b, a), _sub(c, a)), _sub(o, a)))
+    return Fraction(six, 6 * scale**3)
 
 
 def minkowski_sum(a: list[Point], b: list[Point]) -> list[Point]:

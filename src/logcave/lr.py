@@ -115,18 +115,19 @@ def lr_coefficient(lam: GLWeight, mu: GLWeight, nu: GLWeight) -> int:
     simultaneous determinant shift making everything a partition, then by
     counting LR skew tableaux of shape lam/mu with content nu.
     """
-    n = len(lam)
-    if len(mu) != n or len(nu) != n:
-        raise ValueError("rank mismatch")
-    for w in (lam, mu, nu):
-        weight(w)
+    _check_triple((lam, mu, nu))
+    return _lr_count(lam, mu, nu)
+
+
+def _lr_count(lam: GLWeight, mu: GLWeight, nu: GLWeight) -> int:
+    """lr_coefficient on weights already checked by _check_triple."""
     shifted = _shifted_triple(lam, mu, nu)
     if shifted is None:
         return 0
     lam_p, mu_p, nu_p = shifted
     if sum(lam_p) != sum(mu_p) + sum(nu_p):
         return 0
-    if len(lam_p) > n:
+    if len(lam_p) > len(lam):
         return 0
     return lr_skew_count(lam_p, mu_p, nu_p)
 
@@ -161,7 +162,7 @@ def triple_invariant(t: WeightTriple, cache: "LRCache | None" = None) -> int:
     if cache is None:
         cache = _default_cache()
     return cache.get_or_compute(
-        (lam, mu, nu, n), lambda: lr_coefficient(dual_weight(lam), mu, nu)
+        (lam, mu, nu, n), lambda: _lr_count(dual_weight(lam), mu, nu)
     )
 
 

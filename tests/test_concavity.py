@@ -6,11 +6,9 @@ import pytest
 from logcave import concavity
 from logcave import lr as lrmod
 from logcave.concavity import (
-    ConcavityInstance,
     SequencePreconditionError,
     alpha_matrix_check,
     alpha_scan,
-    check_logconcave_instance,
     conjecture1_scan,
     convolution_logconcavity_check,
     convolution_random_suite,
@@ -29,26 +27,6 @@ from logcave.concavity import (
     weyl_logconcavity_scan,
 )
 from logcave.partitions import contains, dominant_weights, dual_weight
-
-
-def test_instance_validation():
-    ConcavityInstance(a=(0, 0), b=(2, 2), c=(1, 1))
-    with pytest.raises(ValueError):
-        ConcavityInstance(a=(0,), b=(1,), c=(1,))
-    with pytest.raises(ValueError):
-        ConcavityInstance(a=(0,), b=(0,), c=(0,), p=0, q=0)
-
-
-def test_check_logconcave_instance():
-    inst = ConcavityInstance(a=(0,), b=(2,), c=(1,))
-    table = {0: 1, 1: 2, 2: 3}
-    ok, vals = check_logconcave_instance(lambda v: table[v[0]], inst)
-    assert ok and vals == (1, 3, 2)
-    table = {0: 1, 1: 1, 2: 3}
-    ok, _ = check_logconcave_instance(lambda v: table[v[0]], inst)
-    assert not ok
-    ok, _ = check_logconcave_instance(lambda v: 1, inst)
-    assert ok
 
 
 def test_theorem1_verify_examples():

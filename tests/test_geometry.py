@@ -9,7 +9,6 @@ from logcave.geometry import (
     DegenerateBodyError,
     affine_rank,
     compare_root_sum,
-    facet_hyperplanes,
     hermite_basis,
     hull_vertices,
     hull_volume,
@@ -175,13 +174,73 @@ def test_volume_degenerate_raises():
         hull_volume([(0, 0), (1, 1), (2, 2)])
 
 
-def test_facets_of_square():
-    planes = facet_hyperplanes(hull_vertices(SQUARE))
-    assert len(planes) == 4
-    for normal, offset in planes:
-        assert all(
-            sum(n * x for n, x in zip(normal, v)) <= offset for v in SQUARE
-        )
+def _low_rank_cloud(rng, d, rank, count):
+    """Rational points spanning an affine space of dimension <= rank in Q^d."""
+    base = tuple(_coord(rng) for _ in range(d))
+    dirs = [tuple(_coord(rng) for _ in range(d)) for _ in range(rank)]
+    return _cloud(rng, base, dirs, count)
+
+
+def test_volume_degenerate_3d_raises():
+    rng = random.Random(31)
+    for rank in (0, 1, 2):
+        for _ in range(5):
+            pts = _low_rank_cloud(rng, 3, rank, rng.randint(3, 12))
+            assert affine_rank(pts) <= rank
+            with pytest.raises(DegenerateBodyError):
+                hull_volume(pts)
+    # a cube face and a cube edge, as given and as hull vertices
+    face = [(x, y, 1) for x in (0, 1) for y in (0, 1)]
+    for pts in (face, face[:2], hull_vertices(face)):
+        with pytest.raises(DegenerateBodyError):
+            hull_volume(pts)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("seed", [32, 33])
+def test_volume_invariant_under_permutation_translation_and_dilation(d, seed):
+    rng = random.Random(seed)
+    checked = 0
+    while checked < 8:
+        pts = [tuple(_coord(rng) for _ in range(d)) for _ in range(rng.randint(d + 1, 12))]
+        if affine_rank(pts) < d:
+            continue
+        checked += 1
+        vol = hull_volume(pts)
+        assert vol == hull_volume(hull_vertices(pts)) > 0
+        shift = tuple(_coord(rng) for _ in range(d))
+        assert hull_volume([tuple(x + t for x, t in zip(p, shift)) for p in pts]) == vol
+        # a permutation of the coordinates changes the axis each facet
+        # ring is projected along
+        for perm in ([1, 0],) if d == 2 else ([1, 2, 0], [2, 0, 1], [0, 2, 1]):
+            assert hull_volume([tuple(p[i] for i in perm) for p in pts]) == vol
+        for k in (F(2), F(3, 7)):
+            assert hull_volume([tuple(k * x for x in p) for p in pts]) == k**d * vol
+
+
+@pytest.mark.parametrize("seed", [34, 35])
+def test_random_rational_3d_volumes_match_float_hull(seed):
+    rng = random.Random(seed)
+    checked = 0
+    while checked < 6:
+        pts = [tuple(_coord(rng) for _ in range(3)) for _ in range(rng.randint(4, 20))]
+        if affine_rank(pts) < 3:
+            continue
+        checked += 1
+        vol = hull_volume(pts)
+        h = ConvexHull(np.array(pts, dtype=float))
+        assert abs(float(vol) - h.volume) < 1e-9, pts
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_affine_rank_matches_numpy(d):
+    rng = random.Random(36 + d)
+    assert affine_rank([]) == -1
+    for rank in range(d + 1):
+        for count in (2, 3, 5, 9):
+            pts = _low_rank_cloud(rng, d, rank, count)
+            diffs = np.array([[float(x - y) for x, y in zip(p, pts[0])] for p in pts])
+            assert affine_rank(pts) == np.linalg.matrix_rank(diffs), pts
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

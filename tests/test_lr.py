@@ -4,6 +4,7 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from logcave import lr as lrmod
 from logcave.lr import (
     LRCache,
     lr_coefficient,
@@ -105,6 +106,15 @@ def test_triple_invariant_examples():
     lam = (3, 1, 0)
     assert triple_invariant((lam, dual_weight(lam), (0, 0, 0))) == 1
     assert triple_invariant(((1, 0), (1, 0), (1, 0))) == 0  # entries sum to 3
+
+
+def test_triple_invariant_checks_each_weight_once(monkeypatch):
+    checked = []
+    real = lrmod.weight
+    monkeypatch.setattr(lrmod, "weight", lambda w: checked.append(w) or real(w))
+    t = ((1, 0, -1), (1, 0, -1), (1, 0, -1))
+    assert triple_invariant(t, cache=LRCache()) == 2
+    assert checked == list(t)
 
 
 @settings(deadline=None, max_examples=30)
