@@ -6,6 +6,8 @@ volume measures the growth of dim S^k.  Volumes of products obey the
 d-th root superadditivity, with equality for a subspace against itself.
 """
 
+from fractions import Fraction
+
 from logcave.bodies import (
     body_approximation,
     brunn_minkowski_check,
@@ -18,6 +20,14 @@ from logcave.bodies import (
     power_subspace,
 )
 
+
+def hull_over_scale(body):
+    """The hull vertices, held as integers over body.scale, as the points v/k."""
+    return ", ".join(
+        "(" + ", ".join(str(Fraction(x, body.scale)) for x in v) + ")" for v in body.hull
+    )
+
+
 f = monomial(2, (2, 1))
 g = monomial(2, (1, 0))
 print("valuation is additive:", flag_valuation(f), "+", flag_valuation(g), "=", flag_valuation(f * g))
@@ -26,14 +36,14 @@ S = degree_bounded_monomials(2, 1)  # span{1, x, y}
 print("\ndim S^k for S = degree <= 1 monomials in 2 variables:")
 print("  ", [power_subspace(S, k).dimension for k in range(1, 6)])
 body = body_approximation(S, 4)
-print("hull vertices:", body.hull, "stable:", body.stable)
+print("hull vertices:", hull_over_scale(body), "stable:", body.stable)
 print("normalized volume:", normalized_volume(body))
 print("growth degree:", degree_estimate(S, 4).degree)
 
 # the segment [0, 2] against the lattice 2Z
 S2 = monomial_subspace(1, [(2,)])
 b2 = body_approximation(S2, 3)
-print("\nspan{1, x^2}: hull", b2.hull, "normalized volume", normalized_volume(b2))
+print("\nspan{1, x^2}: hull", hull_over_scale(b2), "normalized volume", normalized_volume(b2))
 
 square = monomial_subspace(2, [(1, 0), (0, 1), (1, 1)])
 r = brunn_minkowski_check(S, square, 4)

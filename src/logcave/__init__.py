@@ -56,7 +56,6 @@ from .bodies import (
     minkowski_inclusion_check,
     normalized_volume,
     power_subspace,
-    valuation_set,
 )
 
 __version__ = "0.1.0"

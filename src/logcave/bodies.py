@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, lcm
+from math import lcm
 from operator import add
 
 from .geometry import (
@@ -177,10 +177,6 @@ def _reduce_against(f: MultiPolynomial, pivots: dict[Exponent, MultiPolynomial])
     return terms
 
 
-def valuation_set(s: PolynomialSubspace) -> set[Exponent]:
-    return s.valuation_set()
-
-
 def subspace_product(s1: PolynomialSubspace, s2: PolynomialSubspace) -> PolynomialSubspace:
     """The subspace spanned by all pairwise products of basis elements."""
     if s1.dim != s2.dim:
@@ -208,14 +204,16 @@ def _power_tower(s: PolynomialSubspace, k_max: int) -> list[PolynomialSubspace]:
 class BodyApprox:
     """Inner approximation of the valuation body at a finite level.
 
-    points are the scaled valuations v(f)/k for k <= level; hull is the
-    vertex list of their convex hull; lattice is a Hermite basis of the
-    group generated by the semigroup points (k, v); stable records whether
-    the hull already agreed at the previous level; dims[k-1] is dim s^k for
-    k = 1..level.
+    scale is lcm(1..level), and points are the integer points
+    v(f) * (scale/k) for k <= level, so points/scale are the valuations
+    v(f)/k; hull is the vertex list of their convex hull, in the same
+    integer coordinates; lattice is a Hermite basis of the group generated
+    by the semigroup points (k, v); stable records whether the hull already
+    agreed at the previous level; dims[k-1] is dim s^k for k = 1..level.
     """
 
     level: int
+    scale: int
     points: list[Point]
     hull: list[Point]
     lattice: list[tuple[int, ...]]
@@ -228,26 +226,25 @@ def body_approximation(s: PolynomialSubspace, k_max: int) -> BodyApprox:
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     tower = _power_tower(s, k_max)
-    # the points v/k, kept as integers v * (scale/k) until the end
     scale = lcm(*range(1, k_max + 1))
-    scaled: set[tuple[int, ...]] = set()
-    prev: set[tuple[int, ...]] = set()
+    points: set[Point] = set()
+    prev: set[Point] = set()
     generators: list[tuple[int, ...]] = []
     for k, sk in enumerate(tower, start=1):
         vs = sorted(sk.valuation_set())
         if len(vs) != sk.dimension:
             raise AssertionError("valuation set size disagrees with dimension")
         for v in vs:
-            scaled.add(tuple(x * (scale // k) for x in v))
+            points.add(tuple(x * (scale // k) for x in v))
             generators.append((k, *v))
         if k == k_max - 1:
-            prev = set(scaled)
-    point = {q: tuple(Fraction(x, scale) for x in q) for q in sorted(scaled)}
-    hull = hull_vertices(point.values())
-    stable = k_max > 1 and hull == hull_vertices(point[q] for q in prev)
+            prev = set(points)
+    hull = hull_vertices(points)
+    stable = k_max > 1 and hull == hull_vertices(prev)
     return BodyApprox(
         level=k_max,
-        points=list(point.values()),
+        scale=scale,
+        points=sorted(points),
         hull=hull,
         lattice=hermite_basis(generators),
         stable=stable,
@@ -268,6 +265,7 @@ def level_one_lattice(b: BodyApprox) -> list[tuple[int, ...]]:
 def normalized_volume(b: BodyApprox) -> Fraction:
     """Exact hull volume measured against the lattice slice.
 
+    The hull's integer volume is divided by scale^d and by the covolume.
     Raises DegenerateBodyError when the hull is lower-dimensional or the
     lattice slice does not have full rank (the subspace does not yet
     generate in the sampled range).
@@ -275,9 +273,7 @@ def normalized_volume(b: BodyApprox) -> Fraction:
     if not b.hull:
         raise DegenerateBodyError("empty body")
     d = len(b.hull[0])
-    euclid = hull_volume(b.hull)
-    covol = lattice_covolume(level_one_lattice(b), d)
-    return euclid / covol
+    return hull_volume(b.hull) / (b.scale**d * lattice_covolume(level_one_lattice(b), d))
 
 
 @dataclass
@@ -340,7 +336,7 @@ def _fit_degree(dims: list[int], d: int) -> DegreeEstimate:
 def _pair_bodies(
     s1: PolynomialSubspace, s2: PolynomialSubspace, k_max: int
 ) -> tuple[BodyApprox, BodyApprox, BodyApprox]:
-    """The level-k_max bodies of s1, s2 and their product subspace."""
+    """The level-k_max bodies of s1, s2 and their product, at one scale."""
     if s1.dim != s2.dim:
         raise ValueError("dimension mismatch")
     b1 = body_approximation(s1, k_max)
@@ -351,10 +347,11 @@ def _pair_bodies(
 
 def minkowski_inclusion_check(
     s1: PolynomialSubspace, s2: PolynomialSubspace, k_max: int
-) -> tuple[bool, Point | None]:
+) -> tuple[bool, tuple[Fraction, ...] | None]:
     """Vertex sums of the two level-k_max hulls against the product's hull.
 
-    Exact point-in-polytope tests; returns the first escaping sum point on
+    Exact point-in-polytope tests on the integer hulls, which share one
+    scale; returns the first escaping sum point, divided by the scale, on
     failure (possible for unconverged approximations of general
     subspaces; for monomial subspaces the hulls are Newton polytopes and
     the inclusion is exact at every level).
@@ -362,7 +359,7 @@ def minkowski_inclusion_check(
     b1, b2, b12 = _pair_bodies(s1, s2, k_max)
     for p in minkowski_sum(b1.hull, b2.hull):
         if not in_convex_hull(p, b12.hull):
-            return False, p
+            return False, tuple(Fraction(x, b12.scale) for x in p)
     return True, None
 
 
@@ -386,7 +383,7 @@ def brunn_minkowski_check(
     """
     d = s1.dim
     b1, b2, b12 = _pair_bodies(s1, s2, k_max)
-    covol = lattice_covolume(level_one_lattice(b12), d)
+    covol = b12.scale**d * lattice_covolume(level_one_lattice(b12), d)
     v1 = hull_volume(b1.hull) / covol
     v2 = hull_volume(b2.hull) / covol
     v12 = hull_volume(b12.hull) / covol
@@ -422,7 +419,3 @@ def degree_bounded_monomials(dim: int, degree: int) -> PolynomialSubspace:
 
     return monomial_subspace(dim, gen(degree, dim))
 
-
-def binomial_dimension(degree: int, dim: int, k: int) -> int:
-    """dim of the k-th power of the degree-bounded monomial subspace: C(k*e+d, d)."""
-    return comb(k * degree + dim, dim)

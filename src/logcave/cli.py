@@ -4,7 +4,8 @@ Subcommands: schur, lr, restrict, toeplitz, body, and verify with one
 scanner name.  Reports are JSON with a CSV summary next to them; big
 integers and rationals are serialized as decimal strings so spreadsheet
 and JSON consumers never round them.  Exit codes: 0 clean, 1 violations
-found (a result, not a failure), 2 usage or input error.
+found (a result, not a failure), 2 usage or input error, 3 internal error
+(the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 from . import bodies, concavity, toeplitz
 from .lr import lr_coefficient, restriction_multiplicity
 from .bodies import MultiPolynomial, PolynomialSubspace
-from .partitions import GLWeight, Partition, SkewShape, pad, partition, weight
+from .partitions import GLWeight, Partition, SkewShape, pad, partition
 from .symfunc import skew_schur, to_schur_basis
 from .toeplitz import FiniteSequence
 
@@ -52,31 +53,6 @@ def parse_partition(text: str) -> Partition:
         return partition(parts)
     except ValueError as exc:
         raise ParseError(f"partition {text!r}: {exc}") from None
-
-
-def parse_weight(text: str) -> GLWeight:
-    """Parse "2,1,0@3": comma-separated entries, @rank suffix."""
-    body = text.strip()
-    if "@" not in body:
-        raise ParseError(f"weight {text!r}: missing @rank suffix")
-    entries_s, _, rank_s = body.partition("@")
-    if not re.fullmatch(r"\d+", rank_s.strip()):
-        raise ParseError(f"weight {text!r}: rank must be a positive integer")
-    rank = int(rank_s)
-    entries = []
-    for pos, piece in enumerate(entries_s.split(",")):
-        piece = piece.strip()
-        if not re.fullmatch(r"-?\d+", piece):
-            raise ParseError(f"weight entry {pos}: expected an integer, got {piece!r}")
-        entries.append(int(piece))
-    if len(entries) != rank:
-        raise ParseError(
-            f"weight {text!r}: {len(entries)} entries for rank {rank}"
-        )
-    try:
-        return weight(entries)
-    except ValueError as exc:
-        raise ParseError(f"weight {text!r}: {exc}") from None
 
 
 def format_partition(p: Partition) -> str:
@@ -339,8 +315,8 @@ def _cmd_body(args) -> int:
     doc = {
         "dim": args.dim,
         "kmax": args.kmax,
-        "points": [[format_fraction(x) for x in p] for p in b.points],
-        "hull_vertices": [[format_fraction(x) for x in p] for p in b.hull],
+        "points": [[format_fraction(Fraction(x, b.scale)) for x in p] for p in b.points],
+        "hull_vertices": [[format_fraction(Fraction(x, b.scale)) for x in p] for p in b.hull],
         "lattice": [list(row) for row in b.lattice],
         "volume": volume,
         "degree": degree,
@@ -406,17 +382,17 @@ def _check_scan_args(args) -> None:
 
 
 def run_scan(args) -> tuple[dict, int]:
-    """Dispatch a verify subcommand; returns (report, exit code)."""
+    """Dispatch a verify subcommand; returns (report, exit code).
+
+    args.argv is the command line the manifest records.
+    """
     name = args.scanner
     _check_scan_args(args)
     t0 = time.monotonic()
     rep = _SCANNERS[name][0](args)
     runtime_ms = int((time.monotonic() - t0) * 1000)
-    argv = getattr(args, "argv", None)
-    if argv is None:
-        argv = sys.argv[1:]
     report = build_report(
-        name, rep.params, rep.checked, rep.violations, runtime_ms, argv, args.jobs
+        name, rep.params, rep.checked, rep.violations, runtime_ms, args.argv, args.jobs
     )
     return report, (0 if not rep.violations else 1)
 
@@ -510,6 +486,12 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        # imported here so that every run does not pay for it at startup
+        import traceback
+
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,87 +1,65 @@
-"""Exact rational convex geometry and integer lattice utilities.
+"""Exact integer convex geometry and integer lattice utilities.
 
-Every hull routine scales its points by the lcm of their denominators and
-runs on integers: a monotone chain in the plane and a walk over the facets
-in space.  The walk returns each facet as its ring of vertices, which gives
-both the vertex set and the volume (pyramids from one hull vertex over a
-triangle fan of each ring).  Affine ranks come from the Hermite reduction
-of the scaled difference vectors.  Membership in a hull is itself a hull
-computation, so no linear program is solved.  Exact comparison of d-th
-root sums runs over Fractions.  Supports ambient dimension d <= 3, which
-covers every consumer in this package.
+Every hull routine takes integer points and runs on them as given: a
+monotone chain in the plane and a walk over the facets in space.  The walk
+returns each facet as its ring of vertices, which gives both the vertex
+set and the volume (pyramids from one hull vertex over a triangle fan of
+each ring).  Affine ranks come from the Hermite reduction of the
+difference vectors.  Membership in a hull is itself a hull computation,
+so no linear program is solved.  A caller with rational points scales
+them to integers first.  Exact comparison of d-th root sums runs over
+Fractions.  Supports ambient dimension d <= 3, which covers every
+consumer in this package.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-Point = tuple[Fraction, ...]
+Point = tuple[int, ...]
 
 
 class DegenerateBodyError(ValueError):
     """A polytope is lower-dimensional than its ambient space requires."""
 
 
-def _frac_point(p) -> Point:
-    return tuple(Fraction(x) for x in p)
-
-
-def _scaled(points) -> tuple[int, dict[tuple[int, ...], Point]]:
-    """(s, {s * p: p}) over the distinct points p, s the lcm of their
-    denominators, so the keys are integer points."""
-    pts = {_frac_point(p) for p in points}
-    scale = lcm(*(x.denominator for p in pts for x in p))
-    return scale, {tuple(x.numerator * (scale // x.denominator) for x in p): p for p in pts}
-
-
-def in_convex_hull(point, points) -> bool:
+def in_convex_hull(point: Point, points) -> bool:
     """Exact membership of a point in the convex hull of a finite set.
 
     A point outside the hull of Q is a vertex of the hull of Q plus that
     point, and a point inside it is not, so p is in the hull of Q exactly
     when p is in Q or hull_vertices(Q | {p}) == hull_vertices(Q).
     """
-    p = _frac_point(point)
-    pts = {_frac_point(q) for q in points}
-    return p in pts or p not in hull_vertices(pts | {p})
+    pts = set(points)
+    return point in pts or point not in hull_vertices(pts | {point})
 
 
 def affine_rank(points) -> int:
     """Dimension of the affine span of a finite point set (-1 if empty).
 
-    The rank of the differences to one point, scaled to integers, read off
-    their Hermite basis.
+    The rank of the differences to one point, read off their Hermite basis.
     """
-    pts = list(_scaled(points)[1])
+    pts = list(points)
     if not pts:
         return -1
     return len(hermite_basis([_sub(p, pts[0]) for p in pts[1:]]))
 
 
 def hull_vertices(points) -> list[Point]:
-    """Vertex set of the convex hull, sorted, exact; ambient dimension <= 3.
+    """Vertex set of the convex hull of integer points, sorted; d <= 3.
 
-    The points are scaled by the lcm of their denominators, the hull is
-    found on those integers, and the vertices are returned as Fraction
-    points.  Raises NotImplementedError in dimension d > 3.
+    Raises NotImplementedError in ambient dimension d > 3.
     """
-    back = _scaled(points)[1]
-    if not back:
-        return []
-    if len(next(iter(back))) > 3:
+    pts = sorted(set(points))
+    if pts and len(pts[0]) > 3:
         raise NotImplementedError("hulls implemented for ambient dimension <= 3")
-    return [back[v] for v in sorted(_int_hull_vertices(sorted(back)))]
-
-
-def _int_hull_vertices(pts: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Hull vertices of distinct, lex-sorted integer points, d <= 3."""
     if len(pts) <= 2:
         return pts
     if len(pts[0]) == 1:
         return [pts[0], pts[-1]]
     if len(pts[0]) == 2:
-        return _order_polygon(pts)
+        return sorted(_order_polygon(pts))
     # the lex extremes are vertices; the rank decides the rest
     u, w = pts[0], pts[-1]
     e = _sub(w, u)
@@ -89,8 +67,8 @@ def _int_hull_vertices(pts: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     if normal is None:
         return [u, w]
     if all(_dot(normal, _sub(q, u)) == 0 for q in pts):
-        return _planar_ring(pts, normal)
-    return list({v for ring in _facet_rings(pts) for v in ring})
+        return sorted(_planar_ring(pts, normal))
+    return sorted({v for ring in _facet_rings(pts) for v in ring})
 
 
 def _sub(a, b):
@@ -220,14 +198,13 @@ def _order_polygon(points_2d: list[tuple[int, int]]):
 
 
 def hull_volume(vertices: list[Point]) -> Fraction:
-    """Euclidean volume of the convex hull of a full-dimensional point set.
+    """Exact volume of the convex hull of a full-dimensional integer point set.
 
-    On the points scaled by s, the lcm of their denominators: for d = 1
-    the length; for d = 2 twice the area, the shoelace sum over the
-    monotone chain; for d = 3 six times the volume, the sum of |det| over
-    the pyramids from the lex-least point, a hull vertex, to a triangle
-    fan of each facet ring.  One division by s, 2 s^2 or 6 s^3 ends it.
-    Raises DegenerateBodyError when the points do not span dimension d.
+    For d = 1 the length; for d = 2 twice the area, the shoelace sum over
+    the monotone chain, halved; for d = 3 six times the volume, the sum of
+    |det| over the pyramids from the lex-least point, a hull vertex, to a
+    triangle fan of each facet ring, divided by 6.  Raises
+    DegenerateBodyError when the points do not span dimension d.
     """
     if not vertices:
         raise DegenerateBodyError("empty vertex set")
@@ -236,21 +213,20 @@ def hull_volume(vertices: list[Point]) -> Fraction:
         raise DegenerateBodyError(f"vertices span less than dimension {d}")
     if d > 3:
         raise NotImplementedError("volumes implemented for ambient dimension <= 3")
-    scale, back = _scaled(vertices)
-    pts = sorted(back)
+    pts = sorted(set(vertices))
     if d == 1:
-        return Fraction(pts[-1][0] - pts[0][0], scale)
+        return Fraction(pts[-1][0] - pts[0][0])
     if d == 2:
         ring = _order_polygon(pts)
         twice = sum(p[0] * q[1] - q[0] * p[1] for p, q in zip(ring, ring[1:] + ring[:1]))
-        return Fraction(twice, 2 * scale**2)
+        return Fraction(twice, 2)
     o = pts[0]
     six = 0
     for ring in _facet_rings(pts):
         a = ring[0]
         for b, c in zip(ring[1:], ring[2:]):
             six += abs(_dot(_cross(_sub(b, a), _sub(c, a)), _sub(o, a)))
-    return Fraction(six, 6 * scale**3)
+    return Fraction(six, 6)
 
 
 def minkowski_sum(a: list[Point], b: list[Point]) -> list[Point]:

@@ -1,15 +1,15 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
-from math import factorial
+from math import comb, factorial, lcm
 
 import pytest
 
-from logcave.geometry import DegenerateBodyError, in_convex_hull
+from logcave import bodies
+from logcave.geometry import DegenerateBodyError, in_convex_hull, minkowski_sum
 from logcave.bodies import (
     MultiPolynomial,
     PolynomialSubspace,
-    binomial_dimension,
     body_approximation,
     brunn_minkowski_check,
     constant_one,
@@ -22,8 +22,12 @@ from logcave.bodies import (
     normalized_volume,
     power_subspace,
     subspace_product,
-    valuation_set,
 )
+
+
+def binomial_dimension(degree: int, dim: int, k: int) -> int:
+    """dim of the k-th power of the degree-bounded monomial subspace: C(k*e+d, d)."""
+    return comb(k * degree + dim, dim)
 
 
 def rand_poly(rng: random.Random, dim: int, max_deg=3, max_terms=4) -> MultiPolynomial:
@@ -77,12 +81,12 @@ def test_subspace_requires_constant():
 def test_valuation_set_examples():
     x, y = monomial(2, (1, 0)), monomial(2, (0, 1))
     s = PolynomialSubspace(2, [constant_one(2), x, y])
-    assert valuation_set(s) == {(0, 0), (1, 0), (0, 1)}
+    assert s.valuation_set() == {(0, 0), (1, 0), (0, 1)}
     x1 = monomial(1, (1,))
     x2 = monomial(1, (2,))
     # {1, x, x + x^2} reduces to pivots {1, x, x^2}
     s = PolynomialSubspace(1, [constant_one(1), x1, x1.minus(x2.scaled(F(-1)))])
-    assert valuation_set(s) == {(0,), (1,), (2,)}
+    assert s.valuation_set() == {(0,), (1,), (2,)}
 
 
 def test_valuation_set_size_is_dimension():
@@ -194,12 +198,14 @@ def test_reduction_stops_at_a_pivot_that_does_not_lead_with_one():
 def test_body_approximation_examples():
     s = monomial_subspace(2, [(1, 0), (0, 1)])
     b = body_approximation(s, 3)
-    assert sorted(b.hull) == sorted([(F(0), F(0)), (F(1), F(0)), (F(0), F(1))])
+    # the unit simplex at scale lcm(1, 2, 3) = 6
+    assert b.scale == 6
+    assert b.hull == [(0, 0), (0, 6), (6, 0)]
     assert b.stable
-    # span{1, x^2}: the segment [0, 2] with lattice 2Z
+    # span{1, x^2}: the segment [0, 2] with lattice 2Z, at scale 2
     s2 = monomial_subspace(1, [(2,)])
     b2 = body_approximation(s2, 2)
-    assert [v[0] for v in b2.hull] == [F(0), F(2)]
+    assert b2.scale == 2 and b2.hull == [(0,), (4,)]
     assert normalized_volume(b2) == 1
 
 
@@ -212,8 +218,9 @@ def test_bodies_are_monotone_in_level():
         s = monomial_subspace(2, exps)
         b2 = body_approximation(s, 2)
         b4 = body_approximation(s, 4)
+        ratio = b4.scale // b2.scale
         for p in b2.hull:
-            assert in_convex_hull(p, b4.hull)
+            assert in_convex_hull(tuple(ratio * x for x in p), b4.hull)
 
 
 def test_value_semigroup_closed_under_addition():
@@ -280,6 +287,51 @@ def test_brunn_minkowski_reports_degree_stability_of_all_three():
         )
         assert r.degrees_stable == expected
     assert brunn_minkowski_check(slow, line, 3).degrees_stable == (False, True, True)
+
+
+def _over_scale(points, scale):
+    return [tuple(F(x, scale) for x in p) for p in points]
+
+
+# k_max 2..5 gives the scales 2, 6, 12 and 60; k_max 6 (scale 60 again)
+# only on the line, because the LP filter is cubic in the point count
+@pytest.mark.parametrize(
+    "dim,k_max", [(d, k) for d in (1, 2, 3) for k in range(2, 7) if k < 6 or d == 1]
+)
+def test_integer_hull_over_scale_matches_lp_oracle(dim, k_max):
+    from test_geometry import lp_hull_vertices
+
+    rng = random.Random(10 * dim + k_max)
+    box = 3 if dim == 1 else 1
+    s = monomial_subspace(dim, [tuple(rng.randint(0, box) for _ in range(dim)) for _ in range(3)])
+    b = body_approximation(s, k_max)
+    assert b.scale == lcm(*range(1, k_max + 1))
+    # the points v/k, rebuilt from each power on its own
+    rational = sorted({
+        tuple(F(x, k) for x in v)
+        for k in range(1, k_max + 1)
+        for v in power_subspace(s, k).valuation_set()
+    })
+    assert _over_scale(b.points, b.scale) == rational
+    assert _over_scale(b.hull, b.scale) == lp_hull_vertices(rational)
+
+
+@pytest.mark.parametrize(
+    "inside",
+    # nothing is inside, or only the product hull's own vertices are
+    [lambda p, hull: False, lambda p, hull: p in hull],
+)
+def test_minkowski_inclusion_failure_returns_first_escaping_sum(inside, monkeypatch):
+    s1 = monomial_subspace(2, [(1, 0), (0, 2)])
+    s2 = monomial_subspace(2, [(1, 1), (2, 0)])
+    b1, b2, b12 = (body_approximation(s, 3) for s in (s1, s2, subspace_product(s1, s2)))
+    product_hull = _over_scale(b12.hull, b12.scale)
+    sums = minkowski_sum(_over_scale(b1.hull, b1.scale), _over_scale(b2.hull, b2.scale))
+    expected = next(p for p in sums if not inside(p, product_hull))
+    monkeypatch.setattr(bodies, "in_convex_hull", inside)
+    ok, bad = minkowski_inclusion_check(s1, s2, 3)
+    assert not ok and bad == expected
+    assert all(type(x) is F for x in bad)
 
 
 def test_minkowski_inclusion_examples():

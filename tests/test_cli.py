@@ -20,7 +20,6 @@ from logcave.cli import (
     parse_polynomial,
     parse_sequence,
     parse_shape,
-    parse_weight,
 )
 
 def test_parse_partition():
@@ -34,22 +33,12 @@ def test_parse_partition():
         parse_partition("1,2")
 
 
-def test_parse_weight():
-    assert parse_weight("2,1,0@3") == (2, 1, 0)
-    assert parse_weight("-1,-2@2") == (-1, -2)
-    with pytest.raises(ParseError, match="missing @rank"):
-        parse_weight("2,1,0")
-    with pytest.raises(ParseError, match="3 entries for rank 2"):
-        parse_weight("2,1,0@2")
-    with pytest.raises(ParseError, match="entry 1"):
-        parse_weight("2,?@2")
-
-
 def test_partition_weight_round_trip():
     for p in [(), (3, 1), (5, 5, 2)]:
         assert parse_partition(format_partition(p)) == p
-    for w in [(2, 1, 0), (-1, -2), (0, 0, 0, 0)]:
-        assert parse_weight(format_weight(w)) == w
+    assert format_weight((2, 1, 0)) == "2,1,0@3"
+    assert format_weight((-1, -2)) == "-1,-2@2"
+    assert format_weight((0, 0, 0, 0)) == "0,0,0,0@4"
 
 
 def test_parse_shape():
@@ -221,6 +210,19 @@ def test_manifest_replay_reproduces_reports(tmp_path):
         assert main(replay_argv + ["--out", str(second)]) == 0
         doc2 = json.loads(second.read_text())
         assert _payload(doc) == _payload(doc2)
+
+
+@pytest.mark.parametrize("error", [AssertionError, RuntimeError])
+def test_cli_internal_error_is_exit_3(error, monkeypatch, capsys):
+    import logcave.concavity as concavity
+
+    def broken_scan(*args, **kwargs):
+        raise error("scanner broke")
+
+    monkeypatch.setattr(concavity, "weyl_logconcavity_scan", broken_scan)
+    assert main(["verify", "weyl", "--rank", "2", "--bound", "2"]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and f"{error.__name__}: scanner broke" in err
 
 
 def test_cli_usage_error_is_exit_2():
