@@ -20,7 +20,6 @@ from .symfunc import (
     skew_schur,
     subtract_and_min_coefficient,
     to_schur_basis,
-    toeplitz_schur_coefficient,
 )
 from .lr import (
     LRCache,
@@ -44,7 +43,13 @@ from .concavity import (
     theorem1_verify,
     weyl_logconcavity_scan,
 )
-from .toeplitz import FiniteSequence, character_positivity_check, toeplitz_minor, two_by_two_scan
+from .toeplitz import (
+    FiniteSequence,
+    character_positivity_check,
+    toeplitz_minor,
+    toeplitz_schur_coefficient,
+    two_by_two_scan,
+)
 from .bodies import (
     BodyApprox,
     MultiPolynomial,

@@ -5,7 +5,8 @@ scanner name.  Reports are JSON with a CSV summary next to them; big
 integers and rationals are serialized as decimal strings so spreadsheet
 and JSON consumers never round them.  Exit codes: 0 clean, 1 violations
 found (a result, not a failure), 2 usage or input error, 3 internal error
-(the traceback goes to stderr).
+(the traceback goes to stderr), which in verify is any exception after the
+options are checked.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 from . import bodies, concavity, toeplitz
 from .lr import lr_coefficient, restriction_multiplicity
 from .bodies import MultiPolynomial, PolynomialSubspace
-from .partitions import GLWeight, Partition, SkewShape, pad, partition
+from .partitions import GLWeight, Partition, SkewShape, fmt_weight, pad, partition
 from .symfunc import skew_schur, to_schur_basis
 from .toeplitz import FiniteSequence
 
@@ -56,11 +57,11 @@ def parse_partition(text: str) -> Partition:
 
 
 def format_partition(p: Partition) -> str:
-    return ",".join(map(str, p)) if p else "0"
+    return fmt_weight(p) or "0"
 
 
 def format_weight(w: GLWeight) -> str:
-    return ",".join(map(str, w)) + f"@{len(w)}"
+    return fmt_weight(w) + f"@{len(w)}"
 
 
 def _variable_names(dim: int) -> list[str]:
@@ -291,7 +292,7 @@ def _cmd_toeplitz(args) -> int:
             "rank": args.rank,
             "bound": args.bound,
             "passed": ok,
-            "failing_weight": ",".join(map(str, bad)) if bad else None,
+            "failing_weight": fmt_weight(bad) if bad else None,
         }
     _emit(doc, args.out)
     return 0 if ok else 1
@@ -371,7 +372,7 @@ _SCANNERS = {
 
 
 def _check_scan_args(args) -> None:
-    """Raise ParseError for an option value that would make the scan vacuous."""
+    """Raise ParseError for an option value that would make the scan vacuous or invalid."""
     minimums = {"jobs": 1, **_SCANNERS[args.scanner][1]}
     for option, least in minimums.items():
         value = getattr(args, option)
@@ -379,17 +380,23 @@ def _check_scan_args(args) -> None:
             raise ParseError(
                 f"verify {args.scanner}: --{option} must be >= {least}, got {value}"
             )
+    if args.scanner == "restriction" and args.k >= args.n:
+        raise ParseError(f"verify restriction: --k must be < --n, got {args.k} >= {args.n}")
 
 
 def run_scan(args) -> tuple[dict, int]:
     """Dispatch a verify subcommand; returns (report, exit code).
 
-    args.argv is the command line the manifest records.
+    args.argv is the command line the manifest records.  A ValueError from
+    a scan whose options passed the checks is a fault, not an input error.
     """
     name = args.scanner
     _check_scan_args(args)
     t0 = time.monotonic()
-    rep = _SCANNERS[name][0](args)
+    try:
+        rep = _SCANNERS[name][0](args)
+    except ValueError as exc:
+        raise RuntimeError(f"verify {name} failed on accepted options") from exc
     runtime_ms = int((time.monotonic() - t0) * 1000)
     report = build_report(
         name, rep.params, rep.checked, rep.violations, runtime_ms, args.argv, args.jobs

@@ -36,6 +36,7 @@ from .partitions import (
     contains,
     dominant_weights,
     dual_weight,
+    fmt_weight,
     pad,
     partition,
     partitions_up_to,
@@ -50,6 +51,7 @@ from .symfunc import (
     subtract_and_min_coefficient,
     to_schur_basis,
 )
+from .toeplitz import convolve, first_logconcavity_failure
 
 
 @dataclass
@@ -233,7 +235,7 @@ def _theorem1_unit(unit) -> dict | None:
         "shape1": str(SkewShape(l1, m1)),
         "shape3": str(SkewShape(l3, m3)),
         "min_coefficient": str(r.min_coeff),
-        "witness": ",".join(map(str, r.witness)),
+        "witness": fmt_weight(r.witness),
     }
 
 
@@ -246,7 +248,7 @@ def _slm_unit(unit) -> dict | None:
     return {
         "shape1": str(SkewShape(l1, m1)),
         "shape3": str(SkewShape(l3, m3)),
-        "partition": ",".join(map(str, bad)),
+        "partition": fmt_weight(bad),
         "coefficient": str(expansion.terms[bad]),
     }
 
@@ -402,7 +404,7 @@ def conjecture1_scan(weight_bound: int, rank_bound: int, pq_bound: int = 2) -> C
 
 
 def fmt_triple(t: WeightTriple) -> str:
-    return " ".join(",".join(map(str, w)) for w in t)
+    return " ".join(map(fmt_weight, t))
 
 
 @dataclass
@@ -494,14 +496,10 @@ def logv_inclusion_check(mu: GLWeight, nu: GLWeight) -> tuple[bool, GLWeight | N
     Requires mu + nu even componentwise.  Returns (passed, first failing
     highest weight) comparing multiplicities of every constituent.
     """
-    if len(mu) != len(nu):
-        raise ValueError("rank mismatch")
-    weight(mu)
-    weight(nu)
+    left = tensor_product_multiplicities(mu, nu)  # checks the ranks and weights
     if any((x + y) % 2 for x, y in zip(mu, nu)):
         raise ValueError("midpoint is not integral")
     mid = tuple((x + y) // 2 for x, y in zip(mu, nu))
-    left = tensor_product_multiplicities(mu, nu)
     right = tensor_square_multiplicities(mid)
     for lam in sorted(left):
         if left[lam] > right.get(lam, 0):
@@ -525,9 +523,9 @@ def logv_scan(rank_bound: int, entry_bound: int) -> ConcavityReport:
                     violations.append(
                         {
                             "rank": rank,
-                            "mu": ",".join(map(str, mu)),
-                            "nu": ",".join(map(str, nu)),
-                            "lam": ",".join(map(str, bad)),
+                            "mu": fmt_weight(mu),
+                            "nu": fmt_weight(nu),
+                            "lam": fmt_weight(bad),
                         }
                     )
     return ConcavityReport(
@@ -652,18 +650,9 @@ def _validate_logconcave(seq: Sequence[int], name: str) -> None:
     lo, hi = support[0], support[-1]
     if any(seq[i] == 0 for i in range(lo, hi + 1)):
         raise SequencePreconditionError(f"{name} has an internal zero")
-    for i in range(1, len(seq) - 1):
-        if seq[i] ** 2 < seq[i - 1] * seq[i + 1]:
-            raise SequencePreconditionError(f"{name} is not log-concave at {i}")
-
-
-def convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
+    bad = first_logconcavity_failure(seq)
+    if bad is not None:
+        raise SequencePreconditionError(f"{name} is not log-concave at {bad}")
 
 
 def convolution_logconcavity_check(a: Sequence[int], b: Sequence[int]) -> tuple[bool, int | None]:
@@ -675,11 +664,8 @@ def convolution_logconcavity_check(a: Sequence[int], b: Sequence[int]) -> tuple[
     """
     _validate_logconcave(a, "first sequence")
     _validate_logconcave(b, "second sequence")
-    c = convolve(list(a), list(b))
-    for i in range(1, len(c) - 1):
-        if c[i] ** 2 < c[i - 1] * c[i + 1]:
-            return False, i
-    return True, None
+    bad = first_logconcavity_failure(convolve(a, b))
+    return bad is None, bad
 
 
 def random_logconcave_sequence(rng: random.Random, max_len: int) -> list[int]:
@@ -748,9 +734,9 @@ def weyl_logconcavity_scan(rank: int, entry_bound: int) -> ConcavityReport:
         violations += [
             {
                 "rank": r,
-                "a": ",".join(map(str, a)),
-                "b": ",".join(map(str, b)),
-                "c": ",".join(map(str, c)),
+                "a": fmt_weight(a),
+                "b": fmt_weight(b),
+                "c": fmt_weight(c),
                 "values": [str(da), str(db), str(dc)],
             }
             for a, b, c, da, db, dc in bad

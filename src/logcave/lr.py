@@ -22,6 +22,7 @@ from .partitions import (
     arrangement_count,
     contains,
     dual_weight,
+    fmt_weight,
     pad,
     partition,
     partitions_of,
@@ -98,11 +99,9 @@ def lr_skew_count(outer: Partition, inner: Partition, content: Partition) -> int
 
 def _shifted_triple(lam: GLWeight, mu: GLWeight, nu: GLWeight):
     """Shift mu, nu to partitions and lam compatibly; None if lam leaves the cone."""
-    a = -min(mu)
-    b = -min(nu)
-    mu_p = partition(x + a for x in mu)
-    nu_p = partition(x + b for x in nu)
-    lam_shifted = tuple(x + a + b for x in lam)
+    mu_p, a = shift_to_partition(mu)
+    nu_p, b = shift_to_partition(nu)
+    lam_shifted = tuple(x - a - b for x in lam)
     if lam_shifted[-1] < 0:
         return None
     return partition(lam_shifted), mu_p, nu_p
@@ -127,22 +126,16 @@ def _lr_count(lam: GLWeight, mu: GLWeight, nu: GLWeight) -> int:
     lam_p, mu_p, nu_p = shifted
     if sum(lam_p) != sum(mu_p) + sum(nu_p):
         return 0
-    if len(lam_p) > len(lam):
-        return 0
     return lr_skew_count(lam_p, mu_p, nu_p)
 
 
 def lr_coefficient_schur_peel(lam: GLWeight, mu: GLWeight, nu: GLWeight) -> int:
     """Oracle path: the same multiplicity via a Schur-basis peel of the product."""
-    n = len(lam)
-    if len(mu) != n or len(nu) != n:
-        raise ValueError("rank mismatch")
+    n = _check_triple((lam, mu, nu))
     shifted = _shifted_triple(lam, mu, nu)
     if shifted is None:
         return 0
     lam_p, mu_p, nu_p = shifted
-    if len(lam_p) > n:
-        return 0
     prod = multiply(
         skew_schur(SkewShape(mu_p, ()), n), skew_schur(SkewShape(nu_p, ()), n)
     )
@@ -260,7 +253,7 @@ class LRCache:
             self._memory[key] = value
             if self._path:
                 lam, mu, nu, n = key
-                fields = [",".join(map(str, w)) for w in (lam, mu, nu)]
+                fields = [fmt_weight(w) for w in (lam, mu, nu)]
                 line = ";".join([*fields, str(n), str(value)])
                 with open(self._path, "a+b") as fh:
                     if fh.tell() > 0:

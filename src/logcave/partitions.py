@@ -79,11 +79,16 @@ def dual_weight(w: GLWeight) -> GLWeight:
 def shift_to_partition(w: GLWeight) -> tuple[Partition, int]:
     """Split a weight into (partition, shift) with w = partition + shift*(1,..,1).
 
-    The shift is the minimal entry when that is negative, else 0, so the
-    partition part is always nonnegative and as small as possible.
+    The shift is the minimal entry, so the partition part is nonnegative
+    and as small as possible: padded to the rank, it ends in 0.
     """
-    shift = min(w) if min(w) < 0 else 0
+    shift = min(w)
     return partition(x - shift for x in w), shift
+
+
+def fmt_weight(w) -> str:
+    """Comma-separated entries of a weight or partition, "" for the empty one."""
+    return ",".join(map(str, w))
 
 
 @dataclass(frozen=True)
@@ -109,8 +114,8 @@ class SkewShape:
         return [(inner[r], self.outer[r]) for r in range(len(self.outer))]
 
     def __str__(self):
-        o = ",".join(map(str, self.outer)) or "0"
-        i = ",".join(map(str, self.inner))
+        o = fmt_weight(self.outer) or "0"
+        i = fmt_weight(self.inner)
         return f"{o}/{i}" if i else o
 
 

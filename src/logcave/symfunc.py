@@ -11,11 +11,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import product
 from math import factorial
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .partitions import (
     Partition,
@@ -282,68 +282,30 @@ def to_schur_basis(a: MonomialExpansion) -> SchurExpansion:
     tie-break among incomparable maxima, so the order stays deterministic.
     The monomial expansion of s_lambda is read straight from its Kostka
     table.  A peeled orbit that is not a partition is not cancelled by its
-    own table, and raises ValueError.
+    own table, and raises ValueError.  A heap keyed on (-degree, negated parts)
+    yields that order; an orbit is pushed when its coefficient turns nonzero.
     """
     n = a.num_variables
     remaining = dict(a.terms)
+    heap = [(-sum(k), tuple(-x for x in k), k) for k in remaining]
+    heapify(heap)
     out: dict[Partition, int] = {}
-    while remaining:
-        lam = max(remaining, key=lambda k: (sum(k), k))
-        coeff = remaining[lam]
+    while heap:
+        lam = heappop(heap)[2]
+        coeff = remaining.get(lam)
+        if coeff is None:
+            continue
         out[lam] = coeff
         for alpha, k in kostka_table(lam, (), min(n, sum(lam))).items():
-            nv = remaining.get(alpha, 0) - coeff * k
-            if nv:
-                remaining[alpha] = nv
-            else:
+            old = remaining.get(alpha, 0)
+            nv = old - coeff * k
+            if not nv:
                 remaining.pop(alpha, None)
+            else:
+                remaining[alpha] = nv
+                if not old:
+                    heappush(heap, (-sum(alpha), tuple(-x for x in alpha), alpha))
         # K_{lam,lam} = 1 cancels lam; no table key is a non-partition
         if lam in remaining:
             raise ValueError(f"orbit {lam} is not a partition")
     return SchurExpansion(out)
-
-
-def det_fraction(rows: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant needs a square matrix")
-    m = [[Fraction(x) for x in r] for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det
-
-
-def toeplitz_schur_coefficient(
-    x: Mapping[int, Fraction | int], lam, n: int
-) -> Fraction:
-    """Coefficient of s_lam(z_1..z_n) in prod_i sum_k x_k z_i^k.
-
-    Computed as the n x n determinant det[x_{lam_i - i + j}] over the
-    finitely supported sequence x.  lam may be any weakly decreasing
-    integer vector with at most n entries; missing entries are zero.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    lam = tuple(lam)
-    if len(lam) > n:
-        raise ValueError(f"{lam} has more than {n} parts")
-    full = lam + (0,) * (n - len(lam))
-    rows = [
-        [Fraction(x.get(full[i] - (i + 1) + (j + 1), 0)) for j in range(n)]
-        for i in range(n)
-    ]
-    return det_fraction(rows)

@@ -50,9 +50,8 @@ from logcave.symfunc import (
     multiply,
     skew_schur,
     to_schur_basis,
-    toeplitz_schur_coefficient,
 )
-from logcave.toeplitz import FiniteSequence, toeplitz_minor
+from logcave.toeplitz import FiniteSequence, toeplitz_minor, toeplitz_schur_coefficient
 
 JOBS = min(8, cpu_count())
 

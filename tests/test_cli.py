@@ -212,7 +212,7 @@ def test_manifest_replay_reproduces_reports(tmp_path):
         assert _payload(doc) == _payload(doc2)
 
 
-@pytest.mark.parametrize("error", [AssertionError, RuntimeError])
+@pytest.mark.parametrize("error", [AssertionError, RuntimeError, ValueError])
 def test_cli_internal_error_is_exit_3(error, monkeypatch, capsys):
     import logcave.concavity as concavity
 
@@ -259,6 +259,19 @@ def test_verify_rejects_vacuous_inputs_before_scanning(argv, option, monkeypatch
     err = capsys.readouterr().err
     assert f"{option} must be >=" in err
     assert "randrange" not in err
+
+
+@pytest.mark.parametrize("n,k", [(3, 3), (2, 5)])
+def test_verify_restriction_rejects_k_not_below_n_before_scanning(n, k, monkeypatch, capsys):
+    import logcave.concavity as concavity
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scan started")
+
+    monkeypatch.setattr(concavity, "restriction_logconcavity_scan", no_scan)
+    assert main(["verify", "restriction", "--n", str(n), "--k", str(k)]) == 2
+    err = capsys.readouterr().err
+    assert "--k must be < --n" in err and "Traceback" not in err
 
 
 def test_scanner_table_matches_verify_choices():

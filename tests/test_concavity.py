@@ -12,7 +12,6 @@ from logcave.concavity import (
     conjecture1_scan,
     convolution_logconcavity_check,
     convolution_random_suite,
-    convolve,
     logv_inclusion_check,
     logv_scan,
     random_logconcave_sequence,
@@ -27,6 +26,7 @@ from logcave.concavity import (
     weyl_logconcavity_scan,
 )
 from logcave.partitions import contains, dominant_weights, dual_weight
+from logcave.toeplitz import convolve
 
 
 def test_theorem1_verify_examples():

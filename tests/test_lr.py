@@ -183,6 +183,22 @@ def test_tensor_square_examples():
     assert sum(m * weyl_dimension(w) for w, m in ts.items()) == 64
 
 
+def test_tensor_product_with_positive_minimum_entries():
+    # the shift is min(w) also when it is positive: a det twist of each factor
+    mu, nu = (4, 4, 2), (3, 1, 1)
+    got = tensor_product_multiplicities(mu, nu)
+    translated = tensor_product_multiplicities((2, 2, 0), (2, 0, 0))
+    assert got == {tuple(x + 3 for x in lam): m for lam, m in translated.items()}
+    assert sum(m * weyl_dimension(lam) for lam, m in got.items()) == weyl_dimension(
+        mu
+    ) * weyl_dimension(nu)
+    for lam, m in got.items():
+        assert m == lr_coefficient_schur_peel(lam, mu, nu), lam
+    for a, b in (((5, 3, 3), (2, 2, 1)), ((1, 1), (3, 2)), ((2, 2, 2), (1, 1, 1))):
+        for lam, m in tensor_product_multiplicities(a, b).items():
+            assert m == lr_coefficient_schur_peel(lam, a, b), (a, b, lam)
+
+
 def test_lr_skew_count_lattice_condition():
     # shape (2,1)/(), content (2,1): single LR tableau (rows 1 1 / 2)
     assert lr_skew_count((2, 1), (), (2, 1)) == 1

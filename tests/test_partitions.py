@@ -75,7 +75,7 @@ def test_dual_weight_involution(w):
 
 def test_shift_to_partition_examples():
     assert shift_to_partition((0, -1, -2)) == ((2, 1), -2)
-    assert shift_to_partition((3, 1)) == ((3, 1), 0)
+    assert shift_to_partition((3, 1)) == ((2,), 1)
     assert shift_to_partition((-1, -1)) == ((), -1)
 
 
@@ -84,6 +84,8 @@ def test_shift_recomposes(w):
     p, shift = shift_to_partition(w)
     assert tuple(x + shift for x in pad(p, len(w))) == w
     assert all(x >= 0 for x in p)
+    # minimal: no smaller partition recomposes w, so the padded one ends in 0
+    assert pad(p, len(w))[-1] == 0
 
 
 def test_skew_shape_validation():

@@ -25,8 +25,8 @@ from logcave.symfunc import (
     skew_schur,
     subtract_and_min_coefficient,
     to_schur_basis,
-    toeplitz_schur_coefficient,
 )
+from logcave.toeplitz import toeplitz_schur_coefficient
 
 
 def dense(expn):
@@ -332,6 +332,8 @@ def test_to_schur_basis_round_trip():
             )
         expansion = to_schur_basis(poly)
         assert expansion.terms == terms
+        # peel order: the lex-largest orbit of the top degree first
+        assert list(expansion.terms) == sorted(terms, key=lambda k: (sum(k), k), reverse=True)
         assert schur_to_monomials(expansion, n) == poly
 
 

@@ -9,12 +9,14 @@ from logcave.symfunc import (
     MonomialExpansion,
     skew_schur,
     to_schur_basis,
-    toeplitz_schur_coefficient,
 )
 from logcave.toeplitz import (
     FiniteSequence,
     character_positivity_check,
+    convolve,
+    first_logconcavity_failure,
     toeplitz_minor,
+    toeplitz_schur_coefficient,
     two_by_two_scan,
 )
 
@@ -45,6 +47,84 @@ def test_two_by_two_examples():
     assert not ok and n == 1
 
 
+def brute_first_failure(values, indices):
+    """First index n with x_n^2 < x_{n-1} x_{n+1}, reading x as 0 off the list."""
+    at = dict(zip(indices, values))
+    for n in indices:
+        if at.get(n, 0) ** 2 < at.get(n - 1, 0) * at.get(n + 1, 0):
+            return n
+    return None
+
+
+def test_first_logconcavity_failure_matches_brute_force():
+    assert first_logconcavity_failure([]) is None
+    assert first_logconcavity_failure([5]) is None
+    assert first_logconcavity_failure([1, 1, 2]) == 1
+    assert first_logconcavity_failure([4, 2, 1, 1]) == 2
+    assert first_logconcavity_failure([1, 0, 1]) == 1
+    rng = random.Random(41)
+    for _ in range(400):
+        seq = [rng.choice((0, 1, 2, 3, Fraction(1, 2))) for _ in range(rng.randint(0, 7))]
+        assert first_logconcavity_failure(seq) == brute_first_failure(seq, range(len(seq))), seq
+
+
+def test_two_by_two_scan_matches_brute_force():
+    cases = [
+        FiniteSequence({0: 1, 2: 1}),  # internal zero
+        FiniteSequence({-2: 1, -1: 1, 0: 2, 1: 1}),  # fails at the first interior index
+        FiniteSequence({5: 4, 6: 2, 7: 1, 8: 1}),  # fails at the last interior index
+        FiniteSequence({-3: 1, -2: 1, -1: 5}),
+        FiniteSequence({-4: 1, -1: 3}),
+        FiniteSequence({3: 2}),
+        FiniteSequence(),
+    ]
+    rng = random.Random(43)
+    for _ in range(300):
+        offset = rng.randint(-6, 3)
+        cases.append(random_sequence(rng, max_index=6, offset=offset))
+    failures = 0
+    for x in cases:
+        indices = range(min(x.support, default=0) - 2, max(x.support, default=0) + 3)
+        bad = brute_first_failure([x[n] for n in indices], indices)
+        assert two_by_two_scan(x) == (bad is None, bad), x.support
+        failures += bad is not None
+    assert failures >= 20
+
+
+def test_toeplitz_minor_reads_plain_mappings():
+    rng = random.Random(47)
+    for _ in range(60):
+        x = random_sequence(rng, offset=rng.randint(-2, 2))
+        size = rng.randint(1, 3)
+        rows = sorted(rng.sample(range(-3, 4), size))
+        cols = sorted(rng.sample(range(-3, 4), size))
+        assert toeplitz_minor(dict(x.support), rows, cols) == toeplitz_minor(x, rows, cols)
+    # a plain mapping may carry signed values: det [[1, -1], [2, 1]] = 3
+    assert toeplitz_minor({0: 1, 1: -1, -1: 2}, (0, 1), (0, 1)) == 3
+
+
+def test_toeplitz_schur_coefficient_rejects_increasing_lam():
+    with pytest.raises(ValueError):
+        toeplitz_schur_coefficient({0: 1, 1: 1}, (1, 2), 2)
+    with pytest.raises(ValueError):
+        toeplitz_schur_coefficient({0: 1}, (1, 1, 1), 2)
+
+
+def test_sequence_convolution_matches_list_convolution():
+    rng = random.Random(53)
+    for _ in range(60):
+        a = random_sequence(rng, offset=rng.randint(-3, 3))
+        b = random_sequence(rng, offset=rng.randint(-3, 3))
+        product = a.convolve(b)
+        direct = {}
+        for i, x in a.support.items():
+            for j, y in b.support.items():
+                direct[i + j] = direct.get(i + j, 0) + x * y
+        assert product == FiniteSequence(direct)
+    assert FiniteSequence().convolve(FiniteSequence({0: 1})) == FiniteSequence()
+    assert convolve([1, 0, 1], [1, 1]) == [1, 1, 1, 1]
+
+
 def test_character_positivity_examples():
     ok, _ = character_positivity_check(FiniteSequence({0: 1}), 2, 4)
     assert ok
@@ -64,13 +144,13 @@ def test_character_positivity_negative_support():
     assert not ok and bad == (0, 0)
 
 
-def random_sequence(rng, max_index=4, max_num=4):
+def random_sequence(rng, max_index=4, max_num=4, offset=0):
     support = {}
     for k in range(rng.randint(1, max_index)):
         if rng.random() < 0.7:
-            support[k] = Fraction(rng.randint(0, max_num), rng.randint(1, 3))
+            support[k + offset] = Fraction(rng.randint(0, max_num), rng.randint(1, 3))
     if not support:
-        support[0] = Fraction(1)
+        support[offset] = Fraction(1)
     return FiniteSequence(support)
 
 
