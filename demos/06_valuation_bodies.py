@@ -9,8 +9,11 @@ d-th root superadditivity, with equality for a subspace against itself.
 from fractions import Fraction
 
 from logcave.bodies import (
+    MultiPolynomial,
+    PolynomialSubspace,
     body_approximation,
     brunn_minkowski_check,
+    constant_one,
     degree_bounded_monomials,
     degree_estimate,
     flag_valuation,
@@ -53,3 +56,17 @@ print("  d-th root comparison sign:", r.comparison_sign, "passed:", r.passed)
 
 r = brunn_minkowski_check(S, S, 4)
 print("S against itself is the equality case:", r.comparison_sign == 0)
+
+# a subspace not spanned by monomials: v(T^3) has points outside three
+# times the hull of v(T), so the body grows past level 1
+T = PolynomialSubspace(2, [
+    constant_one(2),
+    MultiPolynomial(2, {(1, 0): 1, (0, 1): 1}),  # x + y
+    MultiPolynomial(2, {(2, 0): 1, (0, 1): Fraction(-1, 2)}),  # x^2 - y/2
+    MultiPolynomial(2, {(1, 1): 1, (0, 2): 1}),  # x*y + y^2
+])
+print("\nspan{1, x + y, x^2 - y/2, x*y + y^2}:")
+print("  level-1 hull:", hull_over_scale(body_approximation(T, 1)))
+print("  level-3 hull:", hull_over_scale(body_approximation(T, 3)))
+r = brunn_minkowski_check(T, S, 3)
+print("  against S: volumes", r.volumes, "sign", r.comparison_sign, "passed:", r.passed)

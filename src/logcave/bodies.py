@@ -4,16 +4,16 @@ The function field is modeled by polynomials in d variables over the
 rationals.  The valuation attached to the coordinate flag at the origin is
 the lexicographically minimal exponent; it is additive on products and
 realizes dim S = |v(S \\ 0)| once a basis is triangularized against the
-lex order.  Powers of a subspace, value semigroups, inner hull
-approximations, lattice-normalized volumes, growth-based degree estimates
-and the Brunn-Minkowski comparison all build on that.
+lex order (fraction-free, on primitive integer polynomials).  Powers,
+value semigroups, inner hull approximations, lattice-normalized volumes,
+degree estimates and the Brunn-Minkowski comparison all build on that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add
 
 from .geometry import (
@@ -35,7 +35,8 @@ Exponent = tuple[int, ...]
 class MultiPolynomial:
     """A polynomial in d variables: exponent vector -> nonzero rational coefficient.
 
-    Integral coefficients are stored as int, the others as Fraction.
+    The rational input type of `PolynomialSubspace`: the constructor checks
+    every term and stores each coefficient as a Fraction.
     """
 
     dim: int
@@ -50,17 +51,8 @@ class MultiPolynomial:
                 raise ValueError(f"negative exponent in {e}")
             c = Fraction(c)
             if c:
-                clean[tuple(int(x) for x in e)] = _exact(c)
+                clean[tuple(int(x) for x in e)] = c
         object.__setattr__(self, "terms", clean)
-
-    @classmethod
-    def _trusted(cls, dim: int, terms: dict) -> "MultiPolynomial":
-        """Wrap terms that are already clean, skipping every check: exponent
-        tuples of dim ints, nonzero coefficients, integral ones as int."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "dim", dim)
-        object.__setattr__(p, "terms", terms)
-        return p
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -68,38 +60,17 @@ class MultiPolynomial:
     def __mul__(self, other: "MultiPolynomial") -> "MultiPolynomial":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        out: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return MultiPolynomial._trusted(self.dim, {e: _exact(c) for e, c in out.items() if c})
-
-    def scaled(self, c: Fraction) -> "MultiPolynomial":
-        c = _exact(Fraction(c))
-        if not c:
-            return MultiPolynomial._trusted(self.dim, {})
-        return MultiPolynomial._trusted(self.dim, {e: _exact(v * c) for e, v in self.terms.items()})
-
-    def minus(self, other: "MultiPolynomial") -> "MultiPolynomial":
-        out = dict(self.terms)
-        _subtract(out, other.terms, 1)
-        return MultiPolynomial._trusted(self.dim, out)
+        return MultiPolynomial(self.dim, _product(self.terms, other.terms))
 
 
-def _exact(c):
-    """An integral Fraction as int; ints and other Fractions unchanged."""
-    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
-
-
-def _subtract(terms: dict, other: dict, c) -> None:
-    """terms -= c * other in place, keeping the terms clean."""
-    for e, v in other.items():
-        nv = terms.get(e, 0) - c * v
-        if nv:
-            terms[e] = _exact(nv)
-        else:
-            terms.pop(e, None)
+def _product(f: dict, g: dict) -> dict:
+    """The product of two term dicts, without the cancelled terms."""
+    out: dict = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
 
 
 def constant_one(dim: int) -> MultiPolynomial:
@@ -127,63 +98,92 @@ class PolynomialSubspace:
 
     The basis is reduced at construction so that every element has a
     distinct lex-minimal exponent (its valuation); the pivot exponents are
-    then the full valuation set of the subspace.
+    then the full valuation set of the subspace.  Pivots are primitive
+    integer polynomials: int coefficients, content 1, positive lead.
     """
 
     def __init__(self, dim: int, polys):
+        polys = list(polys)
+        if any(f.dim != dim for f in polys):
+            raise ValueError("dimension mismatch in basis")
         self.dim = dim
-        pivots: dict[Exponent, MultiPolynomial] = {}
-        for f in polys:
-            if f.dim != dim:
-                raise ValueError("dimension mismatch in basis")
-            terms = _reduce_against(f, pivots)
-            if terms:
-                v = min(terms)
-                g = MultiPolynomial._trusted(dim, terms)
-                pivots[v] = g if terms[v] == 1 else g.scaled(Fraction(1) / terms[v])
-        self._pivots = dict(sorted(pivots.items()))
+        self._pivots = _echelon(map(_integral, polys))
         if (0,) * dim not in self._pivots or not self.contains(constant_one(dim)):
             raise ValueError("the subspace must contain the constant 1")
 
     @property
     def basis(self) -> list[MultiPolynomial]:
-        return list(self._pivots.values())
+        """The primitive integer pivots, in the lex order of their valuations."""
+        return [MultiPolynomial(self.dim, p) for p in self._pivots.values()]
 
     @property
     def dimension(self) -> int:
         return len(self._pivots)
 
     def contains(self, f: MultiPolynomial) -> bool:
-        return not _reduce_against(f, self._pivots)
+        return not _reduce_against(_integral(f), self._pivots)
 
     def valuation_set(self) -> set[Exponent]:
         """The set v(S \\ 0); its size equals dim S exactly."""
         return set(self._pivots)
 
 
-def _reduce_against(f: MultiPolynomial, pivots: dict[Exponent, MultiPolynomial]) -> dict:
-    """The terms of f reduced against the pivots, as a plain dict."""
-    # eliminating a pivot exponent only introduces lex-larger ones,
-    # so the loop advances strictly and terminates
-    terms = dict(f.terms)
-    while terms:
-        v = min(terms)
+def _integral(f: MultiPolynomial) -> dict:
+    """The terms of f times the lcm of their denominators."""
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    return {e: c.numerator * (den // c.denominator) for e, c in f.terms.items()}
+
+
+def _echelon(rows) -> dict:
+    """Primitive pivots of the span of integer term dicts, sorted by valuation."""
+    pivots: dict[Exponent, dict] = {}
+    for f in rows:
+        f = _reduce_against(f, pivots)
+        if f:
+            v = min(f)
+            pivots[v] = f if f[v] > 0 else {e: -c for e, c in f.items()}
+    return dict(sorted(pivots.items()))
+
+
+def _reduce_against(terms: dict, pivots: dict) -> dict:
+    """An integer multiple of terms with content 1 and no pivot at its lead, or {}.
+
+    Against the pivot p at the lead v of f, f <- a*f - b*p with a/b = p_v/f_v
+    in lowest terms cancels v exactly and adds only lex-larger exponents, so
+    the loop terminates; dividing out the content first keeps f small.
+    """
+    f = dict(terms)
+    while f:
+        g = gcd(*f.values())
+        if g > 1:
+            f = {e: c // g for e, c in f.items()}
+        v = min(f)
         p = pivots.get(v)
         if p is None:
             break
-        _subtract(terms, p.terms, terms[v])
-        if v in terms:
-            raise AssertionError(f"pivot at {v} does not lead with coefficient 1")
-    return terms
+        g = gcd(p[v], f[v])
+        a, b = p[v] // g, f[v] // g
+        if a != 1:
+            f = {e: a * c for e, c in f.items()}
+        for e, c in p.items():
+            f[e] = f.get(e, 0) - b * c
+            if not f[e]:
+                del f[e]
+    return f
 
 
 def subspace_product(s1: PolynomialSubspace, s2: PolynomialSubspace) -> PolynomialSubspace:
-    """The subspace spanned by all pairwise products of basis elements."""
+    """The subspace spanned by all pairwise products of basis elements.
+
+    The products of the pivots span 1 = 1 * 1 and, by Gauss's lemma, are
+    primitive with positive leads, so they go to the elimination unchecked.
+    """
     if s1.dim != s2.dim:
         raise ValueError("dimension mismatch")
-    return PolynomialSubspace(
-        s1.dim, (f * g for f in s1.basis for g in s2.basis)
-    )
+    s = object.__new__(PolynomialSubspace)
+    s.dim = s1.dim
+    s._pivots = _echelon(_product(f, g) for f in s1._pivots.values() for g in s2._pivots.values())
+    return s
 
 
 def power_subspace(s: PolynomialSubspace, k: int) -> PolynomialSubspace:

@@ -121,7 +121,10 @@ def _parse_term(chunk: str, names: dict[str, int], dim: int, offset: int):
     m = _TERM_RE.fullmatch(chunk)
     if m is None or (not m.group("coeff") and not m.group("vars")):
         raise ParseError(f"position {offset}: cannot parse term {chunk!r}")
-    coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+    try:
+        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+    except ZeroDivisionError:
+        raise ParseError(f"position {offset}: zero denominator in {chunk!r}") from None
     exps = [0] * dim
     vars_part = m.group("vars")
     for piece in filter(None, vars_part.split("*")):
@@ -159,11 +162,6 @@ def parse_sequence(text: str) -> FiniteSequence:
         return FiniteSequence(support)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-
-
-def format_fraction(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +284,8 @@ def _cmd_toeplitz(args) -> int:
         ok, bad = toeplitz.two_by_two_scan(seq)
         doc = {"check": "2x2", "passed": ok, "failing_index": bad}
     else:
+        if args.bound < 0:  # no coefficient to test: a vacuous pass
+            raise ParseError(f"toeplitz: --bound must be >= 0 for --check schur, got {args.bound}")
         ok, bad = toeplitz.character_positivity_check(seq, args.rank, args.bound)
         doc = {
             "check": "schur",
@@ -305,19 +305,18 @@ def _cmd_body(args) -> int:
     polys = [parse_polynomial(p, args.dim) for p in args.basis.split(";") if p.strip()]
     subspace = PolynomialSubspace(args.dim, polys)
     b = bodies.body_approximation(subspace, args.kmax)
-    volume = None
     degree = None
     try:
-        volume = format_fraction(bodies.normalized_volume(b))
+        volume = str(bodies.normalized_volume(b))
     except bodies.DegenerateBodyError as exc:
         volume = f"degenerate: {exc}"
     if args.kmax >= args.dim + 1:
-        degree = format_fraction(bodies._fit_degree(b.dims, args.dim).degree)
+        degree = str(bodies._fit_degree(b.dims, args.dim).degree)
     doc = {
         "dim": args.dim,
         "kmax": args.kmax,
-        "points": [[format_fraction(Fraction(x, b.scale)) for x in p] for p in b.points],
-        "hull_vertices": [[format_fraction(Fraction(x, b.scale)) for x in p] for p in b.hull],
+        "points": [[str(Fraction(x, b.scale)) for x in p] for p in b.points],
+        "hull_vertices": [[str(Fraction(x, b.scale)) for x in p] for p in b.hull],
         "lattice": [list(row) for row in b.lattice],
         "volume": volume,
         "degree": degree,

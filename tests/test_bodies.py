@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction as F
 from itertools import combinations_with_replacement
-from math import comb, factorial, lcm
+from math import comb, factorial, gcd, lcm
 
 import pytest
 
@@ -64,7 +64,10 @@ def test_valuation_of_sums():
     for _ in range(200):
         dim = rng.randint(1, 3)
         f, g = rand_poly(rng, dim), rand_poly(rng, dim)
-        s = f.minus(g.scaled(F(-1)))
+        terms = dict(f.terms)
+        for e, c in g.terms.items():
+            terms[e] = terms.get(e, 0) + c
+        s = MultiPolynomial(dim, terms)
         if s.is_zero():
             continue
         assert flag_valuation(s) >= min(flag_valuation(f), flag_valuation(g))
@@ -82,10 +85,9 @@ def test_valuation_set_examples():
     x, y = monomial(2, (1, 0)), monomial(2, (0, 1))
     s = PolynomialSubspace(2, [constant_one(2), x, y])
     assert s.valuation_set() == {(0, 0), (1, 0), (0, 1)}
-    x1 = monomial(1, (1,))
-    x2 = monomial(1, (2,))
     # {1, x, x + x^2} reduces to pivots {1, x, x^2}
-    s = PolynomialSubspace(1, [constant_one(1), x1, x1.minus(x2.scaled(F(-1)))])
+    x_plus_x2 = MultiPolynomial(1, {(1,): 1, (2,): 1})
+    s = PolynomialSubspace(1, [constant_one(1), monomial(1, (1,)), x_plus_x2])
     assert s.valuation_set() == {(0,), (1,), (2,)}
 
 
@@ -159,40 +161,65 @@ def test_power_dimensions_match_rank_of_all_products():
             assert power_subspace(s, k).dimension == _rank(products), (gens, k)
 
 
-def _exact_terms(p: MultiPolynomial) -> bool:
-    """Integral coefficients are ints, the others Fractions; never a float."""
-    return all(
-        type(c) is int or (type(c) is F and c.denominator != 1) for c in p.terms.values()
+def _is_primitive_integral(terms: dict) -> bool:
+    """Integer coefficients, content 1 and a positive lead coefficient."""
+    return (
+        all(type(c) is int for c in terms.values())
+        and gcd(*terms.values()) == 1
+        and terms[min(terms)] > 0
     )
 
 
 def test_coefficients_stay_exact_through_every_operation():
     f = MultiPolynomial(2, {(0, 0): F(4, 2), (1, 0): F(1, 3), (0, 1): 2.5})
-    assert f.terms == {(0, 0): 2, (1, 0): F(1, 3), (0, 1): F(5, 2)} and _exact_terms(f)
+    assert f.terms == {(0, 0): 2, (1, 0): F(1, 3), (0, 1): F(5, 2)}
     g = MultiPolynomial(2, {(1, 0): 3, (0, 2): F(-3, 2)})
-    for h in (f * g, g * g, f.scaled(F(3)), f.scaled(F(3, 2)), f.scaled(0.5), f.minus(g), g.minus(g)):
-        assert _exact_terms(h), h.terms
-    # pivots are normalised by an exact division: x + 3y -> y + x/3
+    # the rational input type stores Fractions, never a float or an int
+    for h in (f, g, f * g, g * g):
+        assert all(type(c) is F for c in h.terms.values()), h.terms
+    # pivots are primitive integer multiples: x + 3y stays 3y + x, and
+    # -y/2 + x/3 becomes 3y - 2x
     s = PolynomialSubspace(2, [constant_one(2), g, MultiPolynomial(2, {(1, 0): 1, (0, 1): 3})])
-    for b in s.basis:
-        assert _exact_terms(b) and b.terms[flag_valuation(b)] == 1, b.terms
-    assert MultiPolynomial(2, {(0, 1): 1, (1, 0): F(1, 3)}) in s.basis
-    for k in (2, 3):
-        assert all(_exact_terms(b) for b in power_subspace(s, k).basis)
+    assert MultiPolynomial(2, {(0, 1): 3, (1, 0): 1}) in s.basis
+    s = PolynomialSubspace(2, [constant_one(2), MultiPolynomial(2, {(0, 1): F(-1, 2), (1, 0): F(1, 3)})])
+    assert [b.terms for b in s.basis] == [{(0, 0): 1}, {(0, 1): 3, (1, 0): -2}]
     rng = random.Random(15)
     for _ in range(100):
         dim = rng.randint(1, 3)
-        f, g = rand_poly(rng, dim), rand_poly(rng, dim)
-        for h in (f * g, f.minus(g), f.scaled(F(rng.randint(-4, 4), rng.randint(1, 4)))):
-            assert _exact_terms(h), h.terms
+        h = rand_poly(rng, dim) * rand_poly(rng, dim)
+        assert all(type(c) is F for c in h.terms.values()), h.terms
 
 
-def test_reduction_stops_at_a_pivot_that_does_not_lead_with_one():
-    from logcave.bodies import _reduce_against
+def _random_subspace(rng: random.Random, dim: int) -> tuple[list, PolynomialSubspace]:
+    gens = [constant_one(dim)] + [rand_poly(rng, dim, max_deg=2, max_terms=3) for _ in range(3)]
+    return gens, PolynomialSubspace(dim, gens)
 
-    x = monomial(1, (1,))
-    with pytest.raises(AssertionError):
-        _reduce_against(x, {(1,): x.scaled(F(1, 2))})
+
+def test_pivots_are_primitive_integer_polynomials():
+    rng = random.Random(16)
+    for _ in range(30):
+        dim = rng.randint(1, 3)
+        _, s = _random_subspace(rng, dim)
+        for k in (1, 2, 3):
+            sk = power_subspace(s, k)
+            for v, p in sk._pivots.items():
+                assert min(p) == v and _is_primitive_integral(p), (k, p)
+            assert [b.terms for b in sk.basis] == list(sk._pivots.values())
+
+
+def test_scaling_generators_leaves_the_subspace_unchanged():
+    rng = random.Random(17)
+    for _ in range(30):
+        dim = rng.randint(1, 3)
+        gens, s = _random_subspace(rng, dim)
+        scaled = []
+        for g in gens:
+            c = F(rng.choice([-1, 1]) * rng.randint(1, 7), rng.randint(1, 5))
+            scaled.append(MultiPolynomial(dim, {e: c * v for e, v in g.terms.items()}))
+        t = PolynomialSubspace(dim, scaled)
+        assert t.valuation_set() == s.valuation_set()
+        assert t.dimension == s.dimension
+        assert t.basis == s.basis
 
 
 def test_body_approximation_examples():

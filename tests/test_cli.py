@@ -12,7 +12,6 @@ from logcave.cli import (
     ParseError,
     build_parser,
     canonical_payload,
-    format_fraction,
     format_partition,
     format_weight,
     main,
@@ -61,6 +60,8 @@ def test_parse_polynomial():
         parse_polynomial("x*w", 2)
     with pytest.raises(ParseError):
         parse_polynomial("", 2)
+    with pytest.raises(ParseError, match="position 2: zero denominator"):
+        parse_polynomial("1+3/0*x", 1)
 
 
 def test_parse_sequence():
@@ -98,6 +99,25 @@ def test_cli_toeplitz_exit_codes(capsys):
     assert main(["toeplitz", "--seq", "0:1,2:1", "--check", "schur", "--rank", "2", "--bound", "4"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["failing_weight"] == "1,1"
+
+
+@pytest.mark.parametrize("basis", ["1; 3/0*x", "1; x - 1/0"])
+def test_cli_body_rejects_zero_denominator(basis, capsys):
+    assert main(["body", "--dim", "1", "--basis", basis]) == 2
+    err = capsys.readouterr().err
+    assert "zero denominator" in err and "Traceback" not in err
+
+
+def test_cli_toeplitz_schur_rejects_negative_bound(monkeypatch, capsys):
+    from logcave import toeplitz
+
+    def no_check(*args, **kwargs):
+        raise AssertionError("check started")
+
+    monkeypatch.setattr(toeplitz, "character_positivity_check", no_check)
+    argv = ["toeplitz", "--seq", "0:1,1:1", "--check", "schur", "--bound", "-1"]
+    assert main(argv) == 2
+    assert "--bound must be >= 0" in capsys.readouterr().err
 
 
 def test_cli_body(tmp_path):
@@ -144,7 +164,7 @@ def test_cli_body_degree_matches_degree_estimate(dim, basis, kmax, tmp_path):
         int(dim), [parse_polynomial(p, int(dim)) for p in basis.split(";")]
     )
     expected = bodies.degree_estimate(subspace, int(kmax)).degree
-    assert json.loads(out.read_text())["degree"] == format_fraction(expected)
+    assert json.loads(out.read_text())["degree"] == str(F(expected))
 
 
 @pytest.mark.parametrize(
