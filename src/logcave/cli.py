@@ -82,10 +82,13 @@ def parse_polynomial(text: str, dim: int) -> MultiPolynomial:
     """Parse "3*x^2*y - 1/2*y" into a polynomial in dim variables.
 
     Variables are x, y, z for dim <= 3 and x1..xd beyond.  Raises
-    ParseError with the offending position on malformed input.
+    ParseError with the offending position on malformed input, counted in
+    text as typed, spaces included.
     """
     names = {name: i for i, name in enumerate(_variable_names(dim))}
     body = text.replace(" ", "")
+    # where[i] is the position in text of body[i]
+    where = [i for i, ch in enumerate(text) if ch != " "]
     if not body:
         raise ParseError("empty polynomial")
     # split into signed terms
@@ -103,8 +106,8 @@ def parse_polynomial(text: str, dim: int) -> MultiPolynomial:
                 break
         chunk = body[pos:nxt]
         if not chunk:
-            raise ParseError(f"position {pos}: empty term")
-        coeff, exps = _parse_term(chunk, names, dim, pos)
+            raise ParseError(f"position {where[pos]}: empty term")
+        coeff, exps = _parse_term(chunk, names, dim, where[pos])
         key = tuple(exps)
         v = terms.get(key, Fraction(0)) + sign * coeff
         if v:
@@ -302,7 +305,13 @@ def _cmd_body(args) -> int:
     # exact hull volumes exist for ambient dimension 1..3 only
     if not 1 <= args.dim <= 3:
         raise ParseError(f"body: --dim must be 1, 2 or 3, got {args.dim}")
-    polys = [parse_polynomial(p, args.dim) for p in args.basis.split(";") if p.strip()]
+    polys = []
+    for i, text in enumerate(args.basis.split(";"), 1):
+        if text.strip():
+            try:
+                polys.append(parse_polynomial(text, args.dim))
+            except ParseError as exc:
+                raise ParseError(f"polynomial {i}: {exc}") from None
     subspace = PolynomialSubspace(args.dim, polys)
     b = bodies.body_approximation(subspace, args.kmax)
     degree = None

@@ -24,6 +24,7 @@ from typing import Callable, Iterator, Sequence
 
 from .lr import (
     WeightTriple,
+    _check_triple,
     restriction_multiplicity,
     tensor_product_multiplicities,
     tensor_square_multiplicities,
@@ -41,7 +42,6 @@ from .partitions import (
     partition,
     partitions_up_to,
     subdiagrams,
-    weight,
     weyl_dimension,
 )
 from .symfunc import (
@@ -121,8 +121,15 @@ def _midpoint_count(points: Sequence, flat: Callable, p: int, q: int, power: int
 
 
 def _midpoint_scan(
-    points: Sequence, flat: Callable, values: dict, p: int, q: int, unflat: Callable
-) -> list[tuple]:
+    points: Sequence,
+    flat: Callable,
+    values: dict,
+    p: int,
+    q: int,
+    unflat: Callable,
+    fmt: Callable,
+    fixed: dict,
+) -> list[dict]:
     """Check F(C)**(p+q) >= F(A)**p * F(B)**q over the integral-midpoint pairs.
 
     values is the complete table of F on the domain, absent keys reading
@@ -132,33 +139,40 @@ def _midpoint_scan(
     values are evaluated: the others pass outright, so points may be just
     the support of F, and _midpoint_count counts the instances.  flat is
     recomputed per pair rather than stored per point, which keeps the
-    largest domains small in memory.  Returns the violations
-    (A, B, C, F(A), F(B), F(C)) in pair order.
+    largest domains small in memory.  Returns the violation records in
+    pair order: the caller's fixed keys, then A, B and C formatted by fmt,
+    then "values" [F(A), F(B), F(C)] as decimal strings.
     """
     m = p + q
     support = [x for x in points if values.get(x)]
     violations = []
     for a, b in _midpoint_pairs(support, flat, p, q):
         fa, fb = values[a], values[b]
+        # the pairing makes every entry divisible by m
         c = unflat(tuple((p * x + q * y) // m for x, y in zip(flat(a), flat(b))))
         fc = values.get(c, 0)
         if fc**m < fa**p * fb**q:
-            violations.append((a, b, c, fa, fb, fc))
+            violations.append(
+                dict(fixed, a=fmt(a), b=fmt(b), c=fmt(c), values=[str(fa), str(fb), str(fc)])
+            )
     return violations
+
+
+def _mean(x: Sequence[int], y: Sequence[int], p: int = 1, q: int = 1) -> tuple[int, ...] | None:
+    """(p*x + q*y) / (p+q) entrywise, or None when an entry is not integral."""
+    m = p + q
+    out = []
+    for a, b in zip(x, y):
+        entry, rem = divmod(p * a + q * b, m)
+        if rem:
+            return None
+        out.append(entry)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
 # skew-shape midpoints and the square/product comparison
 # ---------------------------------------------------------------------------
-
-
-def _midpoint(a: Partition, b: Partition) -> Partition | None:
-    """Componentwise midpoint of two partitions, or None if not integral."""
-    L = max(len(a), len(b))
-    pa, pb = pad(a, L), pad(b, L)
-    if any((x + y) % 2 for x, y in zip(pa, pb)):
-        return None
-    return partition((x + y) // 2 for x, y in zip(pa, pb))
 
 
 @dataclass
@@ -178,10 +192,13 @@ def _square_minus_product(l1, m1, l3, m3):
     for lam, mu in ((l1, m1), (l3, m3)):
         if not contains(lam, mu):
             raise ValueError(f"invalid skew shape {lam}/{mu}")
-    l2 = _midpoint(l1, l3)
-    m2 = _midpoint(m1, m3)
+    # inner shapes have no more rows than their outer ones
+    rows = max(len(l1), len(l3))
+    l2 = _mean(pad(l1, rows), pad(l3, rows))
+    m2 = _mean(pad(m1, rows), pad(m3, rows))
     if l2 is None or m2 is None:
         raise ValueError("midpoint is not integral")
+    l2, m2 = partition(l2), partition(m2)
     sh1, sh2, sh3 = SkewShape(l1, m1), SkewShape(l2, m2), SkewShape(l3, m3)
     n = max(1, sh1.size + sh3.size)
     mid = skew_schur(sh2, n)
@@ -321,18 +338,21 @@ def _primitive_pq(pq_bound: int) -> list[tuple[int, int]]:
     ]
 
 
-def _sum_zero_triples(ws: Sequence[GLWeight]) -> Iterator[WeightTriple]:
-    """The triples (a, b, c) in ws**3 whose entries sum to zero.
+def _sum_zero_triples(
+    xs: Sequence[GLWeight], ys: Sequence[GLWeight], zs: Sequence[GLWeight]
+) -> Iterator[WeightTriple]:
+    """The triples (a, b, c) in xs * ys * zs whose entries sum to zero.
 
-    They come in the lexicographic order of their positions in ws, the
-    order of ws**3 restricted to the slice.  Off the slice the triple
-    invariant vanishes, so the triple scanners evaluate nothing else.
+    They come in the lexicographic order of their positions in the three
+    lists, the order of the product restricted to the slice.  Off the
+    slice the triple invariant vanishes, so the triple scanners evaluate
+    nothing else.
     """
     by_sum: dict[int, list[GLWeight]] = {}
-    for w in ws:
-        by_sum.setdefault(sum(w), []).append(w)
-    for a in ws:
-        for b in ws:
+    for c in zs:
+        by_sum.setdefault(sum(c), []).append(c)
+    for a in xs:
+        for b in ys:
             for c in by_sum.get(-sum(a) - sum(b), ()):
                 yield a, b, c
 
@@ -363,7 +383,7 @@ def conjecture1_scan(weight_bound: int, rank_bound: int, pq_bound: int = 2) -> C
     for rank in range(1, rank_bound + 1):
         ws = list(dominant_weights(rank, -weight_bound, weight_bound))
         values: dict[WeightTriple, int] = {}
-        for t in _sum_zero_triples(ws):
+        for t in _sum_zero_triples(ws, ws, ws):
             v = triple_invariant(t)
             if v:
                 values[t] = v
@@ -377,19 +397,9 @@ def conjecture1_scan(weight_bound: int, rank_bound: int, pq_bound: int = 2) -> C
             if p > q:
                 continue
             checked += _midpoint_count(ws, tuple, p, q, 3)
-            bad = _midpoint_scan(support, _flat, values, p, q, unflat)
-            violations += [
-                {
-                    "rank": rank,
-                    "p": p,
-                    "q": q,
-                    "a": fmt_triple(a),
-                    "b": fmt_triple(b),
-                    "c": fmt_triple(c),
-                    "values": [str(fa), str(fb), str(fc)],
-                }
-                for a, b, c, fa, fb, fc in bad
-            ]
+            violations += _midpoint_scan(
+                support, _flat, values, p, q, unflat, fmt_triple, {"rank": rank, "p": p, "q": q}
+            )
     violations.sort(key=lambda v: (v["rank"], v["p"], v["q"], v["a"], v["b"]))
     return ConcavityReport(
         checked=checked,
@@ -440,34 +450,26 @@ def saturation_scan(t: WeightTriple, k_max: int) -> list[SaturationRow]:
     return rows
 
 
-def saturation_domain(max_weight: int, rank: int) -> list[WeightTriple]:
-    """Triples (dual(lam), mu, nu) over partition triples bounded in weight.
-
-    Raw partition triples carry no invariants (the entries cannot sum to
-    zero), so the first slot is dualized; this matches the tensor-product
-    reading of the invariant c^lam_{mu nu}.
-    """
-    parts = list(partitions_up_to(max_weight, max_parts=rank))
-    out = []
-    for lam in parts:
-        dual_lam = dual_weight(pad(lam, rank))
-        for mu in parts:
-            for nu in parts:
-                out.append((dual_lam, pad(mu, rank), pad(nu, rank)))
-    return out
-
-
 def saturation_scan_all(max_weight: int, rank: int, k_max: int) -> ConcavityReport:
-    """Run saturation_scan over the bounded triple domain.
+    """Run saturation_scan over the triples (dual(lam), mu, nu), weights bounded.
 
-    Violations carry a "kind" field: "saturation" rows would falsify a
-    theorem, "power_bound" rows are conjecture findings.
+    lam, mu and nu range over the partitions with at most rank parts and
+    weight at most max_weight, padded to the rank.  Raw partition triples
+    carry no invariants (the entries cannot sum to zero), so the first
+    slot is dualized; this matches the tensor-product reading of the
+    invariant c^lam_{mu nu}.  Off the slice |lam| = |mu| + |nu| the
+    invariant vanishes at every stretch and both row checks pass, so only
+    slice triples are scanned, in (lam, mu, nu) order, while checked counts
+    every row of every triple.
+
+    Violations carry a "kind" field.  "saturation" rows falsify a theorem
+    (Knutson and Tao, JAMS 12, 1999), so they are bugs; "power_bound"
+    rows are findings about the conjectural bound c_k <= c_1**k.
     """
+    parts = [pad(lam, rank) for lam in partitions_up_to(max_weight, max_parts=rank)]
     violations = []
-    checked = 0
-    for t in saturation_domain(max_weight, rank):
+    for t in _sum_zero_triples([dual_weight(lam) for lam in parts], parts, parts):
         rows = saturation_scan(t, k_max)
-        checked += len(rows)
         base = rows[0].value
         for row in rows:
             for kind, ok in (
@@ -484,10 +486,15 @@ def saturation_scan_all(max_weight: int, rank: int, k_max: int) -> ConcavityRepo
                         }
                     )
     return ConcavityReport(
-        checked=checked,
+        checked=len(parts) ** 3 * k_max,
         violations=violations,
         params={"max_weight": max_weight, "rank": rank, "k_max": k_max},
     )
+
+
+def _first_excess(left: dict, right: dict) -> GLWeight | None:
+    """The least lam in sorted order with left[lam] > right[lam], or None."""
+    return next((lam for lam in sorted(left) if left[lam] > right.get(lam, 0)), None)
 
 
 def logv_inclusion_check(mu: GLWeight, nu: GLWeight) -> tuple[bool, GLWeight | None]:
@@ -497,37 +504,41 @@ def logv_inclusion_check(mu: GLWeight, nu: GLWeight) -> tuple[bool, GLWeight | N
     highest weight) comparing multiplicities of every constituent.
     """
     left = tensor_product_multiplicities(mu, nu)  # checks the ranks and weights
-    if any((x + y) % 2 for x, y in zip(mu, nu)):
+    mid = _mean(mu, nu)
+    if mid is None:
         raise ValueError("midpoint is not integral")
-    mid = tuple((x + y) // 2 for x, y in zip(mu, nu))
-    right = tensor_square_multiplicities(mid)
-    for lam in sorted(left):
-        if left[lam] > right.get(lam, 0):
-            return False, lam
-    return True, None
+    bad = _first_excess(left, tensor_square_multiplicities(mid))
+    return bad is None, bad
 
 
 def logv_scan(rank_bound: int, entry_bound: int) -> ConcavityReport:
-    """Scan the tensor-square inclusion over bounded dominant weight pairs."""
+    """Scan the tensor-square inclusion over bounded dominant weight pairs.
+
+    For each rank r <= rank_bound the instances are the unordered pairs
+    (mu, nu), diagonal included, of dominant weights with entries in
+    [-entry_bound, entry_bound] and mu + nu even, from _midpoint_pairs.
+    The midpoint of two such weights is again one of them, so each tensor
+    square is computed once per weight.  The inclusion is a theorem (Lam,
+    Postnikov and Pylyavskyy, Amer. J. Math. 129, 2007), so expected
+    violations: none, ever; one would be a bug.
+    """
     violations = []
     checked = 0
     for rank in range(1, rank_bound + 1):
         ws = list(dominant_weights(rank, -entry_bound, entry_bound))
-        for i, mu in enumerate(ws):
-            for nu in ws[i:]:
-                if any((x + y) % 2 for x, y in zip(mu, nu)):
-                    continue
-                checked += 1
-                ok, bad = logv_inclusion_check(mu, nu)
-                if not ok:
-                    violations.append(
-                        {
-                            "rank": rank,
-                            "mu": fmt_weight(mu),
-                            "nu": fmt_weight(nu),
-                            "lam": fmt_weight(bad),
-                        }
-                    )
+        squares = {w: tensor_square_multiplicities(w) for w in ws}
+        checked += _midpoint_count(ws, tuple, 1, 1)
+        for mu, nu in _midpoint_pairs(ws, tuple, 1, 1):
+            bad = _first_excess(tensor_product_multiplicities(mu, nu), squares[_mean(mu, nu)])
+            if bad is not None:
+                violations.append(
+                    {
+                        "rank": rank,
+                        "mu": fmt_weight(mu),
+                        "nu": fmt_weight(nu),
+                        "lam": fmt_weight(bad),
+                    }
+                )
     return ConcavityReport(
         checked=checked,
         violations=violations,
@@ -537,17 +548,13 @@ def logv_scan(rank_bound: int, entry_bound: int) -> ConcavityReport:
 
 def _circulant_image(t: WeightTriple, p: int, q: int) -> WeightTriple | None:
     """(p*lam + q*nu, p*mu + q*lam, p*nu + q*mu) / (p+q), or None if not integral."""
-    m = p + q
     lam, mu, nu = t
     image = []
-    for first, second in ((lam, nu), (mu, lam), (nu, mu)):
-        w = []
-        for x, y in zip(first, second):
-            entry, rem = divmod(p * x + q * y, m)
-            if rem:
-                return None
-            w.append(entry)
-        image.append(tuple(w))
+    for x, y in ((lam, nu), (mu, lam), (nu, mu)):
+        w = _mean(x, y, p, q)
+        if w is None:
+            return None
+        image.append(w)
     return tuple(image)
 
 
@@ -564,8 +571,7 @@ def alpha_matrix_check(t: WeightTriple, p: int, q: int) -> tuple[bool, int, int]
     """
     if p < 0 or q < 0 or p + q < 1:
         raise ValueError("need p, q >= 0 with p + q >= 1")
-    for w in t:
-        weight(w)
+    _check_triple(t)
     t2 = _circulant_image(t, p, q)
     if t2 is None:
         raise ValueError("image is not an integral weight")
@@ -600,7 +606,7 @@ def alpha_scan(rank_bound: int, entry_bound: int, pq_bound: int = 2) -> Concavit
     checked = 0
     for rank in range(1, rank_bound + 1):
         ws = list(dominant_weights(rank, -entry_bound, entry_bound))
-        triples = list(_sum_zero_triples(ws))
+        triples = list(_sum_zero_triples(ws, ws, ws))
         for p, q in pq_pairs:
             checked += _circulant_count(ws, p, q)
             for t in triples:
@@ -730,17 +736,7 @@ def weyl_logconcavity_scan(rank: int, entry_bound: int) -> ConcavityReport:
         ws = list(dominant_weights(r, 0, entry_bound))
         dims = {w: weyl_dimension(w) for w in ws}
         checked += _midpoint_count(ws, tuple, 1, 1)
-        bad = _midpoint_scan(ws, tuple, dims, 1, 1, tuple)
-        violations += [
-            {
-                "rank": r,
-                "a": fmt_weight(a),
-                "b": fmt_weight(b),
-                "c": fmt_weight(c),
-                "values": [str(da), str(db), str(dc)],
-            }
-            for a, b, c, da, db, dc in bad
-        ]
+        violations += _midpoint_scan(ws, tuple, dims, 1, 1, tuple, fmt_weight, {"rank": r})
     return ConcavityReport(
         checked=checked,
         violations=violations,
@@ -769,20 +765,15 @@ def restriction_logconcavity_scan(n: int, k: int, weight_bound: int) -> Concavit
     def flat(x):
         return pad(x[0], n) + pad(x[1], k)
 
+    def unflat(c):
+        return partition(c[:n]), partition(c[n:])
+
+    def fmt(x):
+        return str(SkewShape(*x))
+
     checked = _midpoint_count(points, flat, 1, 1)
-    bad = _midpoint_scan(
-        points, flat, values, 1, 1, lambda c: (partition(c[:n]), partition(c[n:]))
-    )
     # a nonzero multiplicity needs mu inside lam, and averaging keeps that
-    violations = [
-        {
-            "a": str(SkewShape(*a)),
-            "b": str(SkewShape(*b)),
-            "c": str(SkewShape(*c)),
-            "values": [str(fa), str(fb), str(fc)],
-        }
-        for a, b, c, fa, fb, fc in bad
-    ]
+    violations = _midpoint_scan(points, flat, values, 1, 1, unflat, fmt, {})
     return ConcavityReport(
         checked=checked,
         violations=violations,

@@ -62,6 +62,13 @@ def test_parse_polynomial():
         parse_polynomial("", 2)
     with pytest.raises(ParseError, match="position 2: zero denominator"):
         parse_polynomial("1+3/0*x", 1)
+    # positions count in the text as typed, spaces included
+    with pytest.raises(ParseError, match="position 4: zero denominator"):
+        parse_polynomial("1 + 3/0*x", 1)
+    with pytest.raises(ParseError, match="position 6: unknown variable"):
+        parse_polynomial("  1 + w", 1)
+    with pytest.raises(ParseError, match="position 5: empty term"):
+        parse_polynomial("1 +  + x", 1)
 
 
 def test_parse_sequence():
@@ -106,6 +113,20 @@ def test_cli_body_rejects_zero_denominator(basis, capsys):
     assert main(["body", "--dim", "1", "--basis", basis]) == 2
     err = capsys.readouterr().err
     assert "zero denominator" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "basis, where",
+    [
+        ("1; 3/0*x", "polynomial 2: position 1: zero denominator"),
+        ("1; x - 1/0", "polynomial 2: position 5: zero denominator"),
+        ("3/0; x", "polynomial 1: position 0: zero denominator"),
+        ("1;; x + w", "polynomial 3: position 5: unknown variable"),
+    ],
+)
+def test_cli_body_names_the_failing_polynomial(basis, where, capsys):
+    assert main(["body", "--dim", "1", "--basis", basis]) == 2
+    assert f"error: {where}" in capsys.readouterr().err
 
 
 def test_cli_toeplitz_schur_rejects_negative_bound(monkeypatch, capsys):

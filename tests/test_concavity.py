@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from operator import itemgetter
 
 import pytest
 
@@ -25,7 +26,14 @@ from logcave.concavity import (
     theorem1_verify,
     weyl_logconcavity_scan,
 )
-from logcave.partitions import contains, dominant_weights, dual_weight
+from logcave.partitions import (
+    contains,
+    dominant_weights,
+    dual_weight,
+    fmt_weight,
+    pad,
+    partitions_up_to,
+)
 from logcave.toeplitz import convolve
 
 
@@ -118,6 +126,13 @@ def test_logv_inclusion_examples():
         logv_inclusion_check((1, 0), (0, 0))
 
 
+def test_logv_inclusion_reports_the_least_excess(monkeypatch):
+    # V^(2,0) (x) V^(2,0) is (4,0) + (3,1) + (2,2); two of them in excess
+    planted = {(4, 0): 2, (3, 1): 1, (2, 2): 2}
+    monkeypatch.setattr(concavity, "tensor_product_multiplicities", lambda mu, nu: planted)
+    assert logv_inclusion_check((2, 0), (2, 0)) == (False, (2, 2))
+
+
 def test_logv_scan_clean():
     assert logv_scan(2, 2).clean
 
@@ -134,6 +149,38 @@ def test_alpha_matrix_check():
     assert ok and v1 == v2
     with pytest.raises(ValueError):
         alpha_matrix_check(((1, 0), (0, 0), (0, 0)), 1, 1)
+
+
+def test_alpha_matrix_check_rejects_rank_mismatch(monkeypatch):
+    def no_image(*args):
+        raise AssertionError("image computed")
+
+    monkeypatch.setattr(concavity, "_circulant_image", no_image)
+    with pytest.raises(ValueError, match="rank mismatch"):
+        alpha_matrix_check(((1, 0), (0,), (-1,)), 1, 1)
+
+
+@pytest.mark.parametrize("p, q", [(1, 1), (1, 2), (2, 1), (2, 3), (3, 5), (0, 1), (1, 0)])
+def test_mean_matches_brute_force(p, q):
+    m = p + q
+    entries = range(-6, 7)
+    # the integer z with (p+q)*z == p*x + q*y, found by search
+    brute = {
+        (x, y): next((z for z in entries if m * z == p * x + q * y), None)
+        for x in entries
+        for y in entries
+    }
+    for (x, y), z in brute.items():
+        assert concavity._mean((x,), (y,), p, q) == (None if z is None else (z,))
+    rng = random.Random(m * 10 + p)
+    for _ in range(200):
+        xs = [rng.choice(entries) for _ in range(3)]
+        ys = [rng.choice(entries) for _ in range(3)]
+        zs = [brute[x, y] for x, y in zip(xs, ys)]
+        want = None if None in zs else tuple(zs)
+        assert concavity._mean(xs, ys, p, q) == want
+    assert concavity._mean((3, -1), (1, -3)) == (2, -2)
+    assert concavity._mean((3, -1), (0, -3)) is None
 
 
 def test_alpha_scan_clean():
@@ -212,10 +259,13 @@ def test_midpoint_engine_matches_brute_force(p, q):
         c = tuple((p * x + q * y) // m for x, y in zip(a, b))
         fa, fb, fc = (values.get(x, 0) for x in (a, b, c))
         if fc**m < fa**p * fb**q:
-            expected.append((a, b, c, fa, fb, fc))
+            expected.append(
+                {"p": p, "a": str(a), "b": str(b), "c": str(c), "values": [str(fa), str(fb), str(fc)]}
+            )
     assert concavity._midpoint_count(points, tuple, p, q) == len(pairs)
-    violations = concavity._midpoint_scan(points, tuple, values, p, q, tuple)
-    assert expected and sorted(violations) == sorted(expected)
+    violations = concavity._midpoint_scan(points, tuple, values, p, q, tuple, str, {"p": p})
+    key = itemgetter("a", "b")
+    assert expected and sorted(violations, key=key) == sorted(expected, key=key)
 
 
 def test_run_units_caps_workers_at_cpu_count(monkeypatch):
@@ -489,7 +539,7 @@ def test_triple_scan_counts_match_ws3_oracle(rank, bound):
         assert concavity._circulant_count(ws, p, q) == _oracle_alpha_count(
             triples, p, q
         ), (p, q)
-    assert list(concavity._sum_zero_triples(ws)) == [
+    assert list(concavity._sum_zero_triples(ws, ws, ws)) == [
         t for t in triples if sum(map(sum, t)) == 0
     ]
 
@@ -507,18 +557,23 @@ def test_triple_scans_match_ws3_oracle_scans(fake, monkeypatch):
         assert (rep.checked, rep.violations) == _oracle_alpha_scan(rank, bound, pq)
 
 
+def _lr_cache_bytes(tmp_path, monkeypatch, name, *runs):
+    """The LR cache file that runs write, each with a fresh default cache."""
+    monkeypatch.setenv("LOGCAVE_CACHE_DIR", str(tmp_path / name))
+    try:
+        for run in runs:
+            lrmod.reset_default_cache()
+            run()
+    finally:
+        lrmod.reset_default_cache()
+    return (tmp_path / name / "lr_cache.txt").read_bytes()
+
+
 def test_triple_scans_write_lr_cache_in_ws3_order(tmp_path, monkeypatch):
     """The LR cache file's lines come in the order of the ws**3 scans."""
 
     def cache_bytes(name, *runs):
-        monkeypatch.setenv("LOGCAVE_CACHE_DIR", str(tmp_path / name))
-        try:
-            for run in runs:
-                lrmod.reset_default_cache()
-                run()
-        finally:
-            lrmod.reset_default_cache()
-        return (tmp_path / name / "lr_cache.txt").read_bytes()
+        return _lr_cache_bytes(tmp_path, monkeypatch, name, *runs)
 
     def oracle_fill():
         for rank in (1, 2, 3):
@@ -533,3 +588,137 @@ def test_triple_scans_write_lr_cache_in_ws3_order(tmp_path, monkeypatch):
     # alone, alpha also looks up images, in the order of the ws**3 loop
     alpha = cache_bytes("alpha", lambda: alpha_scan(2, 2, 5))
     assert alpha == cache_bytes("alpha-oracle", lambda: _oracle_alpha_scan(2, 2, 5))
+
+
+# ---------------------------------------------------------------------------
+# logv and saturation oracles: each scan as it was before it moved onto a
+# shared walk, logv's i <= j parity loop and saturation's full cube
+# ---------------------------------------------------------------------------
+
+
+def _oracle_logv_scan(rank_bound, entry_bound):
+    checked, violations = 0, []
+    for rank in range(1, rank_bound + 1):
+        ws = list(dominant_weights(rank, -entry_bound, entry_bound))
+        for i, mu in enumerate(ws):
+            for nu in ws[i:]:
+                if any((x + y) % 2 for x, y in zip(mu, nu)):
+                    continue
+                checked += 1
+                left = concavity.tensor_product_multiplicities(mu, nu)
+                right = lrmod.tensor_square_multiplicities(
+                    tuple((x + y) // 2 for x, y in zip(mu, nu))
+                )
+                bad = [lam for lam in left if left[lam] > right.get(lam, 0)]
+                if bad:
+                    violations.append(
+                        {"rank": rank, "mu": fmt_weight(mu), "nu": fmt_weight(nu),
+                         "lam": fmt_weight(min(bad))}
+                    )
+    return checked, violations
+
+
+def _oracle_saturation_scan_all(max_weight, rank, k_max):
+    parts = list(partitions_up_to(max_weight, max_parts=rank))
+    checked, violations = 0, []
+    for lam in parts:
+        for mu in parts:
+            for nu in parts:
+                t = (dual_weight(pad(lam, rank)), pad(mu, rank), pad(nu, rank))
+                rows = saturation_scan(t, k_max)
+                checked += len(rows)
+                for row in rows:
+                    for kind, ok in (
+                        ("saturation", row.saturation_ok),
+                        ("power_bound", row.power_bound_ok),
+                    ):
+                        if not ok:
+                            violations.append(
+                                _saturation_record(
+                                    kind, concavity.fmt_triple(t), row.k,
+                                    str(rows[0].value), str(row.value),
+                                )
+                            )
+    return checked, violations
+
+
+def _fake_tensor_product(mu, nu):
+    # the true decomposition with its top constituent mu + nu doubled when
+    # the first entries differ by 2; the tensor squares stay true
+    out = lrmod.tensor_product_multiplicities(mu, nu)
+    if abs(mu[0] - nu[0]) == 2:
+        out[tuple(x + y for x, y in zip(mu, nu))] += 1
+    return out
+
+
+def _logv_key(v):
+    return v["rank"], v["mu"], v["nu"]
+
+
+@pytest.mark.parametrize("fake", [False, True])
+def test_logv_scan_matches_parity_loop_oracle(fake, monkeypatch):
+    """Same instances and violations as the i <= j loop, in pair-engine order."""
+    if fake:
+        monkeypatch.setattr(concavity, "tensor_product_multiplicities", _fake_tensor_product)
+    for rank, bound in ((1, 3), (2, 2), (3, 1), (2, 3)):
+        rep = logv_scan(rank, bound)
+        checked, violations = _oracle_logv_scan(rank, bound)
+        assert rep.checked == checked
+        assert sorted(rep.violations, key=_logv_key) == sorted(violations, key=_logv_key)
+        assert bool(rep.violations) == fake
+
+
+def _logv_record(rank, mu, nu, lam):
+    return {"rank": rank, "mu": mu, "nu": nu, "lam": lam}
+
+
+def test_logv_scan_violation_records(monkeypatch):
+    """Count, record format and order of planted logv violations.
+
+    Within a rank the records follow _midpoint_pairs: residue classes of
+    mu mod 2 in sorted order, then the i <= j order of the weights.
+    """
+    monkeypatch.setattr(concavity, "tensor_product_multiplicities", _fake_tensor_product)
+    rep = logv_scan(2, 2)
+    assert rep.checked == 48
+    assert rep.violations == [
+        _logv_record(1, "2", "0", "2"),
+        _logv_record(1, "0", "-2", "-2"),
+        _logv_record(1, "1", "-1", "0"),
+        _logv_record(2, "2,2", "0,0", "2,2"),
+        _logv_record(2, "2,2", "0,-2", "2,0"),
+        _logv_record(2, "2,0", "0,0", "2,0"),
+        _logv_record(2, "2,0", "0,-2", "2,-2"),
+        _logv_record(2, "2,-2", "0,0", "2,-2"),
+        _logv_record(2, "2,-2", "0,-2", "2,-4"),
+        _logv_record(2, "0,0", "-2,-2", "-2,-2"),
+        _logv_record(2, "0,-2", "-2,-2", "-2,-4"),
+        _logv_record(2, "2,1", "0,-1", "2,0"),
+        _logv_record(2, "2,-1", "0,-1", "2,-2"),
+        _logv_record(2, "1,0", "-1,-2", "0,-2"),
+        _logv_record(2, "1,-2", "-1,-2", "0,-4"),
+        _logv_record(2, "1,1", "-1,-1", "0,0"),
+        _logv_record(2, "1,-1", "-1,-1", "0,-2"),
+    ]
+
+
+@pytest.mark.parametrize("fake", [False, True])
+def test_saturation_scan_matches_full_cube_oracle(fake, monkeypatch):
+    """Same report as the loop over every partition triple, slice or not.
+
+    The fake, like the true invariant, vanishes off the sum-zero slice.
+    """
+    if fake:
+        monkeypatch.setattr(concavity, "triple_invariant", _fake_saturation_invariant)
+    for bound, rank, k_max in ((2, 1, 2), (3, 2, 3), (2, 3, 2), (4, 2, 2)):
+        rep = saturation_scan_all(bound, rank, k_max)
+        assert (rep.checked, rep.violations) == _oracle_saturation_scan_all(bound, rank, k_max)
+        assert bool(rep.violations) == fake
+
+
+def test_saturation_scan_writes_lr_cache_in_cube_order(tmp_path, monkeypatch):
+    def cache_bytes(name, run):
+        return _lr_cache_bytes(tmp_path, monkeypatch, name, run)
+
+    scan = cache_bytes("scan", lambda: saturation_scan_all(3, 3, 3))
+    assert scan and scan == cache_bytes("oracle", lambda: _oracle_saturation_scan_all(3, 3, 3))
