@@ -50,17 +50,30 @@ from .toeplitz import (
     toeplitz_schur_coefficient,
     two_by_two_scan,
 )
-from .bodies import (
-    BodyApprox,
-    MultiPolynomial,
-    PolynomialSubspace,
-    body_approximation,
-    brunn_minkowski_check,
-    degree_estimate,
-    flag_valuation,
-    minkowski_inclusion_check,
-    normalized_volume,
-    power_subspace,
+# The valuation-body names load bodies (and with it geometry) on first use,
+# so that importing the package, and with it the command line, stays light.
+_BODIES_NAMES = frozenset(
+    {
+        "BodyApprox",
+        "MultiPolynomial",
+        "PolynomialSubspace",
+        "body_approximation",
+        "brunn_minkowski_check",
+        "degree_estimate",
+        "flag_valuation",
+        "minkowski_inclusion_check",
+        "normalized_volume",
+        "power_subspace",
+    }
 )
+
+
+def __getattr__(name: str):
+    if name in _BODIES_NAMES:
+        from . import bodies
+
+        return getattr(bodies, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

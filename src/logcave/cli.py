@@ -6,26 +6,30 @@ integers and rationals are serialized as decimal strings so spreadsheet
 and JSON consumers never round them.  Exit codes: 0 clean, 1 violations
 found (a result, not a failure), 2 usage or input error, 3 internal error
 (the traceback goes to stderr), which in verify is any exception after the
-options are checked.
+options are checked; 141 when the reader of standard output closes it
+early.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
+import os
 import re
 import sys
 import time
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import bodies, concavity, toeplitz
+from . import concavity, toeplitz
 from .lr import lr_coefficient, restriction_multiplicity
-from .bodies import MultiPolynomial, PolynomialSubspace
 from .partitions import GLWeight, Partition, SkewShape, fmt_weight, pad, partition
 from .symfunc import skew_schur, to_schur_basis
 from .toeplitz import FiniteSequence
+
+if TYPE_CHECKING:
+    from .bodies import MultiPolynomial
 
 ARTIFACT_VERSION = "0.1.0"
 
@@ -85,6 +89,8 @@ def parse_polynomial(text: str, dim: int) -> MultiPolynomial:
     ParseError with the offending position on malformed input, counted in
     text as typed, spaces included.
     """
+    from . import bodies
+
     names = {name: i for i, name in enumerate(_variable_names(dim))}
     body = text.replace(" ", "")
     # where[i] is the position in text of body[i]
@@ -98,7 +104,7 @@ def parse_polynomial(text: str, dim: int) -> MultiPolynomial:
     if body[0] in "+-":
         sign = -1 if body[0] == "-" else 1
         pos = 1
-    while pos < len(body):
+    while True:
         nxt = len(body)
         for i in range(pos, len(body)):
             if body[i] in "+-" and body[i - 1] not in "*/^":
@@ -106,7 +112,9 @@ def parse_polynomial(text: str, dim: int) -> MultiPolynomial:
                 break
         chunk = body[pos:nxt]
         if not chunk:
-            raise ParseError(f"position {where[pos]}: empty term")
+            # a dangling last sign leaves an empty term just past it
+            at = where[pos] if pos < len(body) else where[-1] + 1
+            raise ParseError(f"position {at}: empty term")
         coeff, exps = _parse_term(chunk, names, dim, where[pos])
         key = tuple(exps)
         v = terms.get(key, Fraction(0)) + sign * coeff
@@ -114,10 +122,10 @@ def parse_polynomial(text: str, dim: int) -> MultiPolynomial:
             terms[key] = v
         else:
             terms.pop(key, None)
-        if nxt < len(body):
-            sign = -1 if body[nxt] == "-" else 1
+        if nxt == len(body):
+            return bodies.MultiPolynomial(dim, terms)
+        sign = -1 if body[nxt] == "-" else 1
         pos = nxt + 1
-    return MultiPolynomial(dim, terms)
 
 
 def _parse_term(chunk: str, names: dict[str, int], dim: int, offset: int):
@@ -211,6 +219,8 @@ def build_report(
 def write_report(report: dict, out_path: str | None) -> None:
     _emit(report, out_path)
     if out_path:
+        import csv
+
         csv_path = re.sub(r"\.json$", "", out_path) + ".csv"
         with open(csv_path, "w", newline="", encoding="ascii") as fh:
             w = csv.writer(fh)
@@ -302,6 +312,8 @@ def _cmd_toeplitz(args) -> int:
 
 
 def _cmd_body(args) -> int:
+    from . import bodies
+
     # exact hull volumes exist for ambient dimension 1..3 only
     if not 1 <= args.dim <= 3:
         raise ParseError(f"body: --dim must be 1, 2 or 3, got {args.dim}")
@@ -312,7 +324,7 @@ def _cmd_body(args) -> int:
                 polys.append(parse_polynomial(text, args.dim))
             except ParseError as exc:
                 raise ParseError(f"polynomial {i}: {exc}") from None
-    subspace = PolynomialSubspace(args.dim, polys)
+    subspace = bodies.PolynomialSubspace(args.dim, polys)
     b = bodies.body_approximation(subspace, args.kmax)
     degree = None
     try:
@@ -497,7 +509,14 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     args.argv = list(argv) if argv is not None else sys.argv[1:]
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early, as `logcave ... | head` does: not a
+        # fault.  stdout goes to devnull so the flush at exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as a shell reports a command a pipe killed
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,8 +1,10 @@
 """Littlewood-Richardson coefficients, triple invariants and restriction multiplicities.
 
-Two independent computation paths are kept: counting LR skew tableaux
-(default, fast) and peeling Schur coefficients out of a product of
-monomial expansions (oracle).  GL weights with negative entries are
+Single coefficients have two independent computation paths: counting LR
+skew tableaux (default, fast) and peeling Schur coefficients out of a
+product of monomial expansions (oracle).  Full decompositions of a tensor
+product are summed by Brauer-Klimyk over the weights of one factor, read
+from its Kostka table.  GL weights with negative entries are
 handled by determinant shifts: adding a constant to every entry of a
 weight twists the module by a power of det and leaves multiplicities
 unchanged.
@@ -13,7 +15,7 @@ from __future__ import annotations
 import os
 import threading
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterator
 
 from .partitions import (
     GLWeight,
@@ -25,9 +27,9 @@ from .partitions import (
     fmt_weight,
     pad,
     partition,
-    partitions_of,
     shift_to_partition,
     weight,
+    weyl_dimension,
 )
 from .symfunc import kostka_table, multiply, skew_schur, to_schur_basis
 
@@ -181,8 +183,18 @@ def restriction_multiplicity(lam: Partition, mu: Partition, n: int, k: int) -> i
     return sum(c * arrangement_count(a, m) for a, c in table.items() if len(a) <= m)
 
 
+# (big, small, n) -> V^big (x) V^small for partitions of rank n, as padded
+# partition -> multiplicity; emptied by reset_default_cache
+_DECOMPOSITIONS: dict[tuple[Partition, Partition, int], dict[tuple[int, ...], int]] = {}
+
+
 def tensor_product_multiplicities(w1: GLWeight, w2: GLWeight) -> dict[GLWeight, int]:
-    """Full decomposition of V^w1 tensor V^w2 as a weight -> multiplicity map."""
+    """Full decomposition of V^w1 tensor V^w2 as a weight -> multiplicity map.
+
+    Both weights are shifted to partitions; their decomposition is computed
+    once per unordered pair and rank by _brauer_klimyk, and the two det
+    shifts are added back.  The returned dict is the caller's own.
+    """
     n = len(w1)
     if len(w2) != n:
         raise ValueError("rank mismatch")
@@ -190,14 +202,65 @@ def tensor_product_multiplicities(w1: GLWeight, w2: GLWeight) -> dict[GLWeight, 
     weight(w2)
     p1, s1 = shift_to_partition(w1)
     p2, s2 = shift_to_partition(w2)
-    total = sum(p1) + sum(p2)
-    out: dict[GLWeight, int] = {}
-    first_cap = (p1[0] if p1 else 0) + (p2[0] if p2 else 0)
-    for lam in partitions_of(total, max_parts=n, max_part=first_cap):
-        c = lr_skew_count(lam, p1, p2)
-        if c:
-            out[tuple(x + s1 + s2 for x in pad(lam, n))] = c
-    return out
+    key = (max(p1, p2), min(p1, p2), n)
+    dec = _DECOMPOSITIONS.get(key)
+    if dec is None:
+        big, small = key[:2]
+        # sum over the weights of the factor with the smaller dimension
+        if weyl_dimension(pad(big, n)) < weyl_dimension(pad(small, n)):
+            big, small = small, big
+        dec = _DECOMPOSITIONS[key] = _brauer_klimyk(big, small, n)
+    s = s1 + s2
+    return {tuple(x + s for x in lam): c for lam, c in dec.items()}
+
+
+def _brauer_klimyk(big: Partition, small: Partition, n: int) -> dict[tuple[int, ...], int]:
+    """V^big (x) V^small = sum over the weights beta of V^small of
+    sign(w) V^{w(big + beta + rho) - rho}, with rho = (n-1, .., 1, 0).
+
+    w sorts big + beta + rho into decreasing order; its sign is the sign of
+    the Vandermonde product of the unsorted entries, which is 0 (and the
+    weight contributes nothing) when an entry repeats.  Terms of opposite
+    sign cancel, so only nonzero multiplicities are kept.
+    """
+    top = [x + n - 1 - i for i, x in enumerate(pad(big, n))]  # big + rho
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    out: dict[tuple[int, ...], int] = {}
+    for beta, k in _weights(small, n):
+        v = [x + b for x, b in zip(top, beta)]
+        vandermonde = 1
+        for i, j in pairs:
+            vandermonde *= v[i] - v[j]
+        if vandermonde:
+            lam = tuple(x - n + 1 + i for i, x in enumerate(sorted(v, reverse=True)))
+            out[lam] = out.get(lam, 0) + (k if vandermonde > 0 else -k)
+    return {lam: c for lam, c in out.items() if c}
+
+
+@lru_cache(maxsize=None)
+def _weights(p: Partition, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(beta, multiplicity) for each weight beta of V^p at rank n.
+
+    The weights are the distinct rearrangements of each content alpha in
+    kostka_table(p, (), n), with multiplicity K(p, alpha).
+    """
+    return tuple(
+        (beta, k)
+        for alpha, k in kostka_table(p, (), n).items()
+        for beta in _rearrangements(pad(alpha, n))
+    )
+
+
+def _rearrangements(entries: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Each distinct rearrangement of a weakly decreasing tuple, once."""
+    if not entries:
+        yield ()
+        return
+    for i, x in enumerate(entries):
+        if i and entries[i - 1] == x:
+            continue
+        for rest in _rearrangements(entries[:i] + entries[i + 1 :]):
+            yield (x,) + rest
 
 
 def tensor_square_multiplicities(w: GLWeight) -> dict[GLWeight, int]:
@@ -284,6 +347,11 @@ def _default_cache() -> LRCache:
 
 
 def reset_default_cache() -> None:
-    """Drop the module-level cache (used by tests and after env changes)."""
+    """Drop the module-level LR cache and empty the decomposition memos.
+
+    Used by tests, before a cold-start measurement and after env changes.
+    """
     global _CACHE
     _CACHE = None
+    _DECOMPOSITIONS.clear()
+    _weights.cache_clear()

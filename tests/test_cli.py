@@ -1,7 +1,11 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +24,8 @@ from logcave.cli import (
     parse_sequence,
     parse_shape,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 def test_parse_partition():
     assert parse_partition("3,1") == (3, 1)
@@ -69,6 +75,10 @@ def test_parse_polynomial():
         parse_polynomial("  1 + w", 1)
     with pytest.raises(ParseError, match="position 5: empty term"):
         parse_polynomial("1 +  + x", 1)
+    # a dangling last sign leaves an empty term just past it
+    for text, where in (("1+", 2), ("x -", 3), ("x - ", 3), ("-", 1), ("1 + x -", 7)):
+        with pytest.raises(ParseError, match=f"position {where}: empty term"):
+            parse_polynomial(text, 1)
 
 
 def test_parse_sequence():
@@ -122,6 +132,7 @@ def test_cli_body_rejects_zero_denominator(basis, capsys):
         ("1; x - 1/0", "polynomial 2: position 5: zero denominator"),
         ("3/0; x", "polynomial 1: position 0: zero denominator"),
         ("1;; x + w", "polynomial 3: position 5: unknown variable"),
+        ("1; x +", "polynomial 2: position 4: empty term"),
     ],
 )
 def test_cli_body_names_the_failing_polynomial(basis, where, capsys):
@@ -264,6 +275,18 @@ def test_cli_internal_error_is_exit_3(error, monkeypatch, capsys):
     assert main(["verify", "weyl", "--rank", "2", "--bound", "2"]) == 3
     err = capsys.readouterr().err
     assert "Traceback" in err and f"{error.__name__}: scanner broke" in err
+
+
+def test_cli_closed_pipe_is_exit_141_without_traceback():
+    # the reader closes its end before the command writes anything, so
+    # the write always meets a closed pipe
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    argv = [sys.executable, "-m", "logcave.cli", "body", "--dim", "1", "--basis", "1; x", "--kmax", "2"]
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 141
+    assert err == ""
 
 
 def test_cli_usage_error_is_exit_2():

@@ -1,8 +1,12 @@
-"""The library runs on the standard library alone."""
+"""The library runs on the standard library alone, and imports light."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import logcave
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "logcave"
 
@@ -35,3 +39,45 @@ def test_import_check_flags_third_party_modules(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("import os\nfrom . import lr\nimport numpy as np\nfrom scipy.spatial import ConvexHull\n")
     assert _foreign_imports(probe) == ["probe.py:3: numpy", "probe.py:4: scipy.spatial"]
+
+
+def test_cli_import_leaves_bodies_and_geometry_unloaded():
+    probe = (
+        "import sys, logcave.cli; "
+        "print(sorted(m for m in ('logcave.bodies', 'logcave.geometry') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
+
+
+# every name the package exported when it imported bodies eagerly
+PACKAGE_NAMES = """
+    GLWeight Partition SemistandardTableau SkewShape conjugate dual_weight
+    enumerate_ssyt partition shift_to_partition weight weyl_dimension
+    MonomialExpansion SchurExpansion multiply skew_schur
+    subtract_and_min_coefficient to_schur_basis
+    LRCache lr_coefficient lr_coefficient_schur_peel restriction_multiplicity
+    tensor_product_multiplicities tensor_square_multiplicities triple_invariant
+    ConcavityReport alpha_matrix_check conjecture1_scan
+    convolution_logconcavity_check logv_inclusion_check
+    restriction_logconcavity_scan saturation_scan slm_schur_positivity
+    theorem1_scan theorem1_verify weyl_logconcavity_scan
+    FiniteSequence character_positivity_check toeplitz_minor
+    toeplitz_schur_coefficient two_by_two_scan
+    BodyApprox MultiPolynomial PolynomialSubspace body_approximation
+    brunn_minkowski_check degree_estimate flag_valuation
+    minkowski_inclusion_check normalized_volume power_subspace
+    __version__
+""".split()
+
+
+def test_package_still_exports_every_name():
+    from logcave import bodies
+
+    missing = [name for name in PACKAGE_NAMES if not hasattr(logcave, name)]
+    assert not missing, missing
+    assert logcave.body_approximation is bodies.body_approximation
+    assert not hasattr(logcave, "no_such_name")

@@ -15,14 +15,17 @@ from logcave.lr import (
     tensor_square_multiplicities,
     triple_invariant,
 )
+from logcave.concavity import _midpoint_pairs
 from logcave.partitions import (
     SkewShape,
     contains,
     count_ssyt,
+    dominant_weights,
     dual_weight,
     pad,
     partitions_of,
     partitions_up_to,
+    shift_to_partition,
     weyl_dimension,
 )
 
@@ -197,6 +200,70 @@ def test_tensor_product_with_positive_minimum_entries():
     for a, b in (((5, 3, 3), (2, 2, 1)), ((1, 1), (3, 2)), ((2, 2, 2), (1, 1, 1))):
         for lam, m in tensor_product_multiplicities(a, b).items():
             assert m == lr_coefficient_schur_peel(lam, a, b), (a, b, lam)
+
+
+def lr_route_decomposition(w1, w2):
+    """Oracle: V^w1 (x) V^w2 from one LR tableau count per partition that fits."""
+    n = len(w1)
+    p1, s1 = shift_to_partition(w1)
+    p2, s2 = shift_to_partition(w2)
+    first_cap = (p1[0] if p1 else 0) + (p2[0] if p2 else 0)
+    out = {}
+    for lam in partitions_of(sum(p1) + sum(p2), max_parts=n, max_part=first_cap):
+        c = lr_skew_count(lam, p1, p2)
+        if c:
+            out[tuple(x + s1 + s2 for x in pad(lam, n))] = c
+    return out
+
+
+@pytest.mark.parametrize("rank, bound", [(1, 3), (2, 3), (3, 3), (4, 2)])
+def test_brauer_klimyk_matches_lr_route_on_every_ordered_pair(rank, bound):
+    lrmod.reset_default_cache()
+    ws = list(dominant_weights(rank, -bound, bound))
+    for mu in ws:
+        for nu in ws:
+            assert tensor_product_multiplicities(mu, nu) == lr_route_decomposition(mu, nu), (mu, nu)
+
+
+def test_brauer_klimyk_matches_lr_route_on_logv_pairs_at_rank_5():
+    lrmod.reset_default_cache()
+    ws = list(dominant_weights(5, -2, 2))
+    for w in ws:
+        assert tensor_square_multiplicities(w) == lr_route_decomposition(w, w), w
+    for mu, nu in _midpoint_pairs(ws, tuple, 1, 1):
+        assert tensor_product_multiplicities(mu, nu) == lr_route_decomposition(mu, nu), (mu, nu)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_brauer_klimyk_matches_lr_route_on_signed_weights(data):
+    rank = data.draw(st.integers(1, 4))
+    entries = st.lists(st.integers(-4, 4), min_size=rank, max_size=rank)
+    mu = tuple(sorted(data.draw(entries), reverse=True))
+    nu = tuple(sorted(data.draw(entries), reverse=True))
+    assert tensor_product_multiplicities(mu, nu) == lr_route_decomposition(mu, nu)
+    assert tensor_product_multiplicities(nu, mu) == lr_route_decomposition(mu, nu)
+
+
+def test_tensor_product_returns_a_fresh_dict():
+    mu, nu = (2, 0, -1), (1, 1, 0)
+    first = tensor_product_multiplicities(mu, nu)
+    expected = dict(first)
+    first[(3, 1, -1)] += 5
+    first[(9, 9, 9)] = 1
+    assert tensor_product_multiplicities(mu, nu) == expected
+    assert tensor_product_multiplicities(nu, mu) == expected
+    square = tensor_square_multiplicities((1, 0))
+    square.clear()
+    assert tensor_square_multiplicities((1, 0)) == {(2, 0): 1, (1, 1): 1}
+
+
+def test_reset_default_cache_empties_the_decomposition_memos():
+    tensor_product_multiplicities((3, 1, 0), (2, 2, 1))
+    assert lrmod._DECOMPOSITIONS and lrmod._weights.cache_info().currsize
+    lrmod.reset_default_cache()
+    assert not lrmod._DECOMPOSITIONS
+    assert lrmod._weights.cache_info().currsize == 0
 
 
 def test_lr_skew_count_lattice_condition():
