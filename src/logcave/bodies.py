@@ -231,10 +231,7 @@ def body_approximation(s: PolynomialSubspace, k_max: int) -> BodyApprox:
     prev: set[Point] = set()
     generators: list[tuple[int, ...]] = []
     for k, sk in enumerate(tower, start=1):
-        vs = sorted(sk.valuation_set())
-        if len(vs) != sk.dimension:
-            raise AssertionError("valuation set size disagrees with dimension")
-        for v in vs:
+        for v in sorted(sk.valuation_set()):
             points.add(tuple(x * (scale // k) for x in v))
             generators.append((k, *v))
         if k == k_max - 1:

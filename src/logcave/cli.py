@@ -22,7 +22,7 @@ import time
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from . import concavity, toeplitz
+from . import __version__, concavity, toeplitz
 from .lr import lr_coefficient, restriction_multiplicity
 from .partitions import GLWeight, Partition, SkewShape, fmt_weight, pad, partition
 from .symfunc import skew_schur, to_schur_basis
@@ -30,8 +30,6 @@ from .toeplitz import FiniteSequence
 
 if TYPE_CHECKING:
     from .bodies import MultiPolynomial
-
-ARTIFACT_VERSION = "0.1.0"
 
 
 class ParseError(ValueError):
@@ -168,7 +166,10 @@ def parse_sequence(text: str) -> FiniteSequence:
             v = Fraction(v_s.strip())
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"sequence entry {pos}: bad value {v_s!r}") from None
-        support[int(k_s)] = v
+        k = int(k_s)
+        if k in support:
+            raise ParseError(f"sequence entry {pos}: repeated index {k}")
+        support[k] = v
     try:
         return FiniteSequence(support)
     except ValueError as exc:
@@ -210,7 +211,7 @@ def build_report(
         "manifest": {
             "argv": argv,
             "jobs": jobs,
-            "artifact_version": ARTIFACT_VERSION,
+            "artifact_version": __version__,
             "output_digest": "sha256:" + hashlib.sha256(payload).hexdigest(),
         },
     }

@@ -19,7 +19,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from math import comb, gcd
-from multiprocessing import Pool
 from typing import Callable, Iterator, Sequence
 
 from .lr import (
@@ -34,7 +33,6 @@ from .partitions import (
     GLWeight,
     Partition,
     SkewShape,
-    contains,
     dominant_weights,
     dual_weight,
     fmt_weight,
@@ -188,25 +186,21 @@ class SquareComparison:
 
 
 def _square_minus_product(l1, m1, l3, m3):
-    l1, m1, l3, m3 = map(partition, (l1, m1, l3, m3))
-    for lam, mu in ((l1, m1), (l3, m3)):
-        if not contains(lam, mu):
-            raise ValueError(f"invalid skew shape {lam}/{mu}")
+    sh1, sh3 = SkewShape(l1, m1), SkewShape(l3, m3)
     # inner shapes have no more rows than their outer ones
-    rows = max(len(l1), len(l3))
-    l2 = _mean(pad(l1, rows), pad(l3, rows))
-    m2 = _mean(pad(m1, rows), pad(m3, rows))
+    rows = max(len(sh1.outer), len(sh3.outer))
+    l2 = _mean(pad(sh1.outer, rows), pad(sh3.outer, rows))
+    m2 = _mean(pad(sh1.inner, rows), pad(sh3.inner, rows))
     if l2 is None or m2 is None:
         raise ValueError("midpoint is not integral")
-    l2, m2 = partition(l2), partition(m2)
-    sh1, sh2, sh3 = SkewShape(l1, m1), SkewShape(l2, m2), SkewShape(l3, m3)
+    sh2 = SkewShape(l2, m2)
     n = max(1, sh1.size + sh3.size)
     mid = skew_schur(sh2, n)
     left = multiply(mid, mid)
     right = multiply(skew_schur(sh1, n), skew_schur(sh3, n))
     diff, min_coeff, witness = subtract_and_min_coefficient(left, right)
     return diff, SquareComparison(
-        min_coeff >= 0, min_coeff, witness, l2, m2, n
+        min_coeff >= 0, min_coeff, witness, sh2.outer, sh2.inner, n
     )
 
 
@@ -280,6 +274,8 @@ def _run_units(worker, units: Sequence, jobs: int) -> list:
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1 or len(units) < 4:
         return [worker(u) for u in units]
+    from multiprocessing import Pool  # only a scan that starts a pool pays for it
+
     chunk = max(1, len(units) // (jobs * 8))
     with Pool(processes=jobs) as pool:
         return pool.map(worker, units, chunksize=chunk)

@@ -21,7 +21,6 @@ from .partitions import (
     GLWeight,
     Partition,
     SkewShape,
-    arrangement_count,
     contains,
     dual_weight,
     fmt_weight,
@@ -164,8 +163,9 @@ def triple_invariant(t: WeightTriple, cache: "LRCache | None" = None) -> int:
 def restriction_multiplicity(lam: Partition, mu: Partition, n: int, k: int) -> int:
     """Multiplicity of V^mu of U(k) inside V^lam of U(n), for standard U(k) in U(n).
 
-    Equals the number of SSYT of shape lam/mu with entries <= n-k; zero
-    when mu is not contained in lam.
+    Equals the number of SSYT of shape lam/mu with entries <= n-k, the
+    skew Schur polynomial s_{lam/mu} at n-k ones; zero when mu is not
+    contained in lam.
     """
     if k >= n:
         raise ValueError(f"need k < n, got k={k}, n={n}")
@@ -177,23 +177,15 @@ def restriction_multiplicity(lam: Partition, mu: Partition, n: int, k: int) -> i
         raise ValueError(f"{mu} has more than {k} parts")
     if not contains(lam, mu):
         return 0
-    m = n - k
-    d = sum(lam) - sum(mu)
-    table = kostka_table(lam, mu, min(m, d))
-    return sum(c * arrangement_count(a, m) for a, c in table.items() if len(a) <= m)
-
-
-# (big, small, n) -> V^big (x) V^small for partitions of rank n, as padded
-# partition -> multiplicity; emptied by reset_default_cache
-_DECOMPOSITIONS: dict[tuple[Partition, Partition, int], dict[tuple[int, ...], int]] = {}
+    return skew_schur(SkewShape(lam, mu), n - k).evaluate_ones()
 
 
 def tensor_product_multiplicities(w1: GLWeight, w2: GLWeight) -> dict[GLWeight, int]:
     """Full decomposition of V^w1 tensor V^w2 as a weight -> multiplicity map.
 
     Both weights are shifted to partitions; their decomposition is computed
-    once per unordered pair and rank by _brauer_klimyk, and the two det
-    shifts are added back.  The returned dict is the caller's own.
+    once per unordered pair and rank by the memoised _brauer_klimyk, and
+    the two det shifts are added back.  The returned dict is the caller's own.
     """
     n = len(w1)
     if len(w2) != n:
@@ -202,27 +194,25 @@ def tensor_product_multiplicities(w1: GLWeight, w2: GLWeight) -> dict[GLWeight, 
     weight(w2)
     p1, s1 = shift_to_partition(w1)
     p2, s2 = shift_to_partition(w2)
-    key = (max(p1, p2), min(p1, p2), n)
-    dec = _DECOMPOSITIONS.get(key)
-    if dec is None:
-        big, small = key[:2]
-        # sum over the weights of the factor with the smaller dimension
-        if weyl_dimension(pad(big, n)) < weyl_dimension(pad(small, n)):
-            big, small = small, big
-        dec = _DECOMPOSITIONS[key] = _brauer_klimyk(big, small, n)
+    dec = _brauer_klimyk(max(p1, p2), min(p1, p2), n)
     s = s1 + s2
     return {tuple(x + s for x in lam): c for lam, c in dec.items()}
 
 
+@lru_cache(maxsize=None)
 def _brauer_klimyk(big: Partition, small: Partition, n: int) -> dict[tuple[int, ...], int]:
     """V^big (x) V^small = sum over the weights beta of V^small of
     sign(w) V^{w(big + beta + rho) - rho}, with rho = (n-1, .., 1, 0).
 
-    w sorts big + beta + rho into decreasing order; its sign is the sign of
-    the Vandermonde product of the unsorted entries, which is 0 (and the
-    weight contributes nothing) when an entry repeats.  Terms of opposite
-    sign cancel, so only nonzero multiplicities are kept.
+    The sum runs over the factor with the smaller dimension, so the two
+    may swap first.  w sorts big + beta + rho into decreasing order; its
+    sign is the sign of the Vandermonde product of the unsorted entries,
+    which is 0 (and the weight contributes nothing) when an entry repeats.
+    Terms of opposite sign cancel, so only nonzero multiplicities are kept.
+    Memoised: callers must not change the returned dict.
     """
+    if weyl_dimension(pad(big, n)) < weyl_dimension(pad(small, n)):
+        big, small = small, big
     top = [x + n - 1 - i for i, x in enumerate(pad(big, n))]  # big + rho
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     out: dict[tuple[int, ...], int] = {}
@@ -353,5 +343,5 @@ def reset_default_cache() -> None:
     """
     global _CACHE
     _CACHE = None
-    _DECOMPOSITIONS.clear()
+    _brauer_klimyk.cache_clear()
     _weights.cache_clear()

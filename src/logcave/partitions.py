@@ -233,31 +233,28 @@ def partitions_up_to(max_weight: int, max_parts: int | None = None) -> Iterator[
         yield from partitions_of(n, max_parts=max_parts)
 
 
-def subdiagrams(lam: Partition) -> Iterator[Partition]:
-    """All partitions mu contained in lam, in a fixed deterministic order."""
-    def gen(i: int, prev_cap: int) -> Iterator[tuple[int, ...]]:
-        if i == len(lam):
+def _decreasing(caps: tuple[int, ...], lo: int) -> Iterator[tuple[int, ...]]:
+    """Weakly decreasing tuples t with lo <= t[i] <= caps[i], in descending lex order."""
+    def gen(i: int, prev: int) -> Iterator[tuple[int, ...]]:
+        if i == len(caps):
             yield ()
             return
-        for first in range(min(lam[i], prev_cap), -1, -1):
+        for first in range(min(caps[i], prev), lo - 1, -1):
             for rest in gen(i + 1, first):
                 yield (first,) + rest
 
-    for raw in gen(0, lam[0] if lam else 0):
+    yield from gen(0, caps[0] if caps else lo)
+
+
+def subdiagrams(lam: Partition) -> Iterator[Partition]:
+    """All partitions mu contained in lam, in a fixed deterministic order."""
+    for raw in _decreasing(lam, 0):
         yield partition(raw)
 
 
 def dominant_weights(rank: int, lo: int, hi: int) -> Iterator[GLWeight]:
     """All weakly decreasing integer tuples of the given rank with entries in [lo, hi]."""
-    def gen(i: int, cap: int) -> Iterator[tuple[int, ...]]:
-        if i == rank:
-            yield ()
-            return
-        for v in range(min(cap, hi), lo - 1, -1):
-            for rest in gen(i + 1, v):
-                yield (v,) + rest
-
-    yield from gen(0, hi)
+    return _decreasing((hi,) * rank, lo)
 
 
 @lru_cache(maxsize=None)

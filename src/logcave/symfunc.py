@@ -138,10 +138,10 @@ def skew_schur(shape: SkewShape, n: int) -> MonomialExpansion:
     """
     if n < 0:
         raise ValueError("number of variables must be >= 0")
-    d = shape.size
-    cap = min(n, d)
-    table = kostka_table(shape.outer, shape.inner, cap)
-    return MonomialExpansion(n, {a: c for a, c in table.items() if len(a) <= n})
+    # no content has more parts than the table's max_entry <= n; the copy
+    # keeps the memo's own dict out of the caller's hands
+    table = kostka_table(shape.outer, shape.inner, min(n, shape.size))
+    return MonomialExpansion(n, dict(table))
 
 
 @lru_cache(maxsize=None)

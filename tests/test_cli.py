@@ -90,6 +90,10 @@ def test_parse_sequence():
         parse_sequence("a:1")
     with pytest.raises(ParseError, match="bad value"):
         parse_sequence("0:x")
+    with pytest.raises(ParseError, match="sequence entry 1: repeated index 0"):
+        parse_sequence("0:1,0:2")
+    with pytest.raises(ParseError, match="sequence entry 2: repeated index 1"):
+        parse_sequence("1:1, 0:3, 01:1")
 
 
 def test_cli_schur(capsys):
@@ -116,6 +120,9 @@ def test_cli_toeplitz_exit_codes(capsys):
     assert main(["toeplitz", "--seq", "0:1,2:1", "--check", "schur", "--rank", "2", "--bound", "4"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["failing_weight"] == "1,1"
+    assert main(["toeplitz", "--seq", "0:1,0:2", "--check", "2x2"]) == 2
+    captured = capsys.readouterr()
+    assert "repeated index 0" in captured.err and not captured.out
 
 
 @pytest.mark.parametrize("basis", ["1; 3/0*x", "1; x - 1/0"])

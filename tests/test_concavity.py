@@ -1,3 +1,4 @@
+import multiprocessing
 import random
 from collections import Counter
 from operator import itemgetter
@@ -285,7 +286,7 @@ def test_run_units_caps_workers_at_cpu_count(monkeypatch):
             return [worker(u) for u in units]
 
     serial = theorem1_scan(4)
-    monkeypatch.setattr(concavity, "Pool", RecordingPool)
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     monkeypatch.setattr(concavity.os, "cpu_count", lambda: 3)
     rep = theorem1_scan(4, jobs=64)
     assert started == [3]

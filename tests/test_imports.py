@@ -42,10 +42,8 @@ def test_import_check_flags_third_party_modules(tmp_path):
 
 
 def test_cli_import_leaves_bodies_and_geometry_unloaded():
-    probe = (
-        "import sys, logcave.cli; "
-        "print(sorted(m for m in ('logcave.bodies', 'logcave.geometry') if m in sys.modules))"
-    )
+    heavy = "('logcave.bodies', 'logcave.geometry', 'multiprocessing')"
+    probe = f"import sys, logcave.cli; print(sorted(m for m in {heavy} if m in sys.modules))"
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True

@@ -260,9 +260,10 @@ def test_tensor_product_returns_a_fresh_dict():
 
 def test_reset_default_cache_empties_the_decomposition_memos():
     tensor_product_multiplicities((3, 1, 0), (2, 2, 1))
-    assert lrmod._DECOMPOSITIONS and lrmod._weights.cache_info().currsize
+    assert lrmod._brauer_klimyk.cache_info().currsize
+    assert lrmod._weights.cache_info().currsize
     lrmod.reset_default_cache()
-    assert not lrmod._DECOMPOSITIONS
+    assert lrmod._brauer_klimyk.cache_info().currsize == 0
     assert lrmod._weights.cache_info().currsize == 0
 
 

@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -162,3 +163,23 @@ def test_dominant_weights_enumeration():
     assert len(ws) == 6
     assert all(a >= b for a, b in ws)
     assert len(set(ws)) == len(ws)
+
+
+def _decreasing_filter(ranges):
+    """The weakly decreasing tuples of a product of ranges, in product order."""
+    return [t for t in product(*ranges) if all(a >= b for a, b in zip(t, t[1:]))]
+
+
+@pytest.mark.parametrize("rank", range(5))
+@pytest.mark.parametrize("lo, hi", [(0, 0), (0, 2), (-1, 1), (-2, 1), (1, 3), (2, 1), (0, -1)])
+def test_dominant_weights_is_the_ordered_product_filter(rank, lo, hi):
+    expected = _decreasing_filter([range(hi, lo - 1, -1)] * rank)
+    assert list(dominant_weights(rank, lo, hi)) == expected
+
+
+def test_subdiagrams_is_the_ordered_product_filter():
+    for lam in partitions_up_to(7):
+        expected = [
+            partition(t) for t in _decreasing_filter([range(c, -1, -1) for c in lam])
+        ]
+        assert list(subdiagrams(lam)) == expected, lam
