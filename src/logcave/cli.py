@@ -223,7 +223,7 @@ def write_report(report: dict, out_path: str | None) -> None:
         import csv
 
         csv_path = re.sub(r"\.json$", "", out_path) + ".csv"
-        with open(csv_path, "w", newline="", encoding="ascii") as fh:
+        with _open_out(csv_path, newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["subcommand", "checked", "violations", "params"])
             w.writerow(
@@ -403,6 +403,11 @@ def _check_scan_args(args) -> None:
             )
     if args.scanner == "restriction" and args.k >= args.n:
         raise ParseError(f"verify restriction: --k must be < --n, got {args.k} >= {args.n}")
+    out = args.out
+    if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
+        raise ParseError(
+            f"verify {args.scanner}: --out must name a file in an existing directory, got {out}"
+        )
 
 
 def run_scan(args) -> tuple[dict, int]:
@@ -434,10 +439,18 @@ def _cmd_verify(args) -> int:
 def _emit(doc: dict, out_path: str | None) -> None:
     text = json.dumps(doc, sort_keys=True, indent=2)
     if out_path:
-        with open(out_path, "w", encoding="ascii") as fh:
+        with _open_out(out_path) as fh:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+def _open_out(path: str, **kwargs):
+    """open(path, "w"), reporting a path that cannot be written as a ParseError."""
+    try:
+        return open(path, "w", encoding="ascii", **kwargs)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

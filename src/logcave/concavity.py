@@ -37,7 +37,6 @@ from .partitions import (
     dual_weight,
     fmt_weight,
     pad,
-    partition,
     partitions_up_to,
     subdiagrams,
     weyl_dimension,
@@ -74,17 +73,17 @@ def _residue(v: Sequence[int], m: int) -> tuple[int, ...]:
     return tuple(x % m for x in v)
 
 
-def _class_sizes(points: Sequence, flat: Callable, m: int) -> list[int]:
-    """Sizes of the classes of points under flat(x) mod m, entrywise."""
-    return list(Counter(_residue(flat(x), m) for x in points).values())
+def _class_sizes(points: Sequence[tuple[int, ...]], m: int) -> list[int]:
+    """Sizes of the classes of points mod m, entrywise."""
+    return list(Counter(_residue(x, m) for x in points).values())
 
 
-def _midpoint_pairs(points: Sequence, flat: Callable, p: int, q: int):
+def _midpoint_pairs(points: Sequence[tuple[int, ...]], p: int, q: int):
     """Yield every pair (A, B) of points whose midpoint (pA + qB)/(p+q) is integral.
 
     p and q are coprime and positive, so pA + qB = p(A - B) + (p+q)B is
     divisible by p+q exactly when A = B mod p+q entrywise.  Points are
-    bucketed by flat(x) mod p+q and the classes are visited in sorted
+    bucketed by x mod p+q and the classes are visited in sorted
     residue order.  For p == q (that is, p = q = 1) pairs are unordered
     and each comes once, as (members[i], members[j]) with j >= i in input
     order.  Otherwise pairs are ordered, every pair within a class.
@@ -92,7 +91,7 @@ def _midpoint_pairs(points: Sequence, flat: Callable, p: int, q: int):
     m = p + q
     classes: dict[tuple, list] = {}
     for x in points:
-        classes.setdefault(_residue(flat(x), m), []).append(x)
+        classes.setdefault(_residue(x, m), []).append(x)
     for r in sorted(classes):
         members = classes[r]
         for i, a in enumerate(members):
@@ -100,54 +99,52 @@ def _midpoint_pairs(points: Sequence, flat: Callable, p: int, q: int):
                 yield a, b
 
 
-def _midpoint_count(points: Sequence, flat: Callable, p: int, q: int, power: int = 1) -> int:
+def _midpoint_count(points: Sequence[tuple[int, ...]], p: int, q: int, power: int = 1) -> int:
     """Number of pairs _midpoint_pairs yields over the domain points**power.
 
-    A member of points**power is a power-tuple of points, flattened by
-    concatenating flat of each entry, and its class mod p+q is the tuple
-    of its entries' classes.  So class sizes multiply, and nothing beyond
+    A member of points**power is a power-tuple of points, read as the
+    concatenation of its entries, and its class mod p+q is the tuple of
+    its entries' classes.  So class sizes multiply, and nothing beyond
     points itself is enumerated: with n_r the size of class r of points,
     the ordered pairs within classes number ordered**power, where
     ordered = sum_r n_r**2.  For p == q pairs are unordered, a class of
     size N giving N(N+1)/2 of them: (ordered**power + len(points)**power)/2
     in all.
     """
-    ordered = sum(n * n for n in _class_sizes(points, flat, p + q))
+    ordered = sum(n * n for n in _class_sizes(points, p + q))
     if p == q:
         return (ordered**power + len(points) ** power) // 2
     return ordered**power
 
 
 def _midpoint_scan(
-    points: Sequence,
-    flat: Callable,
-    values: dict,
+    points: Sequence[tuple[int, ...]],
+    values: dict[tuple[int, ...], int],
     p: int,
     q: int,
-    unflat: Callable,
     fmt: Callable,
     fixed: dict,
 ) -> list[dict]:
     """Check F(C)**(p+q) >= F(A)**p * F(B)**q over the integral-midpoint pairs.
 
+    Points are integer vectors, each scanner laying out its own domain.
     values is the complete table of F on the domain, absent keys reading
     as zero.  Every domain scanned here is convex, so each midpoint
-    C = unflat((p*flat(A) + q*flat(B)) / (p+q)) is again in the domain and
+    C = (p*A + q*B) / (p+q) is again in the domain and
     values.get(C, 0) is exact.  Only pairs of points with two nonzero
     values are evaluated: the others pass outright, so points may be just
-    the support of F, and _midpoint_count counts the instances.  flat is
-    recomputed per pair rather than stored per point, which keeps the
-    largest domains small in memory.  Returns the violation records in
-    pair order: the caller's fixed keys, then A, B and C formatted by fmt,
-    then "values" [F(A), F(B), F(C)] as decimal strings.
+    the support of F, and _midpoint_count counts the instances.  Returns
+    the violation records in pair order: the caller's fixed keys, then A,
+    B and C formatted by fmt, then "values" [F(A), F(B), F(C)] as decimal
+    strings.
     """
     m = p + q
     support = [x for x in points if values.get(x)]
     violations = []
-    for a, b in _midpoint_pairs(support, flat, p, q):
+    for a, b in _midpoint_pairs(support, p, q):
         fa, fb = values[a], values[b]
         # the pairing makes every entry divisible by m
-        c = unflat(tuple((p * x + q * y) // m for x, y in zip(flat(a), flat(b))))
+        c = tuple((p * x + q * y) // m for x, y in zip(a, b))
         fc = values.get(c, 0)
         if fc**m < fa**p * fb**q:
             violations.append(
@@ -284,10 +281,9 @@ def _run_units(worker, units: Sequence, jobs: int) -> list:
 def _skew_pair_scan(worker, max_weight: int, jobs: int) -> ConcavityReport:
     """Run worker over every unordered integral-midpoint pair of skew shapes."""
     shapes = skew_shapes_up_to(max_weight)
-    rows = max((len(s[0]) for s in shapes), default=1)
-    units = list(
-        _midpoint_pairs(shapes, lambda s: pad(s[0], rows) + pad(s[1], rows), 1, 1)
-    )
+    rows = max((len(lam) for lam, _ in shapes), default=1)
+    layout = {pad(lam, rows) + pad(mu, rows): (lam, mu) for lam, mu in shapes}
+    units = [(layout[a], layout[b]) for a, b in _midpoint_pairs(list(layout), 1, 1)]
     results = _run_units(worker, units, jobs)
     return ConcavityReport(
         checked=len(units),
@@ -353,10 +349,6 @@ def _sum_zero_triples(
                 yield a, b, c
 
 
-def _flat(t: WeightTriple) -> tuple[int, ...]:
-    return t[0] + t[1] + t[2]
-
-
 def conjecture1_scan(weight_bound: int, rank_bound: int, pq_bound: int = 2) -> ConcavityReport:
     """Scan log-concavity of the triple invariant over bounded weight triples.
 
@@ -368,7 +360,8 @@ def conjecture1_scan(weight_bound: int, rank_bound: int, pq_bound: int = 2) -> C
     by convexity, so all values come from one table.
 
     The invariant vanishes off the sum-zero slice, so only slice triples
-    are evaluated, in ws**3 order (which fixes the LR cache file's lines).
+    are evaluated, in ws**3 order (which fixes the LR cache file's lines),
+    and a triple (a, b, c) is the point a + b + c of the pair engine.
     Instances where F(A) or F(B) vanishes pass outright (the right side is
     zero and F(C)**(p+q) >= 0 exactly), so only pairs from the nonzero
     support are compared.  All instances are counted, arithmetically from
@@ -378,24 +371,22 @@ def conjecture1_scan(weight_bound: int, rank_bound: int, pq_bound: int = 2) -> C
     checked = 0
     for rank in range(1, rank_bound + 1):
         ws = list(dominant_weights(rank, -weight_bound, weight_bound))
-        values: dict[WeightTriple, int] = {}
-        for t in _sum_zero_triples(ws, ws, ws):
-            v = triple_invariant(t)
+        values: dict[tuple[int, ...], int] = {}
+        for a, b, c in _sum_zero_triples(ws, ws, ws):
+            v = triple_invariant((a, b, c))
             if v:
-                values[t] = v
+                values[a + b + c] = v
         # ascending order orients every unordered (1, 1) pair as a <= b
         support = sorted(values)
 
-        def unflat(c, rank=rank):
-            return c[:rank], c[rank : 2 * rank], c[2 * rank :]
+        def fmt(x, rank=rank):
+            return fmt_triple((x[:rank], x[rank : 2 * rank], x[2 * rank :]))
 
         for p, q in _primitive_pq(pq_bound):
             if p > q:
                 continue
-            checked += _midpoint_count(ws, tuple, p, q, 3)
-            violations += _midpoint_scan(
-                support, _flat, values, p, q, unflat, fmt_triple, {"rank": rank, "p": p, "q": q}
-            )
+            checked += _midpoint_count(ws, p, q, 3)
+            violations += _midpoint_scan(support, values, p, q, fmt, {"rank": rank, "p": p, "q": q})
     violations.sort(key=lambda v: (v["rank"], v["p"], v["q"], v["a"], v["b"]))
     return ConcavityReport(
         checked=checked,
@@ -430,11 +421,12 @@ def saturation_scan(t: WeightTriple, k_max: int) -> list[SaturationRow]:
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    base = triple_invariant(t)
     rows = []
     for k in range(1, k_max + 1):
         stretched = tuple(tuple(k * x for x in w) for w in t)
         ck = triple_invariant(stretched)
+        if k == 1:
+            base = ck
         rows.append(
             SaturationRow(
                 k=k,
@@ -523,8 +515,8 @@ def logv_scan(rank_bound: int, entry_bound: int) -> ConcavityReport:
     for rank in range(1, rank_bound + 1):
         ws = list(dominant_weights(rank, -entry_bound, entry_bound))
         squares = {w: tensor_square_multiplicities(w) for w in ws}
-        checked += _midpoint_count(ws, tuple, 1, 1)
-        for mu, nu in _midpoint_pairs(ws, tuple, 1, 1):
+        checked += _midpoint_count(ws, 1, 1)
+        for mu, nu in _midpoint_pairs(ws, 1, 1):
             bad = _first_excess(tensor_product_multiplicities(mu, nu), squares[_mean(mu, nu)])
             if bad is not None:
                 violations.append(
@@ -584,7 +576,7 @@ def _circulant_count(ws: Sequence[GLWeight], p: int, q: int) -> int:
     (lam, mu, nu) is integral iff lam = mu = nu mod p+q entrywise.  The
     count is the sum of n_r**3 over the classes r of ws, n_r their sizes.
     """
-    return sum(n**3 for n in _class_sizes(ws, tuple, p + q))
+    return sum(n**3 for n in _class_sizes(ws, p + q))
 
 
 def alpha_scan(rank_bound: int, entry_bound: int, pq_bound: int = 2) -> ConcavityReport:
@@ -731,8 +723,8 @@ def weyl_logconcavity_scan(rank: int, entry_bound: int) -> ConcavityReport:
     for r in range(1, rank + 1):
         ws = list(dominant_weights(r, 0, entry_bound))
         dims = {w: weyl_dimension(w) for w in ws}
-        checked += _midpoint_count(ws, tuple, 1, 1)
-        violations += _midpoint_scan(ws, tuple, dims, 1, 1, tuple, fmt_weight, {"rank": r})
+        checked += _midpoint_count(ws, 1, 1)
+        violations += _midpoint_scan(ws, dims, 1, 1, fmt_weight, {"rank": r})
     return ConcavityReport(
         checked=checked,
         violations=violations,
@@ -749,27 +741,18 @@ def restriction_logconcavity_scan(n: int, k: int, weight_bound: int) -> Concavit
     """
     if k >= n:
         raise ValueError("need k < n")
-    points = [
-        (lam, mu)
+    values = {
+        pad(lam, n) + pad(mu, k): restriction_multiplicity(lam, mu, n, k)
         for lam in partitions_up_to(weight_bound, max_parts=n)
         for mu in partitions_up_to(weight_bound, max_parts=k)
-    ]
-    values = {
-        (lam, mu): restriction_multiplicity(lam, mu, n, k) for lam, mu in points
     }
 
-    def flat(x):
-        return pad(x[0], n) + pad(x[1], k)
-
-    def unflat(c):
-        return partition(c[:n]), partition(c[n:])
-
     def fmt(x):
-        return str(SkewShape(*x))
+        return str(SkewShape(x[:n], x[n:]))
 
-    checked = _midpoint_count(points, flat, 1, 1)
+    checked = _midpoint_count(list(values), 1, 1)
     # a nonzero multiplicity needs mu inside lam, and averaging keeps that
-    violations = _midpoint_scan(points, flat, values, 1, 1, unflat, fmt, {})
+    violations = _midpoint_scan(list(values), values, 1, 1, fmt, {})
     return ConcavityReport(
         checked=checked,
         violations=violations,

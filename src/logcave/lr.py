@@ -69,7 +69,6 @@ def lr_skew_count(outer: Partition, inner: Partition, content: Partition) -> int
     m = len(content)
     counts = [0] * (m + 1)
     grid: dict[tuple[int, int], int] = {}
-    total = 0
 
     def fill(k: int) -> int:
         if k == len(cells):
@@ -94,8 +93,7 @@ def lr_skew_count(outer: Partition, inner: Partition, content: Partition) -> int
             counts[v] -= 1
         return found
 
-    total = fill(0)
-    return total
+    return fill(0)
 
 
 def _shifted_triple(lam: GLWeight, mu: GLWeight, nu: GLWeight):
@@ -143,7 +141,7 @@ def lr_coefficient_schur_peel(lam: GLWeight, mu: GLWeight, nu: GLWeight) -> int:
     return to_schur_basis(prod).coefficient(lam_p)
 
 
-def triple_invariant(t: WeightTriple, cache: "LRCache | None" = None) -> int:
+def triple_invariant(t: WeightTriple) -> int:
     """Dimension of the invariants in V^lam tensor V^mu tensor V^nu.
 
     Fully symmetric in the three arguments; zero whenever the entries do
@@ -153,9 +151,7 @@ def triple_invariant(t: WeightTriple, cache: "LRCache | None" = None) -> int:
     lam, mu, nu = t
     if sum(lam) + sum(mu) + sum(nu) != 0:
         return 0
-    if cache is None:
-        cache = _default_cache()
-    return cache.get_or_compute(
+    return _default_cache().get_or_compute(
         (lam, mu, nu, n), lambda: _lr_count(dual_weight(lam), mu, nu)
     )
 
@@ -321,19 +317,13 @@ class LRCache:
         return len(self._memory)
 
 
-_CACHE: LRCache | None = None
-
-
+@lru_cache(maxsize=None)
 def _default_cache() -> LRCache:
-    global _CACHE
-    if _CACHE is None:
-        cache_dir = os.environ.get("LOGCAVE_CACHE_DIR")
-        if cache_dir:
-            os.makedirs(cache_dir, exist_ok=True)
-            _CACHE = LRCache(os.path.join(cache_dir, "lr_cache.txt"))
-        else:
-            _CACHE = LRCache()
-    return _CACHE
+    cache_dir = os.environ.get("LOGCAVE_CACHE_DIR")
+    if not cache_dir:
+        return LRCache()
+    os.makedirs(cache_dir, exist_ok=True)
+    return LRCache(os.path.join(cache_dir, "lr_cache.txt"))
 
 
 def reset_default_cache() -> None:
@@ -341,7 +331,6 @@ def reset_default_cache() -> None:
 
     Used by tests, before a cold-start measurement and after env changes.
     """
-    global _CACHE
-    _CACHE = None
+    _default_cache.cache_clear()
     _brauer_klimyk.cache_clear()
     _weights.cache_clear()

@@ -345,6 +345,37 @@ def test_verify_restriction_rejects_k_not_below_n_before_scanning(n, k, monkeypa
     assert "--k must be < --n" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("out", ["missing/report.json", ""])
+def test_verify_rejects_an_unwritable_out_before_scanning(out, tmp_path, monkeypatch, capsys):
+    import logcave.concavity as concavity
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scan started")
+
+    monkeypatch.setattr(concavity, "weyl_logconcavity_scan", no_scan)
+    path = str(tmp_path / out)  # "" names tmp_path, a directory
+    assert main(["verify", "weyl", "--rank", "2", "--bound", "3", "--out", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and path in err
+
+
+def test_verify_reports_an_unwritable_csv_as_exit_2(tmp_path, capsys):
+    (tmp_path / "report.csv").mkdir()
+    out = tmp_path / "report.json"
+    assert main(["verify", "weyl", "--rank", "2", "--bound", "3", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(tmp_path / "report.csv") in err
+
+
+def test_cli_schur_unwritable_out_is_exit_2(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "schur.json")
+    assert main(["schur", "--shape", "2,1", "--vars", "2", "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert out in captured.err and not captured.out
+
+
 def test_scanner_table_matches_verify_choices():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     scanner = next(a for a in sub.choices["verify"]._actions if a.dest == "scanner")

@@ -9,6 +9,7 @@ from logcave import concavity
 from logcave import lr as lrmod
 from logcave.concavity import (
     SequencePreconditionError,
+    SquareComparison,
     alpha_matrix_check,
     alpha_scan,
     conjecture1_scan,
@@ -35,6 +36,7 @@ from logcave.partitions import (
     pad,
     partitions_up_to,
 )
+from logcave.symfunc import SchurExpansion
 from logcave.toeplitz import convolve
 
 
@@ -112,6 +114,31 @@ def test_saturation_scan_examples():
     t = (dual_weight((2, 1, 0)), (2, 1, 0), (0, 0, 0))
     rows = saturation_scan(t, 2)
     assert rows[0].value == 1 and rows[1].saturation_ok
+
+
+def test_saturation_scan_looks_up_each_stretch_once(monkeypatch):
+    keys = []
+    real = lrmod.LRCache.get_or_compute
+
+    def counted(cache, key, compute):
+        keys.append(key)
+        return real(cache, key, compute)
+
+    monkeypatch.setattr(lrmod.LRCache, "get_or_compute", counted)
+    lrmod.reset_default_cache()
+    t = (dual_weight((2, 1, 0)), (2, 1, 0), (0, 0, 0))
+    rows = saturation_scan(t, 4)
+    assert [r.value for r in rows] == [1, 1, 1, 1]
+    assert [key[1] for key in keys] == [(2, 1, 0), (4, 2, 0), (6, 3, 0), (8, 4, 0)]
+    keys.clear()
+    saturation_scan_all(2, 2, 3)
+    slice_triples = sum(
+        sum(lam) == sum(mu) + sum(nu)
+        for lam in partitions_up_to(2, max_parts=2)
+        for mu in partitions_up_to(2, max_parts=2)
+        for nu in partitions_up_to(2, max_parts=2)
+    )
+    assert len(keys) == 3 * slice_triples
 
 
 def test_saturation_scan_all_small():
@@ -254,7 +281,7 @@ def test_midpoint_engine_matches_brute_force(p, q):
         for b in (points[i:] if p == q else points)
         if all((p * x + q * y) % m == 0 for x, y in zip(a, b))
     ]
-    assert sorted(concavity._midpoint_pairs(points, tuple, p, q)) == sorted(pairs)
+    assert sorted(concavity._midpoint_pairs(points, p, q)) == sorted(pairs)
     expected = []
     for a, b in pairs:
         c = tuple((p * x + q * y) // m for x, y in zip(a, b))
@@ -263,8 +290,8 @@ def test_midpoint_engine_matches_brute_force(p, q):
             expected.append(
                 {"p": p, "a": str(a), "b": str(b), "c": str(c), "values": [str(fa), str(fb), str(fc)]}
             )
-    assert concavity._midpoint_count(points, tuple, p, q) == len(pairs)
-    violations = concavity._midpoint_scan(points, tuple, values, p, q, tuple, str, {"p": p})
+    assert concavity._midpoint_count(points, p, q) == len(pairs)
+    violations = concavity._midpoint_scan(points, values, p, q, str, {"p": p})
     key = itemgetter("a", "b")
     assert expected and sorted(violations, key=key) == sorted(expected, key=key)
 
@@ -385,6 +412,58 @@ def test_midpoint_scanner_violation_records(monkeypatch):
         _restriction_record("3/2", "3,2", "3", "1"),
         _restriction_record("3/1", "3,2/1", "2", "2"),
         _restriction_record("3,1", "3,1/2", "1", "3"),
+    ]
+
+
+def _fake_theorem1_verify(l1, m1, l3, m3):
+    # fails when the second shape has two more boxes than the first: not
+    # symmetric, so a swapped pair changes the records
+    size1, size3 = sum(l1) - sum(m1), sum(l3) - sum(m3)
+    return SquareComparison(size1 + 2 != size3, -size3, l3, (), (), 0)
+
+
+def _fake_slm_schur_positivity(l1, m1, l3, m3):
+    # fails on equal outer and different inner shapes, with two negative
+    # coefficients of which the record reports the least partition
+    bad = l1 == l3 and m1 != m3
+    return not bad, SchurExpansion({(5,): 1, m1: -1, m3: -2} if bad else {}), None
+
+
+def _theorem1_record(shape1, shape3, coefficient, witness):
+    return {"shape1": shape1, "shape3": shape3, "min_coefficient": coefficient, "witness": witness}
+
+
+def _slm_record(shape1, shape3, lam, coefficient):
+    return {"shape1": shape1, "shape3": shape3, "partition": lam, "coefficient": coefficient}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_skew_pair_scanner_violation_records(jobs, monkeypatch):
+    """Count, record format and order of planted theorem1 and slm violations.
+
+    The records follow _midpoint_pairs over the shapes' vectors, each pair
+    in enumeration order, at one worker and on the pool alike.
+    """
+    monkeypatch.setattr(concavity, "theorem1_verify", _fake_theorem1_verify)
+    monkeypatch.setattr(concavity, "slm_schur_positivity", _fake_slm_schur_positivity)
+    rep = theorem1_scan(3, jobs=jobs)
+    assert rep.checked == 32
+    assert rep.violations == [
+        _theorem1_record("0", "2", "-2", "2"),
+        _theorem1_record("2/2", "2", "-2", "2"),
+        _theorem1_record("2,1/2", "2,1", "-3", "2,1"),
+        _theorem1_record("1", "3", "-3", "3"),
+        _theorem1_record("3/2", "3", "-3", "3"),
+        _theorem1_record("1/1", "3/1", "-2", "3"),
+        _theorem1_record("3/3", "3/1", "-2", "3"),
+    ]
+    rep = slm_scan(3, jobs=jobs)
+    assert rep.checked == 32
+    assert rep.violations == [
+        _slm_record("2/2", "2", "", "-2"),
+        _slm_record("2,1/2", "2,1", "", "-2"),
+        _slm_record("3/2", "3", "", "-2"),
+        _slm_record("3/3", "3/1", "1", "-2"),
     ]
 
 
@@ -534,7 +613,7 @@ def test_triple_scan_counts_match_ws3_oracle(rank, bound):
     triples = _oracle_weight_triples(rank, bound)
     sizes = {m: _oracle_triple_sizes(triples, m) for m in range(2, 8)}
     for p, q in concavity._primitive_pq(7):
-        assert concavity._midpoint_count(ws, tuple, p, q, 3) == _oracle_conj1_count(
+        assert concavity._midpoint_count(ws, p, q, 3) == _oracle_conj1_count(
             sizes[p + q], p, q
         ), (p, q)
         assert concavity._circulant_count(ws, p, q) == _oracle_alpha_count(

@@ -116,7 +116,8 @@ def test_triple_invariant_checks_each_weight_once(monkeypatch):
     real = lrmod.weight
     monkeypatch.setattr(lrmod, "weight", lambda w: checked.append(w) or real(w))
     t = ((1, 0, -1), (1, 0, -1), (1, 0, -1))
-    assert triple_invariant(t, cache=LRCache()) == 2
+    lrmod.reset_default_cache()
+    assert triple_invariant(t) == 2
     assert checked == list(t)
 
 
@@ -230,7 +231,7 @@ def test_brauer_klimyk_matches_lr_route_on_logv_pairs_at_rank_5():
     ws = list(dominant_weights(5, -2, 2))
     for w in ws:
         assert tensor_square_multiplicities(w) == lr_route_decomposition(w, w), w
-    for mu, nu in _midpoint_pairs(ws, tuple, 1, 1):
+    for mu, nu in _midpoint_pairs(ws, 1, 1):
         assert tensor_product_multiplicities(mu, nu) == lr_route_decomposition(mu, nu), (mu, nu)
 
 
@@ -274,11 +275,15 @@ def test_lr_skew_count_lattice_condition():
     assert lr_skew_count((2, 1), (), (1, 2)) == 0
 
 
-def test_cache_round_trip(tmp_path):
+def test_cache_round_trip(tmp_path, monkeypatch):
     path = os.path.join(tmp_path, "lr_cache.txt")
-    c1 = LRCache(path)
+    monkeypatch.setenv("LOGCAVE_CACHE_DIR", str(tmp_path))
+    lrmod.reset_default_cache()
     t = ((1, 0, -1), (1, 0, -1), (1, 0, -1))
-    v = triple_invariant(t, cache=c1)
+    try:
+        v = triple_invariant(t)
+    finally:
+        lrmod.reset_default_cache()
     assert v == 2
     # new cache instance reads the stored value instead of recomputing
     c2 = LRCache(path)
@@ -319,20 +324,25 @@ def test_cache_closed_fragment_without_recompute_stays_unloaded(tmp_path):
     assert c2.get_or_compute((*t, 3), lambda: 2) == 2
 
 
-def test_cache_concurrent_access(tmp_path):
+def test_cache_concurrent_access(tmp_path, monkeypatch):
     path = os.path.join(tmp_path, "lr_cache.txt")
-    cache = LRCache(path)
+    monkeypatch.setenv("LOGCAVE_CACHE_DIR", str(tmp_path))
+    lrmod.reset_default_cache()
+    lrmod._default_cache()  # the threads share this one cache
     results = []
 
     def worker(i):
         t = ((1, 0, -1), (1, 0, -1), (1, 0, -1))
-        results.append(triple_invariant(t, cache=cache))
+        results.append(triple_invariant(t))
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        lrmod.reset_default_cache()
     assert results == [2] * 8
     # file only ever contains whole lines
     with open(path) as fh:
