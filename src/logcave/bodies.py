@@ -297,37 +297,31 @@ def degree_estimate(s: PolynomialSubspace, k_max: int) -> DegreeEstimate:
 
 
 def _fit_degree(dims: list[int], d: int) -> DegreeEstimate:
-    """The degree estimate from dims[k-1] = dim s^k, k = 1..len(dims) >= d+1."""
+    """The degree estimate from dims[k-1] = dim s^k, k = 1..len(dims) >= d+1.
+
+    One difference table over the trailing d+2 samples (d+1 if there are
+    no more) gives everything: row d ends in the degree and starts with
+    the previous window's degree, and the last entries of rows 0..d are
+    the backward differences at k_max, with which Newton's backward
+    formula fits the trailing d+1 samples at every k.
+    """
     k_max = len(dims)
-
-    def finite_difference(samples: list[int]) -> Fraction:
-        vals = [Fraction(x) for x in samples]
-        for _ in range(d):
-            vals = [b - a for a, b in zip(vals, vals[1:])]
-        return vals[0]
-
-    degree = finite_difference(dims[k_max - d - 1 : k_max])
-    stable = True
-    if k_max >= d + 2:
-        stable = finite_difference(dims[k_max - d - 2 : k_max - 1]) == degree
-    # Newton forward fit through the trailing window, evaluated elsewhere
-    ks = list(range(k_max - d, k_max + 1))
-    ys = [Fraction(dims[k - 1]) for k in ks]
+    rows = [dims[max(0, k_max - d - 2) :]]
+    for _ in range(d):
+        rows.append([b - a for a, b in zip(rows[-1], rows[-1][1:])])
+    tails = [row[-1] for row in rows]
 
     def fitted(k: int) -> Fraction:
-        total = Fraction(0)
-        diffs = ys[:]
-        for j in range(d + 1):
-            coeff = diffs[0]
-            basis = Fraction(1)
-            for i in range(j):
-                basis *= Fraction(k - ks[i], i + 1)
-            total += coeff * basis
-            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        total, basis = Fraction(0), Fraction(1)
+        for j, tail in enumerate(tails):
+            total += tail * basis
+            basis *= Fraction(k - k_max + j, j + 1)
         return total
 
-    residuals = [(k, dims[k - 1], Fraction(dims[k - 1]) - fitted(k)) for k in range(1, k_max + 1)]
-    return DegreeEstimate(degree=degree, residuals=residuals, stable=stable, dims=dims)
+    residuals = [(k, y, y - fitted(k)) for k, y in enumerate(dims, 1)]
+    return DegreeEstimate(
+        degree=Fraction(tails[d]), residuals=residuals, stable=rows[d][0] == tails[d], dims=dims
+    )
 
 
 def _pair_bodies(

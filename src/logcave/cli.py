@@ -217,13 +217,17 @@ def build_report(
     }
 
 
+def _csv_path(out_path: str) -> str:
+    """The CSV summary written beside the JSON report at out_path."""
+    return re.sub(r"\.json$", "", out_path) + ".csv"
+
+
 def write_report(report: dict, out_path: str | None) -> None:
     _emit(report, out_path)
     if out_path:
         import csv
 
-        csv_path = re.sub(r"\.json$", "", out_path) + ".csv"
-        with _open_out(csv_path, newline="") as fh:
+        with _open_out(_csv_path(out_path), newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["subcommand", "checked", "violations", "params"])
             w.writerow(
@@ -403,11 +407,14 @@ def _check_scan_args(args) -> None:
             )
     if args.scanner == "restriction" and args.k >= args.n:
         raise ParseError(f"verify restriction: --k must be < --n, got {args.k} >= {args.n}")
-    out = args.out
-    if out and (os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")):
-        raise ParseError(
-            f"verify {args.scanner}: --out must name a file in an existing directory, got {out}"
-        )
+    if args.out:
+        # the CSV summary too, so that neither file is written unless both can be
+        for path in (args.out, _csv_path(args.out)):
+            if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+                raise ParseError(
+                    f"verify {args.scanner}: --out must name a file in an existing "
+                    f"directory, and {path} is not one"
+                )
 
 
 def run_scan(args) -> tuple[dict, int]:

@@ -272,14 +272,14 @@ def hermite_basis(rows: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
             r += 1
         if r == len(mat):
             break
-    return [tuple(row) for row in mat[:r] if any(row)]
+    return [tuple(row) for row in mat[:r]]
 
 
 def lattice_covolume(rows: list[tuple[int, ...]], rank: int) -> int:
     """Covolume of a lattice of the given rank inside Z^rank.
 
     The generators must span a full-rank sublattice; its covolume is the
-    product of the Hermite pivots.
+    product of the Hermite pivots, each the first nonzero entry of its row.
     """
     basis = hermite_basis(rows)
     if len(basis) != rank:
@@ -287,13 +287,8 @@ def lattice_covolume(rows: list[tuple[int, ...]], rank: int) -> int:
             f"lattice rank {len(basis)} < {rank}; generators do not span"
         )
     cov = 1
-    used = set()
     for row in basis:
-        piv = next(i for i, x in enumerate(row) if x != 0)
-        if piv in used:
-            raise DegenerateBodyError("lattice basis not triangular")
-        used.add(piv)
-        cov *= abs(row[piv])
+        cov *= next(x for x in row if x)
     return cov
 
 

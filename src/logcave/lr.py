@@ -151,9 +151,10 @@ def triple_invariant(t: WeightTriple) -> int:
     lam, mu, nu = t
     if sum(lam) + sum(mu) + sum(nu) != 0:
         return 0
-    return _default_cache().get_or_compute(
-        (lam, mu, nu, n), lambda: _lr_count(dual_weight(lam), mu, nu)
-    )
+    cache = _default_cache()
+    if cache is None:
+        return _lr_count(dual_weight(lam), mu, nu)
+    return cache.get_or_compute((lam, mu, nu, n), lambda: _lr_count(dual_weight(lam), mu, nu))
 
 
 def restriction_multiplicity(lam: Partition, mu: Partition, n: int, k: int) -> int:
@@ -255,7 +256,7 @@ def tensor_square_multiplicities(w: GLWeight) -> dict[GLWeight, int]:
 
 
 class LRCache:
-    """Memo for triple invariants, optionally backed by an append-only file.
+    """On-disk cache of triple invariants: an append-only file, loaded into memory.
 
     File lines are "lam;mu;nu;n;value" in the comma-separated weight
     syntax.  Writes happen under a lock and each entry is a single
@@ -269,11 +270,11 @@ class LRCache:
     starts on a fresh line.
     """
 
-    def __init__(self, path: str | None = None):
+    def __init__(self, path: str):
         self._memory: dict[tuple, int] = {}
         self._lock = threading.Lock()
         self._path = path
-        if path and os.path.exists(path):
+        if os.path.exists(path):
             with open(path, "r", encoding="ascii") as fh:
                 for line in fh:
                     if not line.endswith("\n"):
@@ -300,17 +301,16 @@ class LRCache:
         value = compute()
         with self._lock:
             self._memory[key] = value
-            if self._path:
-                lam, mu, nu, n = key
-                fields = [fmt_weight(w) for w in (lam, mu, nu)]
-                line = ";".join([*fields, str(n), str(value)])
-                with open(self._path, "a+b") as fh:
-                    if fh.tell() > 0:
-                        fh.seek(-1, os.SEEK_END)
-                        if fh.read(1) != b"\n":
-                            line = "#\n" + line
-                    fh.write((line + "\n").encode("ascii"))
-                    fh.flush()
+            lam, mu, nu, n = key
+            fields = [fmt_weight(w) for w in (lam, mu, nu)]
+            line = ";".join([*fields, str(n), str(value)])
+            with open(self._path, "a+b") as fh:
+                if fh.tell() > 0:
+                    fh.seek(-1, os.SEEK_END)
+                    if fh.read(1) != b"\n":
+                        line = "#\n" + line
+                fh.write((line + "\n").encode("ascii"))
+                fh.flush()
         return value
 
     def __len__(self):
@@ -318,10 +318,12 @@ class LRCache:
 
 
 @lru_cache(maxsize=None)
-def _default_cache() -> LRCache:
+def _default_cache() -> LRCache | None:
+    """The cache file under $LOGCAVE_CACHE_DIR; None when it is unset, and
+    lr_skew_count's memo is then the only one."""
     cache_dir = os.environ.get("LOGCAVE_CACHE_DIR")
     if not cache_dir:
-        return LRCache()
+        return None
     os.makedirs(cache_dir, exist_ok=True)
     return LRCache(os.path.join(cache_dir, "lr_cache.txt"))
 

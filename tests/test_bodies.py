@@ -297,6 +297,58 @@ def test_degree_estimate_flags_unstable_growth():
     assert not de.stable
 
 
+def fit_degree_oracle(dims: list[int], d: int):
+    """The separate-pass fit: each window's d-th difference on its own, and a
+    Newton forward fit through the trailing d+1 samples rebuilt for every k."""
+    k_max = len(dims)
+
+    def finite_difference(samples):
+        vals = [F(x) for x in samples]
+        for _ in range(d):
+            vals = [b - a for a, b in zip(vals, vals[1:])]
+        return vals[0]
+
+    degree = finite_difference(dims[k_max - d - 1 : k_max])
+    stable = True
+    if k_max >= d + 2:
+        stable = finite_difference(dims[k_max - d - 2 : k_max - 1]) == degree
+    ks = list(range(k_max - d, k_max + 1))
+    ys = [F(dims[k - 1]) for k in ks]
+
+    def fitted(k):
+        total = F(0)
+        diffs = ys[:]
+        for j in range(d + 1):
+            basis = F(1)
+            for i in range(j):
+                basis *= F(k - ks[i], i + 1)
+            total += diffs[0] * basis
+            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        return total
+
+    residuals = [(k, dims[k - 1], F(dims[k - 1]) - fitted(k)) for k in range(1, k_max + 1)]
+    return degree, stable, residuals
+
+
+def test_fit_degree_matches_the_separate_pass_oracle():
+    rng = random.Random(17)
+    seen = set()
+    for _ in range(300):
+        d = rng.randint(1, 4)
+        k_max = rng.randint(d + 1, d + 8)
+        if rng.random() < 0.5:  # polynomial growth, where the windows agree
+            coeffs = [rng.randint(0, 5) for _ in range(d + 1)]
+            dims = [sum(c * k**i for i, c in enumerate(coeffs)) for k in range(1, k_max + 1)]
+        else:
+            dims = sorted(rng.randint(1, 400) for _ in range(k_max))
+        got = bodies._fit_degree(dims, d)
+        degree, stable, residuals = fit_degree_oracle(dims, d)
+        assert (got.degree, got.stable, got.residuals) == (degree, stable, residuals), (dims, d)
+        assert type(got.degree) is F and all(type(r[2]) is F for r in got.residuals)
+        seen.add(got.stable)
+    assert seen == {True, False}
+
+
 def test_body_dims_are_power_dimensions():
     s = monomial_subspace(2, [(1, 0), (0, 2)])
     dims = [power_subspace(s, k).dimension for k in range(1, 5)]

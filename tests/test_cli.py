@@ -359,13 +359,19 @@ def test_verify_rejects_an_unwritable_out_before_scanning(out, tmp_path, monkeyp
     assert err.startswith("error: ") and err.count("\n") == 1 and path in err
 
 
-def test_verify_reports_an_unwritable_csv_as_exit_2(tmp_path, capsys):
+def test_verify_reports_an_unwritable_csv_as_exit_2(tmp_path, capsys, monkeypatch):
+    calls = []
+    scan, minimums = _SCANNERS["weyl"]
+    monkeypatch.setitem(_SCANNERS, "weyl", (lambda a: calls.append(a) or scan(a), minimums))
     (tmp_path / "report.csv").mkdir()
     out = tmp_path / "report.json"
     assert main(["verify", "weyl", "--rank", "2", "--bound", "3", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(tmp_path / "report.csv") in err
+    # refused before the scan, and no half of the output is left behind
+    assert not calls
+    assert not out.exists()
 
 
 def test_cli_schur_unwritable_out_is_exit_2(tmp_path, capsys):

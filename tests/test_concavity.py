@@ -116,7 +116,8 @@ def test_saturation_scan_examples():
     assert rows[0].value == 1 and rows[1].saturation_ok
 
 
-def test_saturation_scan_looks_up_each_stretch_once(monkeypatch):
+def test_saturation_scan_looks_up_each_stretch_once(monkeypatch, tmp_path):
+    # only a cache file goes through LRCache, so the lookups are counted there
     keys = []
     real = lrmod.LRCache.get_or_compute
 
@@ -125,20 +126,24 @@ def test_saturation_scan_looks_up_each_stretch_once(monkeypatch):
         return real(cache, key, compute)
 
     monkeypatch.setattr(lrmod.LRCache, "get_or_compute", counted)
+    monkeypatch.setenv("LOGCAVE_CACHE_DIR", str(tmp_path))
     lrmod.reset_default_cache()
-    t = (dual_weight((2, 1, 0)), (2, 1, 0), (0, 0, 0))
-    rows = saturation_scan(t, 4)
-    assert [r.value for r in rows] == [1, 1, 1, 1]
-    assert [key[1] for key in keys] == [(2, 1, 0), (4, 2, 0), (6, 3, 0), (8, 4, 0)]
-    keys.clear()
-    saturation_scan_all(2, 2, 3)
-    slice_triples = sum(
-        sum(lam) == sum(mu) + sum(nu)
-        for lam in partitions_up_to(2, max_parts=2)
-        for mu in partitions_up_to(2, max_parts=2)
-        for nu in partitions_up_to(2, max_parts=2)
-    )
-    assert len(keys) == 3 * slice_triples
+    try:
+        t = (dual_weight((2, 1, 0)), (2, 1, 0), (0, 0, 0))
+        rows = saturation_scan(t, 4)
+        assert [r.value for r in rows] == [1, 1, 1, 1]
+        assert [key[1] for key in keys] == [(2, 1, 0), (4, 2, 0), (6, 3, 0), (8, 4, 0)]
+        keys.clear()
+        saturation_scan_all(2, 2, 3)
+        slice_triples = sum(
+            sum(lam) == sum(mu) + sum(nu)
+            for lam in partitions_up_to(2, max_parts=2)
+            for mu in partitions_up_to(2, max_parts=2)
+            for nu in partitions_up_to(2, max_parts=2)
+        )
+        assert len(keys) == 3 * slice_triples
+    finally:
+        lrmod.reset_default_cache()
 
 
 def test_saturation_scan_all_small():

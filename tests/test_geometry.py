@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import permutations
 from math import lcm
 
 import numpy as np
@@ -317,6 +318,43 @@ def test_hermite_basis_and_covolume():
     assert lattice_covolume([(2,)], 1) == 2
     with pytest.raises(DegenerateBodyError):
         lattice_covolume([(1, 1)], 2)
+
+
+def _exact_det(m: list[tuple[int, ...]]) -> int:
+    """Leibniz sum over permutations, signed by their inversion counts."""
+    n = len(m)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def test_hermite_basis_is_echelon_with_positive_pivots():
+    rng = random.Random(23)
+    full_rank_squares = 0
+    for _ in range(400):
+        ncols = rng.randint(1, 4)
+        rows = [tuple(rng.randint(-6, 6) for _ in range(ncols)) for _ in range(rng.randint(1, 5))]
+        if rng.random() < 0.3:  # a dependent row
+            a, b = rng.choice(rows), rng.choice(rows)
+            rows.append(tuple(rng.randint(-2, 2) * x + rng.randint(-2, 2) * y for x, y in zip(a, b)))
+        if rng.random() < 0.2:
+            rows.insert(rng.randrange(len(rows) + 1), (0,) * ncols)
+        basis = hermite_basis(rows)
+        assert len(basis) == np.linalg.matrix_rank(np.array(rows, dtype=float)), rows
+        last = -1
+        for row in basis:
+            piv = next(i for i, x in enumerate(row) if x)
+            assert piv > last and row[piv] > 0, (rows, basis)
+            last = piv
+        if len(rows) == ncols and len(basis) == ncols:
+            full_rank_squares += 1
+            assert lattice_covolume(rows, ncols) == abs(_exact_det(rows)), rows
+    assert full_rank_squares > 20
 
 
 def test_hermite_preserves_span():

@@ -41,14 +41,28 @@ def test_import_check_flags_third_party_modules(tmp_path):
     assert _foreign_imports(probe) == ["probe.py:3: numpy", "probe.py:4: scipy.spatial"]
 
 
+def _run_probe(probe: str) -> str:
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    return subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
 def test_cli_import_leaves_bodies_and_geometry_unloaded():
     heavy = "('logcave.bodies', 'logcave.geometry', 'multiprocessing')"
     probe = f"import sys, logcave.cli; print(sorted(m for m in {heavy} if m in sys.modules))"
-    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
-    out = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.strip() == "[]"
+    assert _run_probe(probe) == "[]"
+
+
+def test_package_import_loads_no_submodule():
+    probe = "import sys, logcave; print(sorted(m for m in sys.modules if m.startswith('logcave.')))"
+    assert _run_probe(probe) == "[]"
+
+
+def test_bodies_import_leaves_the_multiplicity_modules_unloaded():
+    heavy = tuple(f"logcave.{m}" for m in ("partitions", "symfunc", "lr", "concavity", "toeplitz"))
+    probe = f"import sys, logcave.bodies; print(sorted(m for m in {heavy} if m in sys.modules))"
+    assert _run_probe(probe) == "[]"
 
 
 # every name the package exported when it imported bodies eagerly
@@ -79,3 +93,14 @@ def test_package_still_exports_every_name():
     assert not missing, missing
     assert logcave.body_approximation is bodies.body_approximation
     assert not hasattr(logcave, "no_such_name")
+
+
+def test_package_names_resolve_to_their_modules():
+    probe = "import logcave; print(logcave.lr.__name__, logcave.toeplitz.__name__)"
+    assert _run_probe(probe) == "logcave.lr logcave.toeplitz"
+
+
+def test_star_import_binds_every_package_name():
+    probe = "from logcave import *; print(' '.join(sorted(n for n in dir() if not n.startswith('_'))))"
+    names = set(PACKAGE_NAMES) - {"__version__"}
+    assert set(_run_probe(probe).split()) == names

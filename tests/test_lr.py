@@ -180,6 +180,24 @@ def test_lr_cache_env_variable(tmp_path, monkeypatch):
         lrmod.reset_default_cache()
 
 
+def test_without_a_cache_dir_lr_skew_count_is_the_only_memo(monkeypatch):
+    monkeypatch.delenv("LOGCAVE_CACHE_DIR", raising=False)
+    lrmod.reset_default_cache()
+    assert lrmod._default_cache() is None
+    ws = list(dominant_weights(2, -2, 2))
+    nonzero = 0
+    for lam in ws:
+        for mu in ws:
+            for nu in ws:
+                if sum(lam) + sum(mu) + sum(nu):
+                    continue
+                got = triple_invariant((lam, mu, nu))
+                assert got == lr_coefficient(dual_weight(lam), mu, nu), (lam, mu, nu)
+                assert got == lr_coefficient(dual_weight(mu), nu, lam), (lam, mu, nu)
+                nonzero += got > 0
+    assert nonzero
+
+
 def test_tensor_square_examples():
     assert tensor_square_multiplicities((0, 0)) == {(0, 0): 1}
     assert tensor_square_multiplicities((1, 0)) == {(2, 0): 1, (1, 1): 1}
