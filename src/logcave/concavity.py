@@ -23,6 +23,7 @@ from typing import Callable, Iterator, Sequence
 
 from .lr import (
     WeightTriple,
+    _box_invariant,
     _check_triple,
     restriction_multiplicity,
     tensor_product_multiplicities,
@@ -361,7 +362,8 @@ def conjecture1_scan(weight_bound: int, rank_bound: int, pq_bound: int = 2) -> C
 
     The invariant vanishes off the sum-zero slice, so only slice triples
     are evaluated, in ws**3 order (which fixes the LR cache file's lines),
-    and a triple (a, b, c) is the point a + b + c of the pair engine.
+    each read from the decomposition of its pair (a, b), and a triple
+    (a, b, c) is the point a + b + c of the pair engine.
     Instances where F(A) or F(B) vanishes pass outright (the right side is
     zero and F(C)**(p+q) >= 0 exactly), so only pairs from the nonzero
     support are compared.  All instances are counted, arithmetically from
@@ -373,7 +375,7 @@ def conjecture1_scan(weight_bound: int, rank_bound: int, pq_bound: int = 2) -> C
         ws = list(dominant_weights(rank, -weight_bound, weight_bound))
         values: dict[tuple[int, ...], int] = {}
         for a, b, c in _sum_zero_triples(ws, ws, ws):
-            v = triple_invariant((a, b, c))
+            v = _box_invariant((a, b, c))
             if v:
                 values[a + b + c] = v
         # ascending order orients every unordered (1, 1) pair as a <= b
@@ -587,7 +589,9 @@ def alpha_scan(rank_bound: int, entry_bound: int, pq_bound: int = 2) -> Concavit
     instances are the triples in ws**3 with an integral image, counted
     arithmetically by _circulant_count.  Instances with a vanishing
     original invariant pass outright, so only the sum-zero slice is
-    visited, in ws**3 order, and invariants are looked up only there.
+    visited, in ws**3 order, and invariants are looked up only there, read
+    from pair decompositions.  An image is integral only when the three
+    weights agree mod p+q (see _circulant_count), which is tested first.
     """
     pq_pairs = _primitive_pq(pq_bound)
     violations = []
@@ -597,14 +601,16 @@ def alpha_scan(rank_bound: int, entry_bound: int, pq_bound: int = 2) -> Concavit
         triples = list(_sum_zero_triples(ws, ws, ws))
         for p, q in pq_pairs:
             checked += _circulant_count(ws, p, q)
+            residue = {w: _residue(w, p + q) for w in ws}
             for t in triples:
-                t2 = _circulant_image(t, p, q)
-                if t2 is None:
+                lam, mu, nu = t
+                if not residue[lam] == residue[mu] == residue[nu]:
                     continue
-                v1 = triple_invariant(t)
+                v1 = _box_invariant(t)
                 if v1 == 0:
                     continue
-                v2 = triple_invariant(t2)
+                t2 = _circulant_image(t, p, q)
+                v2 = _box_invariant(t2)
                 if v2 < v1:
                     violations.append(
                         {

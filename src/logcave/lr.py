@@ -157,6 +157,33 @@ def triple_invariant(t: WeightTriple) -> int:
     return cache.get_or_compute((lam, mu, nu, n), lambda: _lr_count(dual_weight(lam), mu, nu))
 
 
+def _box_invariant(t: WeightTriple) -> int:
+    """triple_invariant(t) read from the decomposition of V^lam (x) V^mu.
+
+    t must be a sum-zero triple of dominant weights of one rank, as the box
+    scans take them from their slice; nothing is checked.  The invariant is
+    the multiplicity of V^{dual nu} in V^lam (x) V^mu, so one memoised
+    decomposition serves every nu of a pair.  With a cache file the value
+    goes through it under triple_invariant's key, so the file gets the same
+    lines, and the decomposition is built only on a miss.
+    """
+    lam, mu, nu = t
+    cache = _default_cache()
+    if cache is None:
+        return _pair_row(lam, mu).get(nu, 0)
+    return cache.get_or_compute((lam, mu, nu, len(lam)), lambda: _pair_row(lam, mu).get(nu, 0))
+
+
+@lru_cache(maxsize=1)
+def _pair_row(lam: GLWeight, mu: GLWeight) -> dict[GLWeight, int]:
+    """nu -> the multiplicity of V^{dual nu} in V^lam (x) V^mu.
+
+    One row at a time: the box scans look up the triples of a pair (lam, mu)
+    one after another.
+    """
+    return {dual_weight(w): c for w, c in tensor_product_multiplicities(lam, mu).items()}
+
+
 def restriction_multiplicity(lam: Partition, mu: Partition, n: int, k: int) -> int:
     """Multiplicity of V^mu of U(k) inside V^lam of U(n), for standard U(k) in U(n).
 
@@ -259,21 +286,24 @@ class LRCache:
     """On-disk cache of triple invariants: an append-only file, loaded into memory.
 
     File lines are "lam;mu;nu;n;value" in the comma-separated weight
-    syntax.  Writes happen under a lock and each entry is a single
+    syntax.  The file is opened once, on the first append, and stays open
+    until close().  Writes happen under a lock and each entry is a single
     buffered write followed by a flush; at worst two processes compute the
     same key and append it twice, which is harmless.
 
     A write cut short (a killed process, a full disk) leaves a last line
     without its newline, whose value may be a prefix of the true one.
-    Loading skips such a line, and the next append first closes it with
-    "#\n": the "#" keeps the fragment from ever parsing, and the new entry
-    starts on a fresh line.
+    Loading skips such a line, and each append first reads the file's last
+    byte through its handle: if that byte is not a newline, the append
+    closes the line with "#\n".  The "#" keeps the fragment from ever
+    parsing, and the new entry starts on a fresh line.
     """
 
     def __init__(self, path: str):
         self._memory: dict[tuple, int] = {}
         self._lock = threading.Lock()
         self._path = path
+        self._fh = None
         if os.path.exists(path):
             with open(path, "r", encoding="ascii") as fh:
                 for line in fh:
@@ -285,9 +315,9 @@ class LRCache:
                     try:
                         lam_s, mu_s, nu_s, n_s, val_s = line.split(";")
                         key = (
-                            tuple(int(x) for x in lam_s.split(",")),
-                            tuple(int(x) for x in mu_s.split(",")),
-                            tuple(int(x) for x in nu_s.split(",")),
+                            tuple(map(int, lam_s.split(","))),
+                            tuple(map(int, mu_s.split(","))),
+                            tuple(map(int, nu_s.split(","))),
                             int(n_s),
                         )
                         self._memory[key] = int(val_s)
@@ -303,15 +333,28 @@ class LRCache:
             self._memory[key] = value
             lam, mu, nu, n = key
             fields = [fmt_weight(w) for w in (lam, mu, nu)]
-            line = ";".join([*fields, str(n), str(value)])
-            with open(self._path, "a+b") as fh:
-                if fh.tell() > 0:
-                    fh.seek(-1, os.SEEK_END)
-                    if fh.read(1) != b"\n":
-                        line = "#\n" + line
-                fh.write((line + "\n").encode("ascii"))
-                fh.flush()
+            self._append(";".join([*fields, str(n), str(value)]))
         return value
+
+    def _append(self, line: str) -> None:
+        """Write one whole line at the end of the file; the caller holds the lock."""
+        if self._fh is None:
+            self._fh = open(self._path, "a+b")
+        fh = self._fh
+        # another writer may have left a torn tail since the last append
+        if fh.seek(0, os.SEEK_END) > 0:
+            fh.seek(-1, os.SEEK_END)
+            if fh.read(1) != b"\n":
+                line = "#\n" + line
+        fh.write((line + "\n").encode("ascii"))
+        fh.flush()
+
+    def close(self) -> None:
+        """Close the file handle; a later append opens it again."""
+        with self._lock:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
 
     def __len__(self):
         return len(self._memory)
@@ -331,8 +374,12 @@ def _default_cache() -> LRCache | None:
 def reset_default_cache() -> None:
     """Drop the module-level LR cache and empty the decomposition memos.
 
-    Used by tests, before a cold-start measurement and after env changes.
+    The dropped cache's file handle is closed.  Used by tests, before a
+    cold-start measurement and after env changes.
     """
+    if _default_cache.cache_info().currsize and (cache := _default_cache()) is not None:
+        cache.close()
     _default_cache.cache_clear()
+    _pair_row.cache_clear()
     _brauer_klimyk.cache_clear()
     _weights.cache_clear()

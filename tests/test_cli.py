@@ -374,6 +374,23 @@ def test_verify_reports_an_unwritable_csv_as_exit_2(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scanner", ["conj1", "alpha", "saturation"])
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_verify_rejects_a_cache_dir_that_is_a_file(scanner, below, tmp_path, monkeypatch, capsys):
+    calls = []
+    scan, minimums = _SCANNERS[scanner]
+    monkeypatch.setitem(_SCANNERS, scanner, (lambda a: calls.append(a) or scan(a), minimums))
+    (tmp_path / "cache").write_text("not a directory\n")
+    cache_dir = str(tmp_path / "cache" / below)
+    monkeypatch.setenv("LOGCAVE_CACHE_DIR", cache_dir)
+    out = tmp_path / "report.json"
+    assert main(["verify", scanner, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and cache_dir in err
+    assert not calls
+    assert not out.exists() and not (tmp_path / "report.csv").exists()
+
+
 def test_cli_schur_unwritable_out_is_exit_2(tmp_path, capsys):
     out = str(tmp_path / "missing" / "schur.json")
     assert main(["schur", "--shape", "2,1", "--vars", "2", "--out", out]) == 2

@@ -376,6 +376,7 @@ def test_midpoint_scanner_violation_records(monkeypatch):
         concavity, "restriction_multiplicity", _fake_restriction_multiplicity
     )
     monkeypatch.setattr(concavity, "triple_invariant", _fake_triple_invariant)
+    monkeypatch.setattr(concavity, "_box_invariant", _fake_triple_invariant)
 
     rep = weyl_logconcavity_scan(3, 4)
     assert rep.checked == 164
@@ -495,6 +496,7 @@ def test_alpha_and_saturation_violation_records(monkeypatch):
     emits a "saturation" record before a "power_bound" record of one row.
     """
     monkeypatch.setattr(concavity, "triple_invariant", _fake_triple_invariant)
+    monkeypatch.setattr(concavity, "_box_invariant", _fake_triple_invariant)
     rep = alpha_scan(2, 1, 5)
     assert rep.checked == 111
     assert rep.violations == [
@@ -631,8 +633,11 @@ def test_triple_scan_counts_match_ws3_oracle(rank, bound):
 
 @pytest.mark.parametrize("fake", [False, True])
 def test_triple_scans_match_ws3_oracle_scans(fake, monkeypatch):
+    """The scans read pair decompositions and the oracles count LR tableaux,
+    so unfaked this compares the two routes on whole reports."""
     if fake:
         monkeypatch.setattr(concavity, "triple_invariant", _fake_triple_invariant)
+        monkeypatch.setattr(concavity, "_box_invariant", _fake_triple_invariant)
     for bound, rank, pq in ((2, 2, 7), (1, 4, 4)):
         rep = conjecture1_scan(bound, rank, pq)
         assert (rep.checked, rep.violations) == _oracle_conjecture1_scan(bound, rank, pq)

@@ -15,7 +15,7 @@ from logcave.lr import (
     tensor_square_multiplicities,
     triple_invariant,
 )
-from logcave.concavity import _midpoint_pairs
+from logcave.concavity import _midpoint_pairs, _sum_zero_triples
 from logcave.partitions import (
     SkewShape,
     contains,
@@ -264,6 +264,30 @@ def test_brauer_klimyk_matches_lr_route_on_signed_weights(data):
     assert tensor_product_multiplicities(nu, mu) == lr_route_decomposition(mu, nu)
 
 
+@pytest.mark.parametrize("cached", [False, True])
+@pytest.mark.parametrize("rank, bound", [(3, 3), (4, 2)])
+def test_box_invariant_matches_triple_invariant_on_every_slice_triple(
+    rank, bound, cached, tmp_path, monkeypatch
+):
+    """Pair decompositions against LR tableau counts, one value per slice triple."""
+    ws = list(dominant_weights(rank, -bound, bound))
+    triples = list(_sum_zero_triples(ws, ws, ws))
+    monkeypatch.delenv("LOGCAVE_CACHE_DIR", raising=False)
+    lrmod.reset_default_cache()
+    expected = {t: triple_invariant(t) for t in triples}
+    if cached:
+        monkeypatch.setenv("LOGCAVE_CACHE_DIR", str(tmp_path))
+    lrmod.reset_default_cache()
+    try:
+        assert {t: lrmod._box_invariant(t) for t in triples} == expected
+    finally:
+        lrmod.reset_default_cache()
+    assert sum(map(bool, expected.values())) > len(triples) // 3
+    if cached:
+        stored = LRCache(str(tmp_path / "lr_cache.txt"))
+        assert stored._memory == {(*t, rank): v for t, v in expected.items()}
+
+
 def test_tensor_product_returns_a_fresh_dict():
     mu, nu = (2, 0, -1), (1, 1, 0)
     first = tensor_product_multiplicities(mu, nu)
@@ -366,3 +390,47 @@ def test_cache_concurrent_access(tmp_path, monkeypatch):
     with open(path) as fh:
         for line in fh:
             assert line.endswith("\n") and len(line.strip().split(";")) == 5
+
+
+def test_cache_opens_its_file_once(tmp_path, monkeypatch):
+    path = str(tmp_path / "lr_cache.txt")
+    opened = []
+
+    def counted_open(*args, **kwargs):
+        opened.append(args)
+        return open(*args, **kwargs)
+
+    monkeypatch.setattr(lrmod, "open", counted_open, raising=False)
+    cache = LRCache(path)
+    assert opened == []  # no file yet, and nothing is opened until an append
+    for v in range(50):
+        assert cache.get_or_compute(((v,), (0,), (-v,), 1), lambda: v) == v
+    cache.close()
+    assert opened == [(path, "a+b")]
+    lines = (tmp_path / "lr_cache.txt").read_text().splitlines()
+    assert lines == [f"{v};0;{-v};1;{v}" for v in range(50)]
+
+
+def test_cache_closes_a_tail_torn_between_two_appends(tmp_path):
+    path = tmp_path / "lr_cache.txt"
+    cache = LRCache(str(path))
+    cache.get_or_compute(((1,), (0,), (-1,), 1), lambda: 1)
+    # a second writer dies mid-line while the first keeps its handle open
+    with open(path, "a", encoding="ascii") as fh:
+        fh.write("2;0;-2;1;")
+    cache.get_or_compute(((3,), (0,), (-3,), 1), lambda: 1)
+    cache.close()
+    assert path.read_text() == "1;0;-1;1;1\n2;0;-2;1;#\n3;0;-3;1;1\n"
+    assert len(LRCache(str(path))) == 2
+
+
+def test_reset_default_cache_closes_the_file(tmp_path, monkeypatch):
+    monkeypatch.setenv("LOGCAVE_CACHE_DIR", str(tmp_path))
+    lrmod.reset_default_cache()
+    try:
+        assert triple_invariant(((1, 0, -1),) * 3) == 2
+        handle = lrmod._default_cache()._fh
+        assert not handle.closed
+    finally:
+        lrmod.reset_default_cache()
+    assert handle.closed
