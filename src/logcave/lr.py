@@ -12,6 +12,7 @@ unchanged.
 
 from __future__ import annotations
 
+import atexit
 import os
 import threading
 from functools import lru_cache
@@ -333,21 +334,18 @@ class LRCache:
             self._memory[key] = value
             lam, mu, nu, n = key
             fields = [fmt_weight(w) for w in (lam, mu, nu)]
-            self._append(";".join([*fields, str(n), str(value)]))
+            line = ";".join([*fields, str(n), str(value)])
+            if self._fh is None:
+                self._fh = open(self._path, "a+b")
+            fh = self._fh
+            # another writer may have left a torn tail since the last append
+            if fh.seek(0, os.SEEK_END) > 0:
+                fh.seek(-1, os.SEEK_END)
+                if fh.read(1) != b"\n":
+                    line = "#\n" + line
+            fh.write((line + "\n").encode("ascii"))
+            fh.flush()
         return value
-
-    def _append(self, line: str) -> None:
-        """Write one whole line at the end of the file; the caller holds the lock."""
-        if self._fh is None:
-            self._fh = open(self._path, "a+b")
-        fh = self._fh
-        # another writer may have left a torn tail since the last append
-        if fh.seek(0, os.SEEK_END) > 0:
-            fh.seek(-1, os.SEEK_END)
-            if fh.read(1) != b"\n":
-                line = "#\n" + line
-        fh.write((line + "\n").encode("ascii"))
-        fh.flush()
 
     def close(self) -> None:
         """Close the file handle; a later append opens it again."""
@@ -363,12 +361,15 @@ class LRCache:
 @lru_cache(maxsize=None)
 def _default_cache() -> LRCache | None:
     """The cache file under $LOGCAVE_CACHE_DIR; None when it is unset, and
-    lr_skew_count's memo is then the only one."""
+    lr_skew_count's memo is then the only one.  Its handle is closed at
+    exit, or by reset_default_cache()."""
     cache_dir = os.environ.get("LOGCAVE_CACHE_DIR")
     if not cache_dir:
         return None
     os.makedirs(cache_dir, exist_ok=True)
-    return LRCache(os.path.join(cache_dir, "lr_cache.txt"))
+    cache = LRCache(os.path.join(cache_dir, "lr_cache.txt"))
+    atexit.register(cache.close)
+    return cache
 
 
 def reset_default_cache() -> None:
@@ -378,6 +379,7 @@ def reset_default_cache() -> None:
     cold-start measurement and after env changes.
     """
     if _default_cache.cache_info().currsize and (cache := _default_cache()) is not None:
+        atexit.unregister(cache.close)
         cache.close()
     _default_cache.cache_clear()
     _pair_row.cache_clear()

@@ -1,4 +1,5 @@
 import os
+import sys
 import threading
 
 import pytest
@@ -409,6 +410,33 @@ def test_cache_opens_its_file_once(tmp_path, monkeypatch):
     assert opened == [(path, "a+b")]
     lines = (tmp_path / "lr_cache.txt").read_text().splitlines()
     assert lines == [f"{v};0;{-v};1;{v}" for v in range(50)]
+
+
+def test_cache_threads_share_one_handle_without_losing_a_line(tmp_path):
+    path = tmp_path / "lr_cache.txt"
+    cache = LRCache(str(path))
+    keys = [((i,), (j,), (-i - j,), 1) for i in range(8) for j in range(100)]
+
+    def worker(i):
+        for key in keys[100 * i : 100 * (i + 1)]:
+            cache.get_or_compute(key, lambda: key[0][0] + 1)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        cache.close()
+    lines = path.read_text().splitlines(keepends=True)
+    assert len(lines) == len(keys) and all(line.endswith("\n") for line in lines)
+    reloaded = LRCache(str(path))
+    assert reloaded._memory == {key: key[0][0] + 1 for key in keys}
 
 
 def test_cache_closes_a_tail_torn_between_two_appends(tmp_path):
