@@ -396,10 +396,6 @@ _SCANNERS = {
 }
 
 
-# the scanners whose triple invariants go through the LR cache file
-_CACHED_SCANNERS = ("conj1", "saturation", "alpha")
-
-
 def _check_scan_args(args) -> None:
     """Raise ParseError for an option value that would make the scan vacuous or
     invalid, or for a $LOGCAVE_CACHE_DIR the scan could not use."""
@@ -412,17 +408,6 @@ def _check_scan_args(args) -> None:
             )
     if args.scanner == "restriction" and args.k >= args.n:
         raise ParseError(f"verify restriction: --k must be < --n, got {args.k} >= {args.n}")
-    cache_dir = os.environ.get("LOGCAVE_CACHE_DIR")
-    if cache_dir and args.scanner in _CACHED_SCANNERS:
-        # the scan makes the missing directories; the deepest part that exists must be one
-        existing = cache_dir
-        while not os.path.lexists(existing):
-            existing = os.path.dirname(existing) or "."
-        if not os.path.isdir(existing):
-            raise ParseError(
-                f"verify {args.scanner}: LOGCAVE_CACHE_DIR={cache_dir} cannot hold the "
-                f"LR cache, because {existing} is not a directory"
-            )
     if args.out:
         # the CSV summary too, so that neither file is written unless both can be
         for path in (args.out, _csv_path(args.out)):
@@ -431,6 +416,17 @@ def _check_scan_args(args) -> None:
                     f"verify {args.scanner}: --out must name a file in an existing "
                     f"directory, and {path} is not one"
                 )
+    cache_dir = os.environ.get("LOGCAVE_CACHE_DIR")
+    if cache_dir and args.scanner in ("conj1", "saturation", "alpha"):
+        # these scans keep their triple invariants in the LR cache file, and
+        # making its directory is the first thing they would do
+        try:
+            os.makedirs(cache_dir, exist_ok=True)
+        except OSError as exc:
+            raise ParseError(
+                f"verify {args.scanner}: LOGCAVE_CACHE_DIR={cache_dir} cannot hold the "
+                f"LR cache ({exc.strerror})"
+            ) from None
 
 
 def run_scan(args) -> tuple[dict, int]:

@@ -589,9 +589,9 @@ def alpha_scan(rank_bound: int, entry_bound: int, pq_bound: int = 2) -> Concavit
     instances are the triples in ws**3 with an integral image, counted
     arithmetically by _circulant_count.  Instances with a vanishing
     original invariant pass outright, so only the sum-zero slice is
-    visited, in ws**3 order, and invariants are looked up only there, read
-    from pair decompositions.  An image is integral only when the three
-    weights agree mod p+q (see _circulant_count), which is tested first.
+    visited, in ws**3 order, and invariants are looked up only there.  An
+    image is integral only when the three weights agree mod p+q (see
+    _circulant_count), which is tested first.
     """
     pq_pairs = _primitive_pq(pq_bound)
     violations = []
@@ -606,11 +606,10 @@ def alpha_scan(rank_bound: int, entry_bound: int, pq_bound: int = 2) -> Concavit
                 lam, mu, nu = t
                 if not residue[lam] == residue[mu] == residue[nu]:
                     continue
-                v1 = _box_invariant(t)
+                v1 = triple_invariant(t)
                 if v1 == 0:
                     continue
-                t2 = _circulant_image(t, p, q)
-                v2 = _box_invariant(t2)
+                v2 = triple_invariant(_circulant_image(t, p, q))
                 if v2 < v1:
                     violations.append(
                         {

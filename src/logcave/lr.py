@@ -12,7 +12,6 @@ unchanged.
 
 from __future__ import annotations
 
-import atexit
 import os
 import threading
 from functools import lru_cache
@@ -152,35 +151,29 @@ def triple_invariant(t: WeightTriple) -> int:
     lam, mu, nu = t
     if sum(lam) + sum(mu) + sum(nu) != 0:
         return 0
-    cache = _default_cache()
-    if cache is None:
-        return _lr_count(dual_weight(lam), mu, nu)
-    return cache.get_or_compute((lam, mu, nu, n), lambda: _lr_count(dual_weight(lam), mu, nu))
+    return _through_cache((lam, mu, nu, n), lambda: _lr_count(dual_weight(lam), mu, nu))
 
 
 def _box_invariant(t: WeightTriple) -> int:
     """triple_invariant(t) read from the decomposition of V^lam (x) V^mu.
 
-    t must be a sum-zero triple of dominant weights of one rank, as the box
-    scans take them from their slice; nothing is checked.  The invariant is
-    the multiplicity of V^{dual nu} in V^lam (x) V^mu, so one memoised
-    decomposition serves every nu of a pair.  With a cache file the value
-    goes through it under triple_invariant's key, so the file gets the same
-    lines, and the decomposition is built only on a miss.
+    t must be a sum-zero triple of dominant weights of one rank, as
+    conjecture1_scan takes them from its box; nothing is checked.  The
+    invariant is the multiplicity of V^{dual nu} in V^lam (x) V^mu, so one
+    memoised decomposition serves every nu of a pair.  With a cache file
+    the value goes through it under triple_invariant's key, so the file
+    gets the same lines, and the decomposition is built only on a miss.
     """
     lam, mu, nu = t
-    cache = _default_cache()
-    if cache is None:
-        return _pair_row(lam, mu).get(nu, 0)
-    return cache.get_or_compute((lam, mu, nu, len(lam)), lambda: _pair_row(lam, mu).get(nu, 0))
+    return _through_cache((lam, mu, nu, len(lam)), lambda: _pair_row(lam, mu).get(nu, 0))
 
 
 @lru_cache(maxsize=1)
 def _pair_row(lam: GLWeight, mu: GLWeight) -> dict[GLWeight, int]:
     """nu -> the multiplicity of V^{dual nu} in V^lam (x) V^mu.
 
-    One row at a time: the box scans look up the triples of a pair (lam, mu)
-    one after another.
+    One row at a time: conjecture1_scan looks up the triples of a pair
+    (lam, mu) one after another.
     """
     return {dual_weight(w): c for w, c in tensor_product_multiplicities(lam, mu).items()}
 
@@ -361,15 +354,20 @@ class LRCache:
 @lru_cache(maxsize=None)
 def _default_cache() -> LRCache | None:
     """The cache file under $LOGCAVE_CACHE_DIR; None when it is unset, and
-    lr_skew_count's memo is then the only one.  Its handle is closed at
-    exit, or by reset_default_cache()."""
+    lr_skew_count's memo is then the only one."""
     cache_dir = os.environ.get("LOGCAVE_CACHE_DIR")
     if not cache_dir:
         return None
     os.makedirs(cache_dir, exist_ok=True)
-    cache = LRCache(os.path.join(cache_dir, "lr_cache.txt"))
-    atexit.register(cache.close)
-    return cache
+    return LRCache(os.path.join(cache_dir, "lr_cache.txt"))
+
+
+def _through_cache(key: tuple, compute: Callable[[], int]) -> int:
+    """compute(), through the default cache under key when there is one."""
+    cache = _default_cache()
+    if cache is None:
+        return compute()
+    return cache.get_or_compute(key, compute)
 
 
 def reset_default_cache() -> None:
@@ -379,7 +377,6 @@ def reset_default_cache() -> None:
     cold-start measurement and after env changes.
     """
     if _default_cache.cache_info().currsize and (cache := _default_cache()) is not None:
-        atexit.unregister(cache.close)
         cache.close()
     _default_cache.cache_clear()
     _pair_row.cache_clear()

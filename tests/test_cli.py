@@ -296,19 +296,6 @@ def test_cli_closed_pipe_is_exit_141_without_traceback():
     assert err == ""
 
 
-def test_cli_closes_the_lr_cache_file_at_exit(tmp_path):
-    # -X dev reports a file left open at exit as a ResourceWarning
-    env = dict(os.environ, PYTHONPATH=str(SRC), LOGCAVE_CACHE_DIR=str(tmp_path / "cache"))
-    out = tmp_path / "report.json"
-    argv = ["verify", "conj1", "--bound", "1", "--rank", "2", "--pq", "2", "--out", str(out)]
-    proc = subprocess.run(
-        [sys.executable, "-X", "dev", "-m", "logcave.cli", *argv],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 0 and proc.stderr == ""
-    assert (tmp_path / "cache" / "lr_cache.txt").read_text().endswith("\n")
-
-
 def test_cli_usage_error_is_exit_2():
     assert main(["verify", "nonsense"]) == 2
     assert main([]) == 2

@@ -496,7 +496,6 @@ def test_alpha_and_saturation_violation_records(monkeypatch):
     emits a "saturation" record before a "power_bound" record of one row.
     """
     monkeypatch.setattr(concavity, "triple_invariant", _fake_triple_invariant)
-    monkeypatch.setattr(concavity, "_box_invariant", _fake_triple_invariant)
     rep = alpha_scan(2, 1, 5)
     assert rep.checked == 111
     assert rep.violations == [
@@ -633,7 +632,7 @@ def test_triple_scan_counts_match_ws3_oracle(rank, bound):
 
 @pytest.mark.parametrize("fake", [False, True])
 def test_triple_scans_match_ws3_oracle_scans(fake, monkeypatch):
-    """The scans read pair decompositions and the oracles count LR tableaux,
+    """conj1 reads pair decompositions and its oracle counts LR tableaux,
     so unfaked this compares the two routes on whole reports."""
     if fake:
         monkeypatch.setattr(concavity, "triple_invariant", _fake_triple_invariant)
