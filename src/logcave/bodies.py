@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from operator import add
 
@@ -177,12 +178,18 @@ def subspace_product(s1: PolynomialSubspace, s2: PolynomialSubspace) -> Polynomi
 
     The products of the pivots span 1 = 1 * 1 and, by Gauss's lemma, are
     primitive with positive leads, so they go to the elimination unchecked.
+    When every pivot of both factors is a monomial, so is every product,
+    and the distinct exponent sums are already the pivots.
     """
     if s1.dim != s2.dim:
         raise ValueError("dimension mismatch")
     s = object.__new__(PolynomialSubspace)
     s.dim = s1.dim
-    s._pivots = _echelon(_product(f, g) for f in s1._pivots.values() for g in s2._pivots.values())
+    if all(len(p) == 1 for p in (*s1._pivots.values(), *s2._pivots.values())):
+        sums = {tuple(map(add, e1, e2)) for e1 in s1._pivots for e2 in s2._pivots}
+        s._pivots = {e: {e: 1} for e in sorted(sums)}
+    else:
+        s._pivots = _echelon(_product(f, g) for f in s1._pivots.values() for g in s2._pivots.values())
     return s
 
 
@@ -324,10 +331,16 @@ def _fit_degree(dims: list[int], d: int) -> DegreeEstimate:
     )
 
 
+@lru_cache(maxsize=1)
 def _pair_bodies(
     s1: PolynomialSubspace, s2: PolynomialSubspace, k_max: int
 ) -> tuple[BodyApprox, BodyApprox, BodyApprox]:
-    """The level-k_max bodies of s1, s2 and their product, at one scale."""
+    """The level-k_max bodies of s1, s2 and their product, at one scale.
+
+    Memoised for the last pair, so that the two checks on one pair build
+    the bodies once.  Subspaces compare by identity, and the memo holds
+    them, so a new subspace object never meets a stale entry.
+    """
     if s1.dim != s2.dim:
         raise ValueError("dimension mismatch")
     b1 = body_approximation(s1, k_max)

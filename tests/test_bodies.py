@@ -457,3 +457,76 @@ def test_product_dimension_growth():
         v1 = normalized_volume(body_approximation(s, 1))
         v2 = normalized_volume(body_approximation(s2, 1))
         assert v2 == 2**d * v1
+
+
+def _eliminated_product(s1, s2) -> PolynomialSubspace:
+    """The product by the elimination route, as the oracle."""
+    s = object.__new__(PolynomialSubspace)
+    s.dim = s1.dim
+    s._pivots = bodies._echelon(
+        bodies._product(f, g) for f in s1._pivots.values() for g in s2._pivots.values()
+    )
+    return s
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_monomial_products_match_the_elimination_route(dim):
+    rng = random.Random(20 + dim)
+    box = {1: 6, 2: 3, 3: 2}[dim]
+    for _ in range(8):
+        s, t = (
+            monomial_subspace(
+                dim, [tuple(rng.randint(0, box) for _ in range(dim)) for _ in range(rng.randint(1, 4))]
+            )
+            for _ in range(2)
+        )
+        assert subspace_product(s, t).basis == _eliminated_product(s, t).basis
+        # each level of the oracle tower multiplies the oracle's own previous level
+        tower, oracle = bodies._power_tower(s, 5), s
+        for k, sk in enumerate(tower[1:], start=2):
+            oracle = _eliminated_product(oracle, s)
+            assert sk.basis == oracle.basis, (k, sorted(s._pivots))
+            assert all(p == {v: 1} for v, p in sk._pivots.items())
+
+
+def test_a_two_term_pivot_takes_the_elimination_route(monkeypatch):
+    gens = [{(0, 0): 1}, {(1, 0): 1, (0, 1): 2}, {(0, 2): 1}]
+    mixed = PolynomialSubspace(2, [MultiPolynomial(2, g) for g in gens])
+    square = monomial_subspace(2, [(1, 0), (0, 1), (1, 1)])
+    eliminations = []
+    real = bodies._echelon
+    monkeypatch.setattr(bodies, "_echelon", lambda rows: eliminations.append(1) or real(rows))
+    for s1, s2 in ((mixed, square), (square, mixed)):
+        product = subspace_product(s1, s2)
+        assert product.basis == _eliminated_product(s1, s2).basis
+        products = [_dict_product(f, g) for f in gens for g in square._pivots.values()]
+        assert product.dimension == _rank(products)
+    assert len(eliminations) == 4  # two products, two oracle runs
+    subspace_product(square, square)
+    assert len(eliminations) == 4
+
+
+def test_pair_bodies_are_built_once_and_never_stale(monkeypatch):
+    calls = []
+    real = bodies.body_approximation
+    monkeypatch.setattr(
+        bodies, "body_approximation", lambda s, k: calls.append((s, k)) or real(s, k)
+    )
+    bodies._pair_bodies.cache_clear()
+    s1 = monomial_subspace(2, [(1, 0), (0, 2)])
+    s2 = monomial_subspace(2, [(1, 1), (2, 0)])
+    assert minkowski_inclusion_check(s1, s2, 3) == (True, None)
+    r = brunn_minkowski_check(s1, s2, 3)
+    assert r.passed and len(calls) == 3
+
+    def cold(a, b, k):
+        return tuple(real(s, k) for s in (a, b, subspace_product(a, b)))
+
+    # another k_max, swapped operands, an equal but new subspace, and the
+    # first pair again once the memo has moved on: each a fresh build
+    twin = monomial_subspace(2, [(1, 0), (0, 2)])
+    for a, b, k in ((s1, s2, 4), (s2, s1, 4), (twin, s2, 4), (s1, s2, 3)):
+        del calls[:]
+        got = bodies._pair_bodies(a, b, k)
+        assert len(calls) == 3 and calls[:2] == [(a, k), (b, k)]
+        assert got == cold(a, b, k)

@@ -347,6 +347,7 @@ def test_cache_torn_tail_is_ignored_and_closed(tmp_path):
     c1 = LRCache(path)
     assert len(c1) == 1
     assert c1.get_or_compute(key, lambda: 12) == 12
+    c1.close()
     with open(path, encoding="ascii") as fh:
         text = fh.read()
     assert text == whole + "1,0,-1;1,0,-1;1,0,-1;3;1#\n1,0,-1;1,0,-1;1,0,-1;3;12\n"
@@ -360,11 +361,14 @@ def test_cache_closed_fragment_without_recompute_stays_unloaded(tmp_path):
     path = os.path.join(tmp_path, "lr_cache.txt")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("1,0,-1;1,0,-1;1,0,-1;3;1")
-    LRCache(path).get_or_compute(((0,), (0,), (0,), 1), lambda: 1)
+    c1 = LRCache(path)
+    c1.get_or_compute(((0,), (0,), (0,), 1), lambda: 1)
+    c1.close()
     c2 = LRCache(path)
     assert len(c2) == 1
     t = ((1, 0, -1), (1, 0, -1), (1, 0, -1))
     assert c2.get_or_compute((*t, 3), lambda: 2) == 2
+    c2.close()
 
 
 def test_cache_concurrent_access(tmp_path, monkeypatch):
