@@ -19,6 +19,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from math import comb, gcd
+from operator import mul
 from typing import Callable, Iterator, Sequence
 
 from .lr import (
@@ -118,9 +119,53 @@ def _midpoint_count(points: Sequence[tuple[int, ...]], p: int, q: int, power: in
     return ordered**power
 
 
+class _Packing:
+    """Integer vectors of one length with entries in [lo, hi], each packed into one integer.
+
+    x packs to K(x) = sum((x_i - lo) * base**(length - 1 - i)), base the
+    least power of 256 above hi - lo, so x_0 is the most significant digit
+    and keys sort as their vectors do.  K is affine, so for A = B mod
+    m = p+q entrywise and C = (p*A + q*B) / m, p*K(A) + q*K(B) = m*K(C)
+    exactly, carries or not: the midpoint's key is (p*kA + q*kB) // m, and
+    C is again in the box.
+    """
+
+    def __init__(self, length: int, lo: int, hi: int):
+        self.length, self.lo = length, lo
+        self.width = max(1, ((hi - lo).bit_length() + 7) // 8)  # bytes per digit
+        base = 256**self.width
+        self._weights = [base ** (length - 1 - i) for i in range(length)]
+        self._offset = lo * sum(self._weights)
+
+    def pack(self, x: Sequence[int]) -> int:
+        return sum(map(mul, x, self._weights)) - self._offset
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        w, lo = self.width, self.lo
+        raw = key.to_bytes(self.length * w, "big")
+        return tuple(int.from_bytes(raw[i : i + w], "big") + lo for i in range(0, len(raw), w))
+
+    def classes(self, keys: Sequence[int], m: int) -> list[list[int]]:
+        """keys bucketed by their vectors mod m entrywise.
+
+        Classes come in sorted residue order, members in input order.
+        """
+        if self.width == 1 and m <= 256:
+            # one byte per digit: the residues are the key's bytes, translated
+            table = bytes((d + self.lo) % m for d in range(256))
+            residues = (k.to_bytes(self.length, "big").translate(table) for k in keys)
+        else:
+            residues = (_residue(self.unpack(k), m) for k in keys)
+        classes: dict = {}
+        for k, r in zip(keys, residues):
+            classes.setdefault(r, []).append(k)
+        return [classes[r] for r in sorted(classes)]
+
+
 def _midpoint_scan(
-    points: Sequence[tuple[int, ...]],
-    values: dict[tuple[int, ...], int],
+    box: _Packing,
+    keys: Sequence[int],
+    values: dict[int, int],
     p: int,
     q: int,
     fmt: Callable,
@@ -128,29 +173,48 @@ def _midpoint_scan(
 ) -> list[dict]:
     """Check F(C)**(p+q) >= F(A)**p * F(B)**q over the integral-midpoint pairs.
 
-    Points are integer vectors, each scanner laying out its own domain.
-    values is the complete table of F on the domain, absent keys reading
-    as zero.  Every domain scanned here is convex, so each midpoint
-    C = (p*A + q*B) / (p+q) is again in the domain and
-    values.get(C, 0) is exact.  Only pairs of points with two nonzero
-    values are evaluated: the others pass outright, so points may be just
-    the support of F, and _midpoint_count counts the instances.  Returns
-    the violation records in pair order: the caller's fixed keys, then A,
-    B and C formatted by fmt, then "values" [F(A), F(B), F(C)] as decimal
-    strings.
+    Points are integer vectors, each scanner laying out its own domain,
+    and keys are the domain's points packed by box, in the order
+    _midpoint_pairs would take the points.  values is the complete table
+    of F keyed the same way, absent keys reading as zero.  Every midpoint
+    C = (p*A + q*B) / (p+q) lies in the box, so values.get(K(C), 0) is
+    exact.  Only pairs of points with two nonzero values are evaluated:
+    the others pass outright, so keys may be just the support of F, and
+    _midpoint_count counts the instances.  The pairs with A == B pass too,
+    F(A)**(p+q) being F(A)**p * F(A)**q, so a class of one point is
+    skipped, and for p == q so is the diagonal of every class.  F**p and
+    F**q are computed once per class member.  Returns the violation
+    records in _midpoint_pairs order: the caller's fixed keys, then A, B
+    and C unpacked and formatted by fmt, then "values" [F(A), F(B), F(C)]
+    as decimal strings.
     """
     m = p + q
-    support = [x for x in points if values.get(x)]
+    get = values.get
     violations = []
-    for a, b in _midpoint_pairs(support, p, q):
-        fa, fb = values[a], values[b]
-        # the pairing makes every entry divisible by m
-        c = tuple((p * x + q * y) // m for x, y in zip(a, b))
-        fc = values.get(c, 0)
-        if fc**m < fa**p * fb**q:
-            violations.append(
-                dict(fixed, a=fmt(a), b=fmt(b), c=fmt(c), values=[str(fa), str(fb), str(fc)])
-            )
+    for members in box.classes([k for k in keys if get(k)], m):
+        if len(members) < 2:
+            continue
+        a_pows = [values[k] ** p for k in members]
+        b_pows = a_pows if p == q else [values[k] ** q for k in members]
+        b_keys = [q * k for k in members]
+        for i, (k, a_pow) in enumerate(zip(members, a_pows)):
+            a_key, start = p * k, i + 1 if p == q else 0
+            bad = [
+                b_key
+                for b_key, b_pow in zip(b_keys[start:], b_pows[start:])
+                if get((a_key + b_key) // m, 0) ** m < a_pow * b_pow
+            ]
+            for b_key in bad:
+                kb, kc = b_key // q, (a_key + b_key) // m
+                violations.append(
+                    dict(
+                        fixed,
+                        a=fmt(box.unpack(k)),
+                        b=fmt(box.unpack(kb)),
+                        c=fmt(box.unpack(kc)),
+                        values=[str(values[k]), str(values[kb]), str(get(kc, 0))],
+                    )
+                )
     return violations
 
 
@@ -284,10 +348,11 @@ def _skew_pair_scan(worker, max_weight: int, jobs: int) -> ConcavityReport:
     shapes = skew_shapes_up_to(max_weight)
     rows = max((len(lam) for lam, _ in shapes), default=1)
     layout = {pad(lam, rows) + pad(mu, rows): (lam, mu) for lam, mu in shapes}
-    units = [(layout[a], layout[b]) for a, b in _midpoint_pairs(list(layout), 1, 1)]
+    # a diagonal unit compares multiply(x, x) with itself, so it always passes
+    units = [(layout[a], layout[b]) for a, b in _midpoint_pairs(list(layout), 1, 1) if a != b]
     results = _run_units(worker, units, jobs)
     return ConcavityReport(
-        checked=len(units),
+        checked=_midpoint_count(list(layout), 1, 1),
         violations=[r for r in results if r is not None],
         params={"max_weight": max_weight, "pairs": "unordered"},
     )
@@ -373,12 +438,14 @@ def conjecture1_scan(weight_bound: int, rank_bound: int, pq_bound: int = 2) -> C
     checked = 0
     for rank in range(1, rank_bound + 1):
         ws = list(dominant_weights(rank, -weight_bound, weight_bound))
-        values: dict[tuple[int, ...], int] = {}
+        box = _Packing(3 * rank, -weight_bound, weight_bound)
+        values: dict[int, int] = {}
         for a, b, c in _sum_zero_triples(ws, ws, ws):
             v = _box_invariant((a, b, c))
             if v:
-                values[a + b + c] = v
-        # ascending order orients every unordered (1, 1) pair as a <= b
+                values[box.pack(a + b + c)] = v
+        # keys sort as their vectors do: ascending order orients every
+        # unordered (1, 1) pair as a <= b
         support = sorted(values)
 
         def fmt(x, rank=rank):
@@ -388,7 +455,9 @@ def conjecture1_scan(weight_bound: int, rank_bound: int, pq_bound: int = 2) -> C
             if p > q:
                 continue
             checked += _midpoint_count(ws, p, q, 3)
-            violations += _midpoint_scan(support, values, p, q, fmt, {"rank": rank, "p": p, "q": q})
+            violations += _midpoint_scan(
+                box, support, values, p, q, fmt, {"rank": rank, "p": p, "q": q}
+            )
     violations.sort(key=lambda v: (v["rank"], v["p"], v["q"], v["a"], v["b"]))
     return ConcavityReport(
         checked=checked,
@@ -727,9 +796,10 @@ def weyl_logconcavity_scan(rank: int, entry_bound: int) -> ConcavityReport:
     checked = 0
     for r in range(1, rank + 1):
         ws = list(dominant_weights(r, 0, entry_bound))
-        dims = {w: weyl_dimension(w) for w in ws}
+        box = _Packing(r, 0, entry_bound)
+        dims = {box.pack(w): weyl_dimension(w) for w in ws}
         checked += _midpoint_count(ws, 1, 1)
-        violations += _midpoint_scan(ws, dims, 1, 1, fmt_weight, {"rank": r})
+        violations += _midpoint_scan(box, list(dims), dims, 1, 1, fmt_weight, {"rank": r})
     return ConcavityReport(
         checked=checked,
         violations=violations,
@@ -746,18 +816,20 @@ def restriction_logconcavity_scan(n: int, k: int, weight_bound: int) -> Concavit
     """
     if k >= n:
         raise ValueError("need k < n")
-    values = {
-        pad(lam, n) + pad(mu, k): restriction_multiplicity(lam, mu, n, k)
-        for lam in partitions_up_to(weight_bound, max_parts=n)
-        for mu in partitions_up_to(weight_bound, max_parts=k)
-    }
+    box = _Packing(n + k, 0, weight_bound)
+    points, values = [], {}
+    for lam in partitions_up_to(weight_bound, max_parts=n):
+        for mu in partitions_up_to(weight_bound, max_parts=k):
+            x = pad(lam, n) + pad(mu, k)
+            points.append(x)
+            values[box.pack(x)] = restriction_multiplicity(lam, mu, n, k)
 
     def fmt(x):
         return str(SkewShape(x[:n], x[n:]))
 
-    checked = _midpoint_count(list(values), 1, 1)
+    checked = _midpoint_count(points, 1, 1)
     # a nonzero multiplicity needs mu inside lam, and averaging keeps that
-    violations = _midpoint_scan(list(values), values, 1, 1, fmt, {})
+    violations = _midpoint_scan(box, list(values), values, 1, 1, fmt, {})
     return ConcavityReport(
         checked=checked,
         violations=violations,

@@ -1,6 +1,7 @@
 import multiprocessing
 import random
 from collections import Counter
+from itertools import product
 from operator import itemgetter
 
 import pytest
@@ -296,9 +297,72 @@ def test_midpoint_engine_matches_brute_force(p, q):
                 {"p": p, "a": str(a), "b": str(b), "c": str(c), "values": [str(fa), str(fb), str(fc)]}
             )
     assert concavity._midpoint_count(points, p, q) == len(pairs)
-    violations = concavity._midpoint_scan(points, values, p, q, str, {"p": p})
+    violations = _packed_midpoint_scan(points, values, p, q, str, {"p": p}, -2, 4)
     key = itemgetter("a", "b")
     assert expected and sorted(violations, key=key) == sorted(expected, key=key)
+
+
+def _oracle_midpoint_scan(points, values, p, q, fmt, fixed):
+    """The pair engine on tuple keys, one midpoint tuple per pair, diagonal included."""
+    m = p + q
+    support = [x for x in points if values.get(x)]
+    violations = []
+    for a, b in concavity._midpoint_pairs(support, p, q):
+        fa, fb = values[a], values[b]
+        c = tuple((p * x + q * y) // m for x, y in zip(a, b))
+        fc = values.get(c, 0)
+        if fc**m < fa**p * fb**q:
+            violations.append(
+                dict(fixed, a=fmt(a), b=fmt(b), c=fmt(c), values=[str(fa), str(fb), str(fc)])
+            )
+    return violations
+
+
+def _packed_midpoint_scan(points, values, p, q, fmt, fixed, lo, hi):
+    box = concavity._Packing(len(points[0]), lo, hi)
+    packed = {box.pack(x): v for x, v in values.items()}
+    return concavity._midpoint_scan(box, [box.pack(x) for x in points], packed, p, q, fmt, fixed)
+
+
+@pytest.mark.parametrize("p, q", [(1, 1), (1, 2), (1, 4), (2, 3)])
+@pytest.mark.parametrize("dim", range(1, 10))
+def test_packed_engine_matches_tuple_oracle(dim, p, q):
+    """Same records in the same order as the tuple-keyed engine, on random
+    domains in boxes with negative entries and with entries past one byte,
+    random values with zeros, and a planted zero midpoint."""
+    m = p + q
+    rng = random.Random(100 * dim + 10 * p + q)
+    for lo, hi in ((-3, 3), (0, 12), (-20, -9), (-5, 300)):
+        # A and B = A + m*s share their class; their midpoint A + q*s is zero
+        a = tuple(rng.randint(lo, hi - m) for _ in range(dim))
+        s = [1] + [rng.randint(0, 1) for _ in range(dim - 1)]
+        b = tuple(x + m * y for x, y in zip(a, s))
+        c = tuple(x + q * y for x, y in zip(a, s))
+        randoms = [tuple(rng.randint(lo, hi) for _ in range(dim)) for _ in range(60)]
+        points = list(dict.fromkeys([c, *randoms[:30], b, *randoms[30:], a]))
+        rng.shuffle(points)
+        # few distinct values, so that many pairs are compared
+        values = {x: v for x in points if (v := rng.choice([0, 1, 2, 3, 3, 4, 9]))}
+        values[a], values[b] = rng.randint(1, 9), rng.randint(1, 9)
+        values.pop(c, None)
+        fixed = {"dim": dim}
+        want = _oracle_midpoint_scan(points, values, p, q, str, fixed)
+        assert want
+        assert _packed_midpoint_scan(points, values, p, q, str, fixed, lo, hi) == want
+
+
+@pytest.mark.parametrize(
+    "lo, hi", [(0, 0), (-3, 3), (0, 255), (-1, 255), (-300, 17), (-70000, 70000)]
+)
+def test_packing_round_trip_at_box_corners(lo, hi):
+    for dim in (1, 2, 5):
+        box = concavity._Packing(dim, lo, hi)
+        corners = [tuple(x) for x in product((lo, hi), repeat=dim)]
+        keys = [box.pack(x) for x in corners]
+        assert [box.unpack(k) for k in keys] == corners
+        assert box.pack((lo,) * dim) == 0
+        # keys sort as their vectors do
+        assert sorted(keys) == [box.pack(x) for x in sorted(corners)]
 
 
 def test_run_units_caps_workers_at_cpu_count(monkeypatch):
@@ -471,6 +535,20 @@ def test_skew_pair_scanner_violation_records(jobs, monkeypatch):
         _slm_record("3/2", "3", "", "-2"),
         _slm_record("3/3", "3/1", "1", "-2"),
     ]
+
+
+def test_skew_pair_scan_counts_but_does_not_evaluate_the_diagonal(monkeypatch):
+    """A shape paired with itself always passes, so no worker sees it."""
+    units = []
+
+    def recording(l1, m1, l3, m3):
+        units.append(((l1, m1), (l3, m3)))
+        return _fake_theorem1_verify(l1, m1, l3, m3)
+
+    monkeypatch.setattr(concavity, "theorem1_verify", recording)
+    rep = theorem1_scan(4)
+    assert units and all(a != b for a, b in units)
+    assert len(units) == rep.checked - len(skew_shapes_up_to(4))
 
 
 def _fake_saturation_invariant(t):
