@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import os
 import random
-from collections import Counter
 from dataclasses import dataclass
 from math import comb, gcd
 from operator import mul
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .lr import (
     WeightTriple,
@@ -71,54 +70,6 @@ class ConcavityReport:
 # ---------------------------------------------------------------------------
 
 
-def _residue(v: Sequence[int], m: int) -> tuple[int, ...]:
-    return tuple(x % m for x in v)
-
-
-def _class_sizes(points: Sequence[tuple[int, ...]], m: int) -> list[int]:
-    """Sizes of the classes of points mod m, entrywise."""
-    return list(Counter(_residue(x, m) for x in points).values())
-
-
-def _midpoint_pairs(points: Sequence[tuple[int, ...]], p: int, q: int):
-    """Yield every pair (A, B) of points whose midpoint (pA + qB)/(p+q) is integral.
-
-    p and q are coprime and positive, so pA + qB = p(A - B) + (p+q)B is
-    divisible by p+q exactly when A = B mod p+q entrywise.  Points are
-    bucketed by x mod p+q and the classes are visited in sorted
-    residue order.  For p == q (that is, p = q = 1) pairs are unordered
-    and each comes once, as (members[i], members[j]) with j >= i in input
-    order.  Otherwise pairs are ordered, every pair within a class.
-    """
-    m = p + q
-    classes: dict[tuple, list] = {}
-    for x in points:
-        classes.setdefault(_residue(x, m), []).append(x)
-    for r in sorted(classes):
-        members = classes[r]
-        for i, a in enumerate(members):
-            for b in members[i:] if p == q else members:
-                yield a, b
-
-
-def _midpoint_count(points: Sequence[tuple[int, ...]], p: int, q: int, power: int = 1) -> int:
-    """Number of pairs _midpoint_pairs yields over the domain points**power.
-
-    A member of points**power is a power-tuple of points, read as the
-    concatenation of its entries, and its class mod p+q is the tuple of
-    its entries' classes.  So class sizes multiply, and nothing beyond
-    points itself is enumerated: with n_r the size of class r of points,
-    the ordered pairs within classes number ordered**power, where
-    ordered = sum_r n_r**2.  For p == q pairs are unordered, a class of
-    size N giving N(N+1)/2 of them: (ordered**power + len(points)**power)/2
-    in all.
-    """
-    ordered = sum(n * n for n in _class_sizes(points, p + q))
-    if p == q:
-        return (ordered**power + len(points) ** power) // 2
-    return ordered**power
-
-
 class _Packing:
     """Integer vectors of one length with entries in [lo, hi], each packed into one integer.
 
@@ -145,21 +96,54 @@ class _Packing:
         raw = key.to_bytes(self.length * w, "big")
         return tuple(int.from_bytes(raw[i : i + w], "big") + lo for i in range(0, len(raw), w))
 
+    def residues(self, keys: Iterable[int], m: int) -> Iterator:
+        """Each key's vector mod m entrywise, comparing as the tuple of residues does."""
+        if self.width == 1 and m <= 256:
+            # one byte per digit: the residues are the key's bytes, translated
+            table = bytes((d + self.lo) % m for d in range(256))
+            return (k.to_bytes(self.length, "big").translate(table) for k in keys)
+        return (tuple(x % m for x in self.unpack(k)) for k in keys)
+
     def classes(self, keys: Sequence[int], m: int) -> list[list[int]]:
         """keys bucketed by their vectors mod m entrywise.
 
         Classes come in sorted residue order, members in input order.
         """
-        if self.width == 1 and m <= 256:
-            # one byte per digit: the residues are the key's bytes, translated
-            table = bytes((d + self.lo) % m for d in range(256))
-            residues = (k.to_bytes(self.length, "big").translate(table) for k in keys)
-        else:
-            residues = (_residue(self.unpack(k), m) for k in keys)
         classes: dict = {}
-        for k, r in zip(keys, residues):
+        for k, r in zip(keys, self.residues(keys, m)):
             classes.setdefault(r, []).append(k)
         return [classes[r] for r in sorted(classes)]
+
+
+def _unordered_pairs(box: _Packing, keys: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """The unordered pairs of distinct keys with an integral midpoint (A + B)/2.
+
+    Classes mod 2 come in sorted residue order, pairs within a class as
+    (members[i], members[j]) with i < j in input order.
+    """
+    for members in box.classes(keys, 2):
+        for i, a in enumerate(members):
+            for b in members[i + 1 :]:
+                yield a, b
+
+
+def _midpoint_count(box: _Packing, keys: Sequence[int], p: int, q: int, power: int = 1) -> int:
+    """Number of pairs (A, B) with (pA + qB)/(p+q) integral over the domain points**power.
+
+    keys are the domain's points packed by box.  p and q are coprime, so
+    pA + qB = p(A - B) + (p+q)B is divisible by p+q exactly when A = B mod
+    p+q entrywise.  A member of points**power is a power-tuple of points,
+    read as the concatenation of its entries, and its class mod p+q is the
+    tuple of its entries' classes.  So class sizes multiply, and nothing
+    beyond points itself is enumerated: with n_r the size of class r of
+    points, the ordered pairs within classes number ordered**power, where
+    ordered = sum_r n_r**2.  For p == q pairs are unordered, diagonal
+    included: (ordered**power + len(keys)**power)/2 in all.
+    """
+    ordered = sum(len(c) ** 2 for c in box.classes(keys, p + q))
+    if p == q:
+        return (ordered**power + len(keys) ** power) // 2
+    return ordered**power
 
 
 def _midpoint_scan(
@@ -174,19 +158,20 @@ def _midpoint_scan(
     """Check F(C)**(p+q) >= F(A)**p * F(B)**q over the integral-midpoint pairs.
 
     Points are integer vectors, each scanner laying out its own domain,
-    and keys are the domain's points packed by box, in the order
-    _midpoint_pairs would take the points.  values is the complete table
-    of F keyed the same way, absent keys reading as zero.  Every midpoint
-    C = (p*A + q*B) / (p+q) lies in the box, so values.get(K(C), 0) is
-    exact.  Only pairs of points with two nonzero values are evaluated:
-    the others pass outright, so keys may be just the support of F, and
-    _midpoint_count counts the instances.  The pairs with A == B pass too,
-    F(A)**(p+q) being F(A)**p * F(A)**q, so a class of one point is
-    skipped, and for p == q so is the diagonal of every class.  F**p and
-    F**q are computed once per class member.  Returns the violation
-    records in _midpoint_pairs order: the caller's fixed keys, then A, B
-    and C unpacked and formatted by fmt, then "values" [F(A), F(B), F(C)]
-    as decimal strings.
+    and keys are the domain's points packed by box.  values is the
+    complete table of F keyed the same way, absent keys reading as zero.
+    Every midpoint C = (p*A + q*B) / (p+q) lies in the box, so
+    values.get(K(C), 0) is exact.  Only pairs of points with two nonzero
+    values are evaluated: the others pass outright, so keys may be just
+    the support of F, and _midpoint_count counts the instances.  The pairs
+    with A == B pass too, F(A)**(p+q) being F(A)**p * F(A)**q, so a class
+    of one point is skipped, and for p == q so is the diagonal of every
+    class.  F**p and F**q are computed once per class member.  Returns
+    the violation records class by class in sorted residue order, and
+    within a class by A, then B, each in input order (for p == q, B only
+    after A).  A record holds the caller's fixed keys, then A, B and C
+    unpacked and formatted by fmt, then "values" [F(A), F(B), F(C)] as
+    decimal strings.
     """
     m = p + q
     get = values.get
@@ -347,12 +332,13 @@ def _skew_pair_scan(worker, max_weight: int, jobs: int) -> ConcavityReport:
     """Run worker over every unordered integral-midpoint pair of skew shapes."""
     shapes = skew_shapes_up_to(max_weight)
     rows = max((len(lam) for lam, _ in shapes), default=1)
-    layout = {pad(lam, rows) + pad(mu, rows): (lam, mu) for lam, mu in shapes}
+    box = _Packing(2 * rows, 0, max_weight)
+    layout = {box.pack(pad(lam, rows) + pad(mu, rows)): (lam, mu) for lam, mu in shapes}
     # a diagonal unit compares multiply(x, x) with itself, so it always passes
-    units = [(layout[a], layout[b]) for a, b in _midpoint_pairs(list(layout), 1, 1) if a != b]
+    units = [(layout[a], layout[b]) for a, b in _unordered_pairs(box, list(layout))]
     results = _run_units(worker, units, jobs)
     return ConcavityReport(
-        checked=_midpoint_count(list(layout), 1, 1),
+        checked=_midpoint_count(box, list(layout), 1, 1),
         violations=[r for r in results if r is not None],
         params={"max_weight": max_weight, "pairs": "unordered"},
     )
@@ -438,6 +424,8 @@ def conjecture1_scan(weight_bound: int, rank_bound: int, pq_bound: int = 2) -> C
     checked = 0
     for rank in range(1, rank_bound + 1):
         ws = list(dominant_weights(rank, -weight_bound, weight_bound))
+        wbox = _Packing(rank, -weight_bound, weight_bound)
+        wkeys = [wbox.pack(w) for w in ws]
         box = _Packing(3 * rank, -weight_bound, weight_bound)
         values: dict[int, int] = {}
         for a, b, c in _sum_zero_triples(ws, ws, ws):
@@ -454,7 +442,7 @@ def conjecture1_scan(weight_bound: int, rank_bound: int, pq_bound: int = 2) -> C
         for p, q in _primitive_pq(pq_bound):
             if p > q:
                 continue
-            checked += _midpoint_count(ws, p, q, 3)
+            checked += _midpoint_count(wbox, wkeys, p, q, 3)
             violations += _midpoint_scan(
                 box, support, values, p, q, fmt, {"rank": rank, "p": p, "q": q}
             )
@@ -575,9 +563,12 @@ def logv_scan(rank_bound: int, entry_bound: int) -> ConcavityReport:
 
     For each rank r <= rank_bound the instances are the unordered pairs
     (mu, nu), diagonal included, of dominant weights with entries in
-    [-entry_bound, entry_bound] and mu + nu even, from _midpoint_pairs.
-    The midpoint of two such weights is again one of them, so each tensor
-    square is computed once per weight.  The inclusion is a theorem (Lam,
+    [-entry_bound, entry_bound] and mu + nu even.  The midpoint of two
+    such weights is again one of them, so each tensor square is computed
+    once per weight.  V^mu (x) V^mu is the tensor square of mu, so the
+    diagonal pairs pass: they are counted but not evaluated.  The others
+    come in classes of mu mod 2 in sorted residue order, and within a
+    class as (ws[i], ws[j]) with i < j.  The inclusion is a theorem (Lam,
     Postnikov and Pylyavskyy, Amer. J. Math. 129, 2007), so expected
     violations: none, ever; one would be a bug.
     """
@@ -585,10 +576,13 @@ def logv_scan(rank_bound: int, entry_bound: int) -> ConcavityReport:
     checked = 0
     for rank in range(1, rank_bound + 1):
         ws = list(dominant_weights(rank, -entry_bound, entry_bound))
-        squares = {w: tensor_square_multiplicities(w) for w in ws}
-        checked += _midpoint_count(ws, 1, 1)
-        for mu, nu in _midpoint_pairs(ws, 1, 1):
-            bad = _first_excess(tensor_product_multiplicities(mu, nu), squares[_mean(mu, nu)])
+        box = _Packing(rank, -entry_bound, entry_bound)
+        keys = [box.pack(w) for w in ws]
+        squares = {k: tensor_square_multiplicities(w) for k, w in zip(keys, ws)}
+        checked += _midpoint_count(box, keys, 1, 1)
+        for ka, kb in _unordered_pairs(box, keys):
+            mu, nu = box.unpack(ka), box.unpack(kb)
+            bad = _first_excess(tensor_product_multiplicities(mu, nu), squares[(ka + kb) // 2])
             if bad is not None:
                 violations.append(
                     {
@@ -639,15 +633,15 @@ def alpha_matrix_check(t: WeightTriple, p: int, q: int) -> tuple[bool, int, int]
     return v2 >= v1, v2, v1
 
 
-def _circulant_count(ws: Sequence[GLWeight], p: int, q: int) -> int:
-    """Number of triples in ws**3 with an integral circulant image.
+def _circulant_count(box: _Packing, keys: Sequence[int], p: int, q: int) -> int:
+    """Number of triples in ws**3 with an integral circulant image, keys ws packed.
 
     For coprime p, q the entry p*x + q*y = p(x - y) + (p+q)y of the image
     is divisible by p+q exactly when x = y mod p+q, so the image of
     (lam, mu, nu) is integral iff lam = mu = nu mod p+q entrywise.  The
     count is the sum of n_r**3 over the classes r of ws, n_r their sizes.
     """
-    return sum(n**3 for n in _class_sizes(ws, p + q))
+    return sum(len(c) ** 3 for c in box.classes(keys, p + q))
 
 
 def alpha_scan(rank_bound: int, entry_bound: int, pq_bound: int = 2) -> ConcavityReport:
@@ -667,10 +661,12 @@ def alpha_scan(rank_bound: int, entry_bound: int, pq_bound: int = 2) -> Concavit
     checked = 0
     for rank in range(1, rank_bound + 1):
         ws = list(dominant_weights(rank, -entry_bound, entry_bound))
+        box = _Packing(rank, -entry_bound, entry_bound)
+        keys = [box.pack(w) for w in ws]
         triples = list(_sum_zero_triples(ws, ws, ws))
         for p, q in pq_pairs:
-            checked += _circulant_count(ws, p, q)
-            residue = {w: _residue(w, p + q) for w in ws}
+            checked += _circulant_count(box, keys, p, q)
+            residue = dict(zip(ws, box.residues(keys, p + q)))
             for t in triples:
                 lam, mu, nu = t
                 if not residue[lam] == residue[mu] == residue[nu]:
@@ -798,8 +794,9 @@ def weyl_logconcavity_scan(rank: int, entry_bound: int) -> ConcavityReport:
         ws = list(dominant_weights(r, 0, entry_bound))
         box = _Packing(r, 0, entry_bound)
         dims = {box.pack(w): weyl_dimension(w) for w in ws}
-        checked += _midpoint_count(ws, 1, 1)
-        violations += _midpoint_scan(box, list(dims), dims, 1, 1, fmt_weight, {"rank": r})
+        keys = list(dims)
+        checked += _midpoint_count(box, keys, 1, 1)
+        violations += _midpoint_scan(box, keys, dims, 1, 1, fmt_weight, {"rank": r})
     return ConcavityReport(
         checked=checked,
         violations=violations,
@@ -817,19 +814,18 @@ def restriction_logconcavity_scan(n: int, k: int, weight_bound: int) -> Concavit
     if k >= n:
         raise ValueError("need k < n")
     box = _Packing(n + k, 0, weight_bound)
-    points, values = [], {}
+    values = {}
     for lam in partitions_up_to(weight_bound, max_parts=n):
         for mu in partitions_up_to(weight_bound, max_parts=k):
-            x = pad(lam, n) + pad(mu, k)
-            points.append(x)
-            values[box.pack(x)] = restriction_multiplicity(lam, mu, n, k)
+            values[box.pack(pad(lam, n) + pad(mu, k))] = restriction_multiplicity(lam, mu, n, k)
 
     def fmt(x):
         return str(SkewShape(x[:n], x[n:]))
 
-    checked = _midpoint_count(points, 1, 1)
+    keys = list(values)
+    checked = _midpoint_count(box, keys, 1, 1)
     # a nonzero multiplicity needs mu inside lam, and averaging keeps that
-    violations = _midpoint_scan(box, list(values), values, 1, 1, fmt, {})
+    violations = _midpoint_scan(box, keys, values, 1, 1, fmt, {})
     return ConcavityReport(
         checked=checked,
         violations=violations,

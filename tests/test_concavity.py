@@ -287,7 +287,7 @@ def test_midpoint_engine_matches_brute_force(p, q):
         for b in (points[i:] if p == q else points)
         if all((p * x + q * y) % m == 0 for x, y in zip(a, b))
     ]
-    assert sorted(concavity._midpoint_pairs(points, p, q)) == sorted(pairs)
+    assert sorted(_midpoint_pairs(points, p, q)) == sorted(pairs)
     expected = []
     for a, b in pairs:
         c = tuple((p * x + q * y) // m for x, y in zip(a, b))
@@ -296,10 +296,34 @@ def test_midpoint_engine_matches_brute_force(p, q):
             expected.append(
                 {"p": p, "a": str(a), "b": str(b), "c": str(c), "values": [str(fa), str(fb), str(fc)]}
             )
-    assert concavity._midpoint_count(points, p, q) == len(pairs)
+    # one byte per digit, then two bytes per digit, where residues come from unpacking
+    for hi in (4, 300):
+        box = concavity._Packing(2, -2, hi)
+        assert concavity._midpoint_count(box, [box.pack(x) for x in points], p, q) == len(pairs)
     violations = _packed_midpoint_scan(points, values, p, q, str, {"p": p}, -2, 4)
     key = itemgetter("a", "b")
     assert expected and sorted(violations, key=key) == sorted(expected, key=key)
+
+
+def _midpoint_pairs(points, p, q):
+    """Yield every pair (A, B) of points whose midpoint (pA + qB)/(p+q) is integral.
+
+    p and q are coprime and positive, so pA + qB = p(A - B) + (p+q)B is
+    divisible by p+q exactly when A = B mod p+q entrywise.  Points are
+    bucketed by x mod p+q and the classes are visited in sorted
+    residue order.  For p == q (that is, p = q = 1) pairs are unordered
+    and each comes once, as (members[i], members[j]) with j >= i in input
+    order.  Otherwise pairs are ordered, every pair within a class.
+    """
+    m = p + q
+    classes = {}
+    for x in points:
+        classes.setdefault(tuple(e % m for e in x), []).append(x)
+    for r in sorted(classes):
+        members = classes[r]
+        for i, a in enumerate(members):
+            for b in members[i:] if p == q else members:
+                yield a, b
 
 
 def _oracle_midpoint_scan(points, values, p, q, fmt, fixed):
@@ -307,7 +331,7 @@ def _oracle_midpoint_scan(points, values, p, q, fmt, fixed):
     m = p + q
     support = [x for x in points if values.get(x)]
     violations = []
-    for a, b in concavity._midpoint_pairs(support, p, q):
+    for a, b in _midpoint_pairs(support, p, q):
         fa, fb = values[a], values[b]
         c = tuple((p * x + q * y) // m for x, y in zip(a, b))
         fc = values.get(c, 0)
@@ -349,12 +373,22 @@ def test_packed_engine_matches_tuple_oracle(dim, p, q):
         want = _oracle_midpoint_scan(points, values, p, q, str, fixed)
         assert want
         assert _packed_midpoint_scan(points, values, p, q, str, fixed, lo, hi) == want
+        if p == q:
+            box = concavity._Packing(dim, lo, hi)
+            pairs = concavity._unordered_pairs(box, [box.pack(x) for x in points])
+            assert [(box.unpack(a), box.unpack(b)) for a, b in pairs] == [
+                (a, b) for a, b in _midpoint_pairs(points, 1, 1) if a != b
+            ]
 
 
 @pytest.mark.parametrize(
     "lo, hi", [(0, 0), (-3, 3), (0, 255), (-1, 255), (-300, 17), (-70000, 70000)]
 )
 def test_packing_round_trip_at_box_corners(lo, hi):
+    """Round trips, key order and residues mod m, at the corners of the box
+    and at random points inside it; m = 257 and m = 300 take the unpacking
+    path even with one byte per digit."""
+    rng = random.Random(lo * 7 + hi)
     for dim in (1, 2, 5):
         box = concavity._Packing(dim, lo, hi)
         corners = [tuple(x) for x in product((lo, hi), repeat=dim)]
@@ -363,6 +397,14 @@ def test_packing_round_trip_at_box_corners(lo, hi):
         assert box.pack((lo,) * dim) == 0
         # keys sort as their vectors do
         assert sorted(keys) == [box.pack(x) for x in sorted(corners)]
+        points = corners + [tuple(rng.randint(lo, hi) for _ in range(dim)) for _ in range(40)]
+        for m in (2, 3, 7, 256, 257, 300):
+            residues = list(box.residues([box.pack(x) for x in points], m))
+            tuples = [tuple(e % m for e in x) for x in points]
+            assert [tuple(r) for r in residues] == tuples
+            # equal, and ordered, as the residue tuples are
+            order = sorted(range(len(points)), key=residues.__getitem__)
+            assert order == sorted(range(len(points)), key=tuples.__getitem__)
 
 
 def test_run_units_caps_workers_at_cpu_count(monkeypatch):
@@ -696,13 +738,16 @@ def test_triple_scan_counts_match_ws3_oracle(rank, bound):
     ws = list(dominant_weights(rank, -bound, bound))
     triples = _oracle_weight_triples(rank, bound)
     sizes = {m: _oracle_triple_sizes(triples, m) for m in range(2, 8)}
-    for p, q in concavity._primitive_pq(7):
-        assert concavity._midpoint_count(ws, p, q, 3) == _oracle_conj1_count(
-            sizes[p + q], p, q
-        ), (p, q)
-        assert concavity._circulant_count(ws, p, q) == _oracle_alpha_count(
-            triples, p, q
-        ), (p, q)
+    # the box [-bound, 300] has two bytes per digit: its residues come from unpacking
+    for box in (concavity._Packing(rank, -bound, bound), concavity._Packing(rank, -bound, 300)):
+        keys = [box.pack(w) for w in ws]
+        for p, q in concavity._primitive_pq(7):
+            assert concavity._midpoint_count(box, keys, p, q, 3) == _oracle_conj1_count(
+                sizes[p + q], p, q
+            ), (p, q)
+            assert concavity._circulant_count(box, keys, p, q) == _oracle_alpha_count(
+                triples, p, q
+            ), (p, q)
     assert list(concavity._sum_zero_triples(ws, ws, ws)) == [
         t for t in triples if sum(map(sum, t)) == 0
     ]
@@ -867,6 +912,26 @@ def test_logv_scan_violation_records(monkeypatch):
         _logv_record(2, "1,1", "-1,-1", "0,0"),
         _logv_record(2, "1,-1", "-1,-1", "0,-2"),
     ]
+
+
+def test_logv_scan_counts_but_does_not_evaluate_the_diagonal(monkeypatch):
+    """V^mu (x) V^mu is the tensor square of mu, so no (mu, mu) pair is decomposed."""
+    bound = 2
+    checked = [logv_scan(rank, bound).checked for rank in range(4)]
+    calls = []
+
+    def recording(mu, nu):
+        calls.append((mu, nu))
+        return lrmod.tensor_product_multiplicities(mu, nu)
+
+    monkeypatch.setattr(concavity, "tensor_product_multiplicities", recording)
+    rep = logv_scan(3, bound)
+    assert rep.checked == checked[3] and calls
+    assert all(mu != nu for mu, nu in calls)
+    for rank in (1, 2, 3):
+        ws = list(dominant_weights(rank, -bound, bound))
+        evaluated = sum(len(mu) == rank for mu, _ in calls)
+        assert evaluated == checked[rank] - checked[rank - 1] - len(ws), rank
 
 
 @pytest.mark.parametrize("fake", [False, True])

@@ -16,7 +16,7 @@ from logcave.lr import (
     tensor_square_multiplicities,
     triple_invariant,
 )
-from logcave.concavity import _midpoint_pairs, _sum_zero_triples
+from logcave.concavity import _sum_zero_triples
 from logcave.partitions import (
     SkewShape,
     contains,
@@ -29,6 +29,7 @@ from logcave.partitions import (
     shift_to_partition,
     weyl_dimension,
 )
+from test_concavity import _midpoint_pairs
 
 
 def test_lr_examples():
