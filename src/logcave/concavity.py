@@ -17,6 +17,8 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
+from functools import lru_cache, partial
+from itertools import groupby
 from math import comb, gcd
 from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
@@ -43,6 +45,7 @@ from .partitions import (
     weyl_dimension,
 )
 from .symfunc import (
+    MonomialExpansion,
     SchurExpansion,
     multiply,
     skew_schur,
@@ -242,13 +245,22 @@ def _square_minus_product(l1, m1, l3, m3):
         raise ValueError("midpoint is not integral")
     sh2 = SkewShape(l2, m2)
     n = max(1, sh1.size + sh3.size)
-    mid = skew_schur(sh2, n)
-    left = multiply(mid, mid)
     right = multiply(skew_schur(sh1, n), skew_schur(sh3, n))
-    diff, min_coeff, witness = subtract_and_min_coefficient(left, right)
+    diff, min_coeff, witness = subtract_and_min_coefficient(_square(sh2, n), right)
     return diff, SquareComparison(
         min_coeff >= 0, min_coeff, witness, sh2.outer, sh2.inner, n
     )
+
+
+@lru_cache(maxsize=1)
+def _square(shape: SkewShape, n: int) -> MonomialExpansion:
+    """s_shape**2 in n variables.
+
+    One slot: the skew-pair scan runs the pairs of one midpoint back to
+    back, so each midpoint is squared once.
+    """
+    mid = skew_schur(shape, n)
+    return multiply(mid, mid)
 
 
 def theorem1_verify(l1, m1, l3, m3) -> SquareComparison:
@@ -311,32 +323,64 @@ def _slm_unit(unit) -> dict | None:
     }
 
 
-def _run_units(worker, units: Sequence, jobs: int) -> list:
-    """Apply worker to every unit, optionally on a process pool.
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on, 1 when unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    The pool never gets more workers than there are CPUs.  Results come
-    back in unit order regardless of the worker count, so reports are
-    reproducible byte for byte.
+
+def _each(worker, units: Sequence) -> list:
+    return [worker(u) for u in units]
+
+
+def _run_groups(worker, groups: Sequence[Sequence], jobs: int) -> list[list]:
+    """Apply worker to every unit of every group, one pool task per group.
+
+    Serial for one job or fewer than two groups.  The pool never gets more
+    workers than the CPUs this process may use, and its queue hands out
+    the groups one at a time in the order given, so the caller puts the
+    largest first.  Results come back group by group in order, so reports
+    do not depend on the worker count.
     """
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs <= 1 or len(units) < 4:
-        return [worker(u) for u in units]
+    jobs = min(jobs, _usable_cpus())
+    if jobs <= 1 or len(groups) < 2:
+        return [_each(worker, g) for g in groups]
     from multiprocessing import Pool  # only a scan that starts a pool pays for it
 
-    chunk = max(1, len(units) // (jobs * 8))
     with Pool(processes=jobs) as pool:
-        return pool.map(worker, units, chunksize=chunk)
+        return pool.map(partial(_each, worker), groups, chunksize=1)
 
 
 def _skew_pair_scan(worker, max_weight: int, jobs: int) -> ConcavityReport:
-    """Run worker over every unordered integral-midpoint pair of skew shapes."""
+    """Run worker over every unordered integral-midpoint pair of skew shapes.
+
+    The pairs are grouped by degree |l1/m1| + |l3/m3|, the largest first,
+    and run one group per pool task.  Every monomial product row a pair of
+    degree d reads is m_alpha * m_beta with |alpha| + |beta| = d, and so is
+    every Schur peel table of slm, so the workers fill disjoint memos.
+    Within a group the pairs of one midpoint run back to back, which lets
+    _square's one slot square each midpoint once.  Violations come in
+    _unordered_pairs order.
+    """
     shapes = skew_shapes_up_to(max_weight)
     rows = max((len(lam) for lam, _ in shapes), default=1)
     box = _Packing(2 * rows, 0, max_weight)
     layout = {box.pack(pad(lam, rows) + pad(mu, rows)): (lam, mu) for lam, mu in shapes}
-    # a diagonal unit compares multiply(x, x) with itself, so it always passes
-    units = [(layout[a], layout[b]) for a, b in _unordered_pairs(box, list(layout))]
-    results = _run_units(worker, units, jobs)
+    size = {k: sum(lam) - sum(mu) for k, (lam, mu) in layout.items()}
+    # a diagonal pair compares multiply(x, x) with itself, so it always passes
+    pairs = list(_unordered_pairs(box, list(layout)))
+
+    def degree(i):
+        return size[pairs[i][0]] + size[pairs[i][1]]
+
+    order = sorted(range(len(pairs)), key=lambda i: (-degree(i), sum(pairs[i]) // 2))
+    groups = [list(g) for _, g in groupby(order, key=degree)]
+    tasks = [[(layout[pairs[i][0]], layout[pairs[i][1]]) for i in g] for g in groups]
+    results = [None] * len(pairs)
+    for g, done in zip(groups, _run_groups(worker, tasks, jobs)):
+        for i, r in zip(g, done):
+            results[i] = r
     return ConcavityReport(
         checked=_midpoint_count(box, list(layout), 1, 1),
         violations=[r for r in results if r is not None],

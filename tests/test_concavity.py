@@ -8,6 +8,7 @@ import pytest
 
 from logcave import concavity
 from logcave import lr as lrmod
+from logcave import symfunc
 from logcave.concavity import (
     SequencePreconditionError,
     SquareComparison,
@@ -407,12 +408,17 @@ def test_packing_round_trip_at_box_corners(lo, hi):
             assert order == sorted(range(len(points)), key=tuples.__getitem__)
 
 
-def test_run_units_caps_workers_at_cpu_count(monkeypatch):
-    started = []
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """A stand-in for multiprocessing.Pool that records the worker counts it
+    is started with and the tasks it is given, and runs them in this process."""
 
     class RecordingPool:
+        started: list = []
+        tasks: list = []
+
         def __init__(self, processes):
-            started.append(processes)
+            self.started.append(processes)
 
         def __enter__(self):
             return self
@@ -420,11 +426,19 @@ def test_run_units_caps_workers_at_cpu_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, worker, units, chunksize=1):
-            return [worker(u) for u in units]
+        def map(self, fn, tasks, chunksize=1):
+            assert chunksize == 1
+            self.tasks.append(list(tasks))
+            return [fn(t) for t in tasks]
 
-    serial = theorem1_scan(4)
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    return RecordingPool
+
+
+def test_skew_pair_pool_caps_workers_at_usable_cpus(recording_pool, monkeypatch):
+    started = recording_pool.started
+    serial = theorem1_scan(4)
+    monkeypatch.delattr(concavity.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(concavity.os, "cpu_count", lambda: 3)
     rep = theorem1_scan(4, jobs=64)
     assert started == [3]
@@ -432,6 +446,84 @@ def test_run_units_caps_workers_at_cpu_count(monkeypatch):
     monkeypatch.setattr(concavity.os, "cpu_count", lambda: None)
     theorem1_scan(4, jobs=64)
     assert started == [3]  # unknown CPU count: serial, no pool
+    # where the affinity mask is known it wins over the machine's count
+    monkeypatch.setattr(concavity.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(concavity.os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+    rep = theorem1_scan(4, jobs=64)
+    assert started == [3, 2]
+    assert (rep.checked, rep.violations) == (serial.checked, serial.violations)
+    monkeypatch.setattr(concavity.os, "sched_getaffinity", lambda pid: {1})
+    theorem1_scan(4, jobs=64)
+    assert started == [3, 2]  # one usable CPU: serial, no pool
+
+
+def _skew_degree(unit):
+    (l1, m1), (l3, m3) = unit
+    return sum(l1) - sum(m1) + sum(l3) - sum(m3)
+
+
+@pytest.mark.parametrize("scan", [theorem1_scan, slm_scan])
+def test_skew_pair_pool_tasks_are_degree_pure_with_disjoint_rows(scan, recording_pool, monkeypatch):
+    """One pool task per degree, the largest first, and no monomial product
+    row read by two tasks: the workers fill disjoint memos."""
+    serial = scan(5)
+    read = symfunc.monomial_product_row
+    keys = []
+
+    def recording_row(alpha, beta):
+        keys[-1].add((alpha, beta))
+        return read(alpha, beta)
+
+    def run_each_cold(self, fn, tasks, chunksize=1):
+        self.tasks.append(list(tasks))
+        out = []
+        for t in tasks:
+            read.cache_clear()
+            keys.append(set())
+            out.append(fn(t))
+            # the recorded keys are exactly what the task left in the memo
+            assert read.cache_info().currsize == len(keys[-1])
+        return out
+
+    monkeypatch.setattr(concavity, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(symfunc, "monomial_product_row", recording_row)
+    recording_pool.map = run_each_cold
+    rep = scan(5, jobs=2)
+    assert recording_pool.started == [2]
+    assert (rep.checked, rep.violations) == (serial.checked, serial.violations)
+    (tasks,) = recording_pool.tasks
+    degrees = []
+    for task, rows in zip(tasks, keys, strict=True):
+        (d,) = {_skew_degree(u) for u in task}
+        degrees.append(d)
+        assert rows and all(sum(a) + sum(b) == d for a, b in rows)
+    assert degrees == sorted(set(degrees), reverse=True)
+    assert sum(map(len, tasks)) == rep.checked - len(skew_shapes_up_to(5))
+    assert sum(map(len, keys)) == len(set().union(*keys))
+
+
+def test_skew_pair_scan_squares_each_midpoint_once(monkeypatch):
+    """multiply(mid, mid) runs once per distinct (midpoint, n), one product
+    runs per pair, and the reports equal the pool's."""
+    pooled = [theorem1_scan(6, jobs=4), slm_scan(6, jobs=4)]
+    shapes = skew_shapes_up_to(6)
+    rows = max(len(lam) for lam, _ in shapes)
+    points = [pad(lam, rows) + pad(mu, rows) for lam, mu in shapes]
+    pairs = [(a, b) for a, b in _midpoint_pairs(points, 1, 1) if a != b]
+    midpoints = {concavity._mean(a, b) for a, b in pairs}
+    real = concavity.multiply
+    for scan, want in zip((theorem1_scan, slm_scan), pooled):
+        calls = Counter()
+
+        def counting(a, b):
+            calls["square" if a is b else "product"] += 1
+            return real(a, b)
+
+        concavity._square.cache_clear()
+        monkeypatch.setattr(concavity, "multiply", counting)
+        rep = scan(6, jobs=1)
+        assert calls == {"square": len(midpoints), "product": len(pairs)}
+        assert (rep.checked, rep.violations, rep.params) == (want.checked, want.violations, want.params)
 
 
 # Deterministic stand-ins that are positive and affine on a convex support,
