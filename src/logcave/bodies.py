@@ -234,24 +234,22 @@ def body_approximation(s: PolynomialSubspace, k_max: int) -> BodyApprox:
         raise ValueError("k_max must be >= 1")
     tower = _power_tower(s, k_max)
     scale = lcm(*range(1, k_max + 1))
-    points: set[Point] = set()
-    prev: set[Point] = set()
+    first: dict[Point, int] = {}  # each point and the first level it appears at
     generators: list[tuple[int, ...]] = []
     for k, sk in enumerate(tower, start=1):
         for v in sorted(sk.valuation_set()):
-            points.add(tuple(x * (scale // k) for x in v))
+            first.setdefault(tuple(x * (scale // k) for x in v), k)
             generators.append((k, *v))
-        if k == k_max - 1:
-            prev = set(points)
-    hull = hull_vertices(points)
-    stable = k_max > 1 and hull == hull_vertices(prev)
+    hull = hull_vertices(first)
     return BodyApprox(
         level=k_max,
         scale=scale,
-        points=sorted(points),
+        points=sorted(first),
         hull=hull,
         lattice=hermite_basis(generators),
-        stable=stable,
+        # the hull agrees with the previous level's exactly when every vertex
+        # is a previous point: a vertex of conv(P) in conv(Q), Q in P, is in Q
+        stable=k_max > 1 and all(first[v] < k_max for v in hull),
         dims=[sk.dimension for sk in tower],
     )
 

@@ -181,15 +181,10 @@ def parse_sequence(text: str) -> FiniteSequence:
 # ---------------------------------------------------------------------------
 
 
-def canonical_payload(subcommand: str, params: dict, checked: int, violations: list) -> bytes:
-    """The deterministic portion of a report, canonically serialized."""
-    doc = {
-        "subcommand": subcommand,
-        "params": params,
-        "checked": checked,
-        "violations": violations,
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("ascii")
+def canonical_payload(digested: dict) -> bytes:
+    """The deterministic portion of a report, {subcommand, params, checked,
+    violations}, canonically serialized."""
+    return json.dumps(digested, sort_keys=True, separators=(",", ":")).encode("ascii")
 
 
 def build_report(
@@ -201,20 +196,11 @@ def build_report(
     argv: list[str],
     jobs: int,
 ) -> dict:
-    payload = canonical_payload(subcommand, params, checked, violations)
-    return {
-        "subcommand": subcommand,
-        "params": params,
-        "checked": checked,
-        "violations": violations,
-        "runtime_ms": runtime_ms,
-        "manifest": {
-            "argv": argv,
-            "jobs": jobs,
-            "artifact_version": __version__,
-            "output_digest": "sha256:" + hashlib.sha256(payload).hexdigest(),
-        },
-    }
+    """The digested payload plus runtime_ms and the manifest; jobs is the worker count used."""
+    digested = dict(subcommand=subcommand, params=params, checked=checked, violations=violations)
+    digest = "sha256:" + hashlib.sha256(canonical_payload(digested)).hexdigest()
+    manifest = dict(argv=argv, jobs=jobs, artifact_version=__version__, output_digest=digest)
+    return dict(digested, runtime_ms=runtime_ms, manifest=manifest)
 
 
 def _csv_path(out_path: str) -> str:
@@ -444,7 +430,7 @@ def run_scan(args) -> tuple[dict, int]:
         raise RuntimeError(f"verify {name} failed on accepted options") from exc
     runtime_ms = int((time.monotonic() - t0) * 1000)
     report = build_report(
-        name, rep.params, rep.checked, rep.violations, runtime_ms, args.argv, args.jobs
+        name, rep.params, rep.checked, rep.violations, runtime_ms, args.argv, rep.workers
     )
     return report, (0 if not rep.violations else 1)
 

@@ -18,9 +18,9 @@ import os
 import random
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import groupby
+from itertools import chain, groupby
 from math import comb, gcd
-from operator import mul
+from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .lr import (
@@ -57,11 +57,12 @@ from .toeplitz import convolve, first_logconcavity_failure
 
 @dataclass
 class ConcavityReport:
-    """Outcome of an exhaustive scan: instance count, violations, parameters."""
+    """Outcome of an exhaustive scan: instance count, violations, parameters, workers."""
 
     checked: int
     violations: list[dict]
     params: dict
+    workers: int = 1  # the worker processes it ran on, outside the findings
 
     @property
     def clean(self) -> bool:
@@ -334,22 +335,30 @@ def _each(worker, units: Sequence) -> list:
     return [worker(u) for u in units]
 
 
-def _run_groups(worker, groups: Sequence[Sequence], jobs: int) -> list[list]:
-    """Apply worker to every unit of every group, one pool task per group.
+# Below this many pairs a pool costs more than it saves: on 2 CPUs it lost at
+# every skew-pair bound up to 6 (572 pairs) and won from bound 7 (1,426) on.
+_POOL_MIN_PAIRS = 1000
 
-    Serial for one job or fewer than two groups.  The pool never gets more
-    workers than the CPUs this process may use, and its queue hands out
-    the groups one at a time in the order given, so the caller puts the
-    largest first.  Results come back group by group in order, so reports
-    do not depend on the worker count.
+
+def _run_groups(worker, groups: Sequence[Sequence], jobs: int) -> tuple[list[list], int]:
+    """Apply worker to every unit of every group; returns the results and the worker count.
+
+    Fewer than _POOL_MIN_PAIRS units in all run serially; from there on a
+    pool runs one task per group on min(jobs, usable CPUs, groups)
+    workers, serially when that is one.  The pool hands out the groups one
+    at a time in the order given, so the caller puts the largest first.
+    Results come back group by group in order, so reports do not depend
+    on the worker count.
     """
-    jobs = min(jobs, _usable_cpus())
-    if jobs <= 1 or len(groups) < 2:
-        return [_each(worker, g) for g in groups]
+    workers = 1
+    if sum(map(len, groups)) >= _POOL_MIN_PAIRS:
+        workers = min(jobs, _usable_cpus(), len(groups))
+    if workers == 1:
+        return [_each(worker, g) for g in groups], workers
     from multiprocessing import Pool  # only a scan that starts a pool pays for it
 
-    with Pool(processes=jobs) as pool:
-        return pool.map(partial(_each, worker), groups, chunksize=1)
+    with Pool(processes=workers) as pool:
+        return pool.map(partial(_each, worker), groups, chunksize=1), workers
 
 
 def _skew_pair_scan(worker, max_weight: int, jobs: int) -> ConcavityReport:
@@ -375,16 +384,16 @@ def _skew_pair_scan(worker, max_weight: int, jobs: int) -> ConcavityReport:
         return size[pairs[i][0]] + size[pairs[i][1]]
 
     order = sorted(range(len(pairs)), key=lambda i: (-degree(i), sum(pairs[i]) // 2))
-    groups = [list(g) for _, g in groupby(order, key=degree)]
-    tasks = [[(layout[pairs[i][0]], layout[pairs[i][1]]) for i in g] for g in groups]
-    results = [None] * len(pairs)
-    for g, done in zip(groups, _run_groups(worker, tasks, jobs)):
-        for i, r in zip(g, done):
-            results[i] = r
+    groups = groupby(order, key=degree)
+    tasks = [[(layout[pairs[i][0]], layout[pairs[i][1]]) for i in g] for _, g in groups]
+    done, workers = _run_groups(worker, tasks, jobs)
+    # the groups concatenate to order: each result goes back to its pair's position
+    results = sorted(zip(order, chain.from_iterable(done)), key=itemgetter(0))
     return ConcavityReport(
         checked=_midpoint_count(box, list(layout), 1, 1),
-        violations=[r for r in results if r is not None],
+        violations=[r for _, r in results if r is not None],
         params={"max_weight": max_weight, "pairs": "unordered"},
+        workers=workers,
     )
 
 

@@ -255,7 +255,8 @@ def test_criterion_10_valuation_bodies():
     report(10, dt < 300, f"valuation bodies: dimv, monomial degrees, 50 BM pairs in {dt:.1f}s")
 
 
-def test_criterion_11_determinism_across_worker_counts(tmp_path):
+def test_criterion_11_determinism_across_worker_counts(tmp_path, monkeypatch):
+    monkeypatch.setattr("logcave.concavity._POOL_MIN_PAIRS", 1)  # a real pool at these sizes
     scans = [
         ["verify", "theorem1", "--bound", "5"],
         ["verify", "slm", "--bound", "4"],
@@ -272,7 +273,7 @@ def test_criterion_11_determinism_across_worker_counts(tmp_path):
             payloads.append(
                 (
                     canonical_payload(
-                        doc["subcommand"], doc["params"], doc["checked"], doc["violations"]
+                        {k: doc[k] for k in ("subcommand", "params", "checked", "violations")}
                     ),
                     doc["manifest"]["output_digest"],
                 )

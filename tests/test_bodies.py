@@ -6,7 +6,7 @@ from math import comb, factorial, gcd, lcm
 import pytest
 
 from logcave import bodies
-from logcave.geometry import DegenerateBodyError, in_convex_hull, minkowski_sum
+from logcave.geometry import DegenerateBodyError, hull_vertices, in_convex_hull, minkowski_sum
 from logcave.bodies import (
     MultiPolynomial,
     PolynomialSubspace,
@@ -234,6 +234,29 @@ def test_body_approximation_examples():
     b2 = body_approximation(s2, 2)
     assert b2.scale == 2 and b2.hull == [(0,), (4,)]
     assert normalized_volume(b2) == 1
+
+
+def test_body_stable_equals_the_two_hull_comparison():
+    """stable, read off the first level of each hull vertex, equals comparing
+    the hulls of the points up to level k_max and up to level k_max - 1."""
+    rng = random.Random(24)
+    seen = set()
+    for trial in range(200):
+        dim = rng.randint(1, 3)
+        if trial % 2:
+            s = _random_subspace(rng, dim)[1]
+        else:
+            s = monomial_subspace(dim, [tuple(rng.randint(0, 3) for _ in range(dim)) for _ in range(rng.randint(1, 4))])
+        k_max = rng.randint(1, 5)
+        b = body_approximation(s, k_max)
+        prev = {
+            tuple(x * (b.scale // k) for x in v)
+            for k in range(1, k_max)
+            for v in power_subspace(s, k).valuation_set()
+        }
+        assert b.stable == (k_max > 1 and b.hull == hull_vertices(prev)), (s.basis, k_max)
+        seen.add(b.stable)
+    assert seen == {True, False}
 
 
 def test_bodies_are_monotone_in_level():

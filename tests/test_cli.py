@@ -232,12 +232,11 @@ def test_cli_verify_report_and_csv(tmp_path):
 
 
 def _payload(doc):
-    return canonical_payload(
-        doc["subcommand"], doc["params"], doc["checked"], doc["violations"]
-    )
+    return canonical_payload({k: doc[k] for k in ("subcommand", "params", "checked", "violations")})
 
 
-def test_verify_reports_identical_across_worker_counts(tmp_path):
+def test_verify_reports_identical_across_worker_counts(tmp_path, monkeypatch):
+    monkeypatch.setattr("logcave.concavity._POOL_MIN_PAIRS", 1)  # a real pool at this size
     docs = []
     for jobs in ("1", "8"):
         out = tmp_path / f"t{jobs}.json"
@@ -250,6 +249,22 @@ def test_verify_reports_identical_across_worker_counts(tmp_path):
     assert (
         docs[0]["manifest"]["output_digest"] == docs[1]["manifest"]["output_digest"]
     )
+
+
+def test_manifest_records_the_workers_the_scan_used(tmp_path, monkeypatch):
+    """--jobs stays in argv; manifest.jobs is 1 for a scan below the pool's
+    floor, and the pool's size for a pooled one."""
+    out = tmp_path / "r.json"
+    argv = ["verify", "slm", "--bound", "4", "--jobs", "2", "--out", str(out)]
+    assert main(argv) == 0
+    doc = json.loads(out.read_text())
+    assert doc["manifest"]["jobs"] == 1 and doc["manifest"]["argv"] == argv
+    serial = _payload(doc)
+    monkeypatch.setattr("logcave.concavity._POOL_MIN_PAIRS", 1)
+    monkeypatch.setattr("logcave.concavity._usable_cpus", lambda: 2)
+    assert main(argv) == 0
+    doc = json.loads(out.read_text())
+    assert doc["manifest"]["jobs"] == 2 and _payload(doc) == serial
 
 
 def test_manifest_replay_reproduces_reports(tmp_path):

@@ -80,7 +80,8 @@ def test_theorem1_scan_small_clean():
     assert rep.clean and rep.checked > 0
 
 
-def test_theorem1_scan_deterministic_across_jobs():
+def test_theorem1_scan_deterministic_across_jobs(monkeypatch):
+    monkeypatch.setattr(concavity, "_POOL_MIN_PAIRS", 1)  # a real pool at this size
     a = theorem1_scan(4, jobs=1)
     b = theorem1_scan(4, jobs=4)
     assert a.checked == b.checked and a.violations == b.violations
@@ -436,6 +437,7 @@ def recording_pool(monkeypatch):
 
 
 def test_skew_pair_pool_caps_workers_at_usable_cpus(recording_pool, monkeypatch):
+    monkeypatch.setattr(concavity, "_POOL_MIN_PAIRS", 1)
     started = recording_pool.started
     serial = theorem1_scan(4)
     monkeypatch.delattr(concavity.os, "sched_getaffinity", raising=False)
@@ -457,6 +459,42 @@ def test_skew_pair_pool_caps_workers_at_usable_cpus(recording_pool, monkeypatch)
     assert started == [3, 2]  # one usable CPU: serial, no pool
 
 
+@pytest.mark.parametrize("scan", [theorem1_scan, slm_scan])
+def test_skew_pair_scan_pools_from_its_pair_count(scan, recording_pool, monkeypatch):
+    """Below _POOL_MIN_PAIRS pairs --jobs 2 starts no pool and reports as
+    --jobs 1 does; from there on the pool runs min(jobs, usable CPUs,
+    degree groups) workers."""
+    started = recording_pool.started
+    monkeypatch.setattr(concavity, "_usable_cpus", lambda: 2)
+    serial = scan(4)
+    pairs = serial.checked - len(skew_shapes_up_to(4))
+    assert serial.workers == 1 and pairs < concavity._POOL_MIN_PAIRS
+    assert scan(4, jobs=2) == serial
+    monkeypatch.setattr(concavity, "_POOL_MIN_PAIRS", pairs + 1)
+    assert scan(4, jobs=2) == serial
+    assert started == []
+    monkeypatch.setattr(concavity, "_POOL_MIN_PAIRS", pairs)
+    rep = scan(4, jobs=2)
+    assert started == [2] and rep.workers == 2
+    assert (rep.checked, rep.violations, rep.params) == (serial.checked, serial.violations, serial.params)
+    monkeypatch.setattr(concavity, "_usable_cpus", lambda: 64)
+    assert scan(4, jobs=3).workers == 3
+    rep = scan(4, jobs=64)
+    groups = len(recording_pool.tasks[-1])
+    assert started == [2, 3, groups] and rep.workers == groups < 64
+    assert (rep.checked, rep.violations, rep.params) == (serial.checked, serial.violations, serial.params)
+
+
+def test_skew_pair_pool_floor_lies_between_bounds_6_and_7(recording_pool, monkeypatch):
+    """572 pairs at bound 6 run serially at --jobs 2, and 1,426 at bound 7 on the pool."""
+    monkeypatch.setattr(concavity, "_usable_cpus", lambda: 2)
+    rep = theorem1_scan(6, jobs=2)
+    assert (rep.checked - len(skew_shapes_up_to(6)), rep.workers) == (572, 1)
+    rep = theorem1_scan(7, jobs=2)
+    assert (rep.checked - len(skew_shapes_up_to(7)), rep.workers) == (1426, 2)
+    assert recording_pool.started == [2]
+
+
 def _skew_degree(unit):
     (l1, m1), (l3, m3) = unit
     return sum(l1) - sum(m1) + sum(l3) - sum(m3)
@@ -466,6 +504,7 @@ def _skew_degree(unit):
 def test_skew_pair_pool_tasks_are_degree_pure_with_disjoint_rows(scan, recording_pool, monkeypatch):
     """One pool task per degree, the largest first, and no monomial product
     row read by two tasks: the workers fill disjoint memos."""
+    monkeypatch.setattr(concavity, "_POOL_MIN_PAIRS", 1)
     serial = scan(5)
     read = symfunc.monomial_product_row
     keys = []
@@ -505,6 +544,7 @@ def test_skew_pair_pool_tasks_are_degree_pure_with_disjoint_rows(scan, recording
 def test_skew_pair_scan_squares_each_midpoint_once(monkeypatch):
     """multiply(mid, mid) runs once per distinct (midpoint, n), one product
     runs per pair, and the reports equal the pool's."""
+    monkeypatch.setattr(concavity, "_POOL_MIN_PAIRS", 1)
     pooled = [theorem1_scan(6, jobs=4), slm_scan(6, jobs=4)]
     shapes = skew_shapes_up_to(6)
     rows = max(len(lam) for lam, _ in shapes)
@@ -648,6 +688,7 @@ def test_skew_pair_scanner_violation_records(jobs, monkeypatch):
     The records follow _midpoint_pairs over the shapes' vectors, each pair
     in enumeration order, at one worker and on the pool alike.
     """
+    monkeypatch.setattr(concavity, "_POOL_MIN_PAIRS", 1)
     monkeypatch.setattr(concavity, "theorem1_verify", _fake_theorem1_verify)
     monkeypatch.setattr(concavity, "slm_schur_positivity", _fake_slm_schur_positivity)
     rep = theorem1_scan(3, jobs=jobs)
