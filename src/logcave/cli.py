@@ -234,13 +234,9 @@ def write_report(report: dict, out_path: str | None) -> None:
 def _cmd_schur(args) -> int:
     shape = parse_shape(args.shape)
     expansion = skew_schur(shape, args.vars)
-    if args.basis == "monomial":
-        out = {format_partition(k): str(v) for k, v in sorted(expansion.terms.items())}
-    else:
-        out = {
-            format_partition(k): str(v)
-            for k, v in sorted(to_schur_basis(expansion).terms.items())
-        }
+    if args.basis == "schur":
+        expansion = to_schur_basis(expansion)
+    out = {format_partition(k): str(v) for k, v in sorted(expansion.terms.items())}
     doc = {"shape": str(shape), "vars": args.vars, "basis": args.basis, "terms": out}
     _emit(doc, args.out)
     return 0

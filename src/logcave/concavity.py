@@ -373,7 +373,7 @@ def _skew_pair_scan(worker, max_weight: int, jobs: int) -> ConcavityReport:
     _unordered_pairs order.
     """
     shapes = skew_shapes_up_to(max_weight)
-    rows = max((len(lam) for lam, _ in shapes), default=1)
+    rows = max(len(lam) for lam, _ in shapes)
     box = _Packing(2 * rows, 0, max_weight)
     layout = {box.pack(pad(lam, rows) + pad(mu, rows)): (lam, mu) for lam, mu in shapes}
     size = {k: sum(lam) - sum(mu) for k, (lam, mu) in layout.items()}
@@ -864,8 +864,6 @@ def restriction_logconcavity_scan(n: int, k: int, weight_bound: int) -> Concavit
     most weight_bound, embedded as integer vectors of length n + k; all
     integral-midpoint pairs are checked.  Expected violations: none.
     """
-    if k >= n:
-        raise ValueError("need k < n")
     box = _Packing(n + k, 0, weight_bound)
     values = {}
     for lam in partitions_up_to(weight_bound, max_parts=n):

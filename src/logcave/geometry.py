@@ -164,10 +164,11 @@ def _turn(pts, u, w, ref):
 
 
 def _primitive(ints: list[int]) -> tuple[int, ...]:
+    """ints divided by their gcd; not all of them may be zero."""
     g = 0
     for x in ints:
         g = gcd(g, abs(x))
-    return tuple(x // g for x in ints) if g else tuple(ints)
+    return tuple(x // g for x in ints)
 
 
 def _order_polygon(points_2d: list[tuple[int, int]]):
@@ -175,11 +176,9 @@ def _order_polygon(points_2d: list[tuple[int, int]]):
     order (monotone chain).
 
     Collinear boundary points are dropped, so the result is the strict
-    vertex cycle.
+    vertex cycle.  Needs at least two distinct points.
     """
     pts = sorted(set(points_2d))
-    if len(pts) <= 2:
-        return pts
 
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
@@ -300,20 +299,17 @@ def lattice_covolume(rows: list[tuple[int, ...]], rank: int) -> int:
 def compare_root_sum(a: Fraction, b: Fraction, c: Fraction, d: int) -> int:
     """Sign of a**(1/d) - (b**(1/d) + c**(1/d)) for nonnegative rationals.
 
-    Pure rational arithmetic.  d = 2 squares out the cross term.  For
-    d = 3 write u = a^(1/3), v = -b^(1/3), w = -c^(1/3) and m = a - b - c;
-    then u^3 + v^3 + w^3 - 3uvw = (u + v + w) * Q with Q > 0 when b, c > 0,
-    so the sign of u + v + w is that of m - 3(abc)^(1/3), which is the
-    sign of m^3 - 27abc.
+    Pure rational arithmetic, zero inputs included.  d = 2 squares out the
+    cross term.  For d = 3 write u = a^(1/3), v = -b^(1/3), w = -c^(1/3)
+    and m = a - b - c; then u^3 + v^3 + w^3 - 3uvw = (u + v + w) * Q with
+    Q = ((u - v)^2 + (v - w)^2 + (w - u)^2) / 2 >= 0, and Q = 0 only when
+    u = v = w, which here means a = b = c = 0.  So the sign of u + v + w
+    is that of m - 3(abc)^(1/3), which is the sign of m^3 - 27abc.
+    Raises NotImplementedError for d > 3.
     """
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     if min(a, b, c) < 0:
         raise ValueError("root comparison needs nonnegative inputs")
-    if b == 0 and c == 0:
-        return (a > 0) - (a < 0)
-    if b == 0 or c == 0:
-        other = b + c
-        return (a > other) - (a < other)
     if d == 1:
         t = a - b - c
         return (t > 0) - (t < 0)

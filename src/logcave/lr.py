@@ -64,8 +64,6 @@ def lr_skew_count(outer: Partition, inner: Partition, content: Partition) -> int
         for r, (lo, hi) in enumerate(bounds)
         for c in range(hi - 1, lo - 1, -1)
     ]
-    if not cells:
-        return 1
     m = len(content)
     counts = [0] * (m + 1)
     grid: dict[tuple[int, int], int] = {}
@@ -123,8 +121,6 @@ def _lr_count(lam: GLWeight, mu: GLWeight, nu: GLWeight) -> int:
     if shifted is None:
         return 0
     lam_p, mu_p, nu_p = shifted
-    if sum(lam_p) != sum(mu_p) + sum(nu_p):
-        return 0
     return lr_skew_count(lam_p, mu_p, nu_p)
 
 
@@ -374,7 +370,10 @@ def reset_default_cache() -> None:
     """Drop the module-level LR cache and empty the decomposition memos.
 
     The dropped cache's file handle is closed.  Used by tests, before a
-    cold-start measurement and after env changes.
+    cold-start measurement and after env changes.  The memos on
+    arrangement_count, kostka_table, monomial_product_row and lr_skew_count
+    stay: a cold start clears those four as well, as cold_start in
+    perfbench/traced_run.py does.
     """
     if _default_cache.cache_info().currsize and (cache := _default_cache()) is not None:
         cache.close()

@@ -110,7 +110,7 @@ class SkewShape:
 
     def row_bounds(self) -> list[tuple[int, int]]:
         """Per row r, the half-open column range [inner_r, outer_r) of cells."""
-        inner = pad(self.inner, len(self.outer)) if self.outer else ()
+        inner = pad(self.inner, len(self.outer))
         return [(inner[r], self.outer[r]) for r in range(len(self.outer))]
 
     def __str__(self):
@@ -150,8 +150,6 @@ def iter_ssyt_rows(shape: SkewShape, max_entry: int) -> Iterator[tuple[tuple[int
     cells = [(r, c) for r, (lo, hi) in enumerate(bounds) for c in range(lo, hi)]
     if not cells:
         yield ()
-        return
-    if max_entry <= 0:
         return
     nrows = len(bounds)
     grid: dict[tuple[int, int], int] = {}

@@ -87,14 +87,21 @@ def kostka_table(outer: Partition, inner: Partition, max_entry: int) -> dict[Par
     content with exactly N parts is alpha' + (s,) for a strip of size s and
     a dominant alpha' with N-1 parts, the last of them >= s.  Contents with
     fewer parts are the table for N-1.
+
+    A content has at most one part per cell, so a max_entry above the
+    shape's size gives the same table: the memo returns the table at the
+    size itself.
     """
     if not contains(outer, inner):
         raise ValueError(f"inner {inner} not contained in outer {outer}")
+    size = sum(outer) - sum(inner)
+    if max_entry > size:
+        return kostka_table(outer, inner, size)
     if max_entry <= 0:
         return {(): 1} if outer == inner else {}
     table = Counter(kostka_table(outer, inner, max_entry - 1))
     # every part of alpha' is >= s, so the strip takes at most |outer/inner|/N cells
-    max_strip = (sum(outer) - sum(inner)) // max_entry
+    max_strip = size // max_entry
     for nu, s in _horizontal_strips(outer, inner, max_strip):
         for alpha, c in kostka_table(nu, inner, max_entry - 1).items():
             if len(alpha) == max_entry - 1 and (not alpha or alpha[-1] >= s):
@@ -138,9 +145,9 @@ def skew_schur(shape: SkewShape, n: int) -> MonomialExpansion:
     """
     if n < 0:
         raise ValueError("number of variables must be >= 0")
-    # no content has more parts than the table's max_entry <= n; the copy
-    # keeps the memo's own dict out of the caller's hands
-    table = kostka_table(shape.outer, shape.inner, min(n, shape.size))
+    # no content has more than n parts; the copy keeps the memo's own dict
+    # out of the caller's hands
+    table = kostka_table(shape.outer, shape.inner, n)
     return MonomialExpansion(n, dict(table))
 
 
@@ -296,7 +303,7 @@ def to_schur_basis(a: MonomialExpansion) -> SchurExpansion:
         if coeff is None:
             continue
         out[lam] = coeff
-        for alpha, k in kostka_table(lam, (), min(n, sum(lam))).items():
+        for alpha, k in kostka_table(lam, (), n).items():
             old = remaining.get(alpha, 0)
             nv = old - coeff * k
             if not nv:

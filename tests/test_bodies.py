@@ -442,12 +442,16 @@ def test_minkowski_inclusion_examples():
     sa = monomial_subspace(1, [(1,)])
     sb = monomial_subspace(1, [(1,), (2,)])
     assert minkowski_inclusion_check(sa, sb, 2) == (True, None)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        minkowski_inclusion_check(sa, s, 2)
 
 
 def test_brunn_minkowski_equality_for_equal_factors():
     s = monomial_subspace(2, [(1, 0), (0, 1)])
     r = brunn_minkowski_check(s, s, 3)
     assert r.passed and r.comparison_sign == 0
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        brunn_minkowski_check(s, monomial_subspace(1, [(1,)]), 3)
 
 
 def test_brunn_minkowski_simplex_and_square():

@@ -75,6 +75,8 @@ def test_parse_polynomial():
         parse_polynomial("  1 + w", 1)
     with pytest.raises(ParseError, match="position 5: empty term"):
         parse_polynomial("1 +  + x", 1)
+    with pytest.raises(ParseError, match=r"position 0: cannot parse term 'x\^y'"):
+        parse_polynomial("x^y", 1)
     # a dangling last sign leaves an empty term just past it
     for text, where in (("1+", 2), ("x -", 3), ("x - ", 3), ("-", 1), ("1 + x -", 7)):
         with pytest.raises(ParseError, match=f"position {where}: empty term"):
@@ -86,6 +88,7 @@ def test_parse_sequence():
     assert s.support == {0: F(1), 1: F(1, 2)}
     s = parse_sequence("-1:2, 3:1")
     assert s.support == {-1: F(2), 3: F(1)}
+    assert parse_sequence("0:1,,1:1") == parse_sequence("0:1,1:1")
     with pytest.raises(ParseError, match="bad index"):
         parse_sequence("a:1")
     with pytest.raises(ParseError, match="bad value"):
@@ -123,6 +126,9 @@ def test_cli_toeplitz_exit_codes(capsys):
     assert main(["toeplitz", "--seq", "0:1,0:2", "--check", "2x2"]) == 2
     captured = capsys.readouterr()
     assert "repeated index 0" in captured.err and not captured.out
+    assert main(["toeplitz", "--seq", "0:-1"]) == 2
+    captured = capsys.readouterr()
+    assert "negative value x_0 = -1" in captured.err and not captured.out
 
 
 @pytest.mark.parametrize("basis", ["1; 3/0*x", "1; x - 1/0"])

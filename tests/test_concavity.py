@@ -253,6 +253,22 @@ def test_convolution_random_suite_clean():
     assert convolution_random_suite(60, 10, seed=1).clean
 
 
+def test_convolution_random_suite_records_a_failed_case(monkeypatch):
+    seen = []
+
+    def planted(a, b):
+        seen.append((a, b))
+        return (False, 3) if len(seen) == 2 else (True, None)
+
+    monkeypatch.setattr(concavity, "convolution_logconcavity_check", planted)
+    rep = convolution_random_suite(4, 10, seed=1)
+    assert rep.checked == 4 and len(seen) == 4
+    a, b = seen[1]
+    assert rep.violations == [
+        {"case": 1, "a": [str(x) for x in a], "b": [str(x) for x in b], "index": 3}
+    ]
+
+
 def test_weyl_scan_examples():
     rep = weyl_logconcavity_scan(1, 4)
     assert rep.clean  # rank 1 dimensions are constant
@@ -273,7 +289,7 @@ def test_restriction_scan_clean():
     assert rep.clean
     rep = restriction_logconcavity_scan(4, 2, 6)
     assert rep.clean and rep.checked > 3000
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need k < n, got k=2, n=2"):
         restriction_logconcavity_scan(2, 2, 3)
 
 

@@ -382,6 +382,23 @@ def test_root_comparisons_exact_cases():
     assert compare_root_sum(F(0), F(0), F(0), 2) == 0
 
 
+def test_root_comparisons_with_zero_inputs():
+    # a = x^d, b = y^d, c = z^d: the sign is that of x - y - z
+    for d in (1, 2, 3):
+        for x in range(4):
+            for y in range(4):
+                for z in (F(0), F(1, 2), F(2)):
+                    for b, c in ((y**d, z**d), (z**d, y**d)):
+                        if b and c:
+                            continue
+                        t = x - y - z
+                        want = (t > 0) - (t < 0)
+                        assert compare_root_sum(x**d, b, c, d) == want, (x, b, c, d)
+    for a in (0, 2):
+        with pytest.raises(NotImplementedError):
+            compare_root_sum(a, 0, 0, 4)
+
+
 def test_root_comparisons_match_floats():
     rng = random.Random(9)
     for _ in range(300):

@@ -341,7 +341,7 @@ def test_cache_torn_tail_is_ignored_and_closed(tmp_path):
     path = os.path.join(tmp_path, "lr_cache.txt")
     t = ((1, 0, -1), (1, 0, -1), (1, 0, -1))
     key = (*t, 3)
-    whole = "2,0,0;0,0,-1;0,0,-1;3;5\n"
+    whole = "2,0,0;0,0,-1;0,0,-1;3;5\n\n"  # a blank line loads nothing
     # "...;3;12" cut short after its first digit and before its newline
     with open(path, "w", encoding="ascii") as fh:
         fh.write(whole + "1,0,-1;1,0,-1;1,0,-1;3;1")

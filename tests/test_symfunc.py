@@ -90,12 +90,16 @@ def test_kostka_table_matches_enumeration_up_to_weight_6():
     checked = 0
     for lam in partitions_up_to(6):
         for mu in subdiagrams(lam):
+            size = sum(lam) - sum(mu)
             for n in range(8):
                 assert kostka_table(lam, mu, n) == enumerated_kostka_table(lam, mu, n), (
                     lam,
                     mu,
                     n,
                 )
+                # a table asked beyond the shape's size is the table at its size
+                if n > size:
+                    assert kostka_table(lam, mu, n) is kostka_table(lam, mu, size)
                 checked += 1
     assert checked == 1840
 
