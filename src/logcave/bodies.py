@@ -11,12 +11,12 @@ degree estimates and the Brunn-Minkowski comparison all build on that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import add
 
+from ._records import Record
 from .geometry import (
     DegenerateBodyError,
     Point,
@@ -32,27 +32,28 @@ from .geometry import (
 Exponent = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class MultiPolynomial:
+class MultiPolynomial(Record, frozen=True):
     """A polynomial in d variables: exponent vector -> nonzero rational coefficient.
 
     The rational input type of `PolynomialSubspace`: the constructor checks
     every term and stores each coefficient as a Fraction.
     """
 
+    __slots__ = ("dim", "terms")
     dim: int
-    terms: dict[Exponent, Fraction] = field(default_factory=dict)
+    terms: dict[Exponent, Fraction]
 
-    def __post_init__(self):
+    def __init__(self, dim: int, terms: dict | None = None):
         clean = {}
-        for e, c in self.terms.items():
-            if len(e) != self.dim:
-                raise ValueError(f"exponent {e} does not have {self.dim} entries")
+        for e, c in (terms or {}).items():
+            if len(e) != dim:
+                raise ValueError(f"exponent {e} does not have {dim} entries")
             if any(x < 0 for x in e):
                 raise ValueError(f"negative exponent in {e}")
             c = Fraction(c)
             if c:
                 clean[tuple(int(x) for x in e)] = c
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "terms", clean)
 
     def is_zero(self) -> bool:
@@ -207,8 +208,7 @@ def _power_tower(s: PolynomialSubspace, k_max: int) -> list[PolynomialSubspace]:
     return tower
 
 
-@dataclass
-class BodyApprox:
+class BodyApprox(Record):
     """Inner approximation of the valuation body at a finite level.
 
     scale is lcm(1..level), and points are the integer points
@@ -219,6 +219,7 @@ class BodyApprox:
     agreed at the previous level; dims[k-1] is dim s^k for k = 1..level.
     """
 
+    __slots__ = ("level", "scale", "points", "hull", "lattice", "stable", "dims")
     level: int
     scale: int
     points: list[Point]
@@ -278,8 +279,8 @@ def normalized_volume(b: BodyApprox) -> Fraction:
     return hull_volume(b.hull) / (b.scale**d * lattice_covolume(level_one_lattice(b), d))
 
 
-@dataclass
-class DegreeEstimate:
+class DegreeEstimate(Record):
+    __slots__ = ("degree", "residuals", "stable", "dims")
     degree: Fraction
     residuals: list[tuple[int, int, Fraction]]
     stable: bool
@@ -363,8 +364,8 @@ def minkowski_inclusion_check(
     return True, None
 
 
-@dataclass
-class BrunnMinkowskiResult:
+class BrunnMinkowskiResult(Record):
+    __slots__ = ("passed", "comparison_sign", "volumes", "degrees_stable")
     passed: bool
     comparison_sign: int
     volumes: tuple[Fraction, Fraction, Fraction]

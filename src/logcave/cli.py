@@ -19,17 +19,16 @@ import os
 import re
 import sys
 import time
-from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from . import __version__, concavity, toeplitz
+from . import __version__, concavity
 from .lr import lr_coefficient, restriction_multiplicity
 from .partitions import GLWeight, Partition, SkewShape, fmt_weight, pad, partition
 from .symfunc import skew_schur, to_schur_basis
-from .toeplitz import FiniteSequence
 
 if TYPE_CHECKING:
     from .bodies import MultiPolynomial
+    from .toeplitz import FiniteSequence
 
 
 class ParseError(ValueError):
@@ -87,6 +86,8 @@ def parse_polynomial(text: str, dim: int) -> MultiPolynomial:
     ParseError with the offending position on malformed input, counted in
     text as typed, spaces included.
     """
+    from fractions import Fraction
+
     from . import bodies
 
     names = {name: i for i, name in enumerate(_variable_names(dim))}
@@ -127,6 +128,8 @@ def parse_polynomial(text: str, dim: int) -> MultiPolynomial:
 
 
 def _parse_term(chunk: str, names: dict[str, int], dim: int, offset: int):
+    from fractions import Fraction
+
     m = _TERM_RE.fullmatch(chunk)
     if m is None or (not m.group("coeff") and not m.group("vars")):
         raise ParseError(f"position {offset}: cannot parse term {chunk!r}")
@@ -154,6 +157,10 @@ def parse_shape(text: str) -> SkewShape:
 
 def parse_sequence(text: str) -> FiniteSequence:
     """Parse "0:1,1:1/2" into a finitely supported sequence."""
+    from fractions import Fraction
+
+    from .toeplitz import FiniteSequence
+
     support = {}
     for pos, piece in enumerate(text.split(",")):
         piece = piece.strip()
@@ -279,6 +286,8 @@ def _cmd_restrict(args) -> int:
 
 
 def _cmd_toeplitz(args) -> int:
+    from . import toeplitz
+
     seq = parse_sequence(args.seq)
     if args.check == "2x2":
         ok, bad = toeplitz.two_by_two_scan(seq)
@@ -299,6 +308,8 @@ def _cmd_toeplitz(args) -> int:
 
 
 def _cmd_body(args) -> int:
+    from fractions import Fraction
+
     from . import bodies
 
     # exact hull volumes exist for ambient dimension 1..3 only

@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain, groupby
 from math import comb, gcd
 from operator import itemgetter, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
+from ._records import Record
 from .lr import (
     WeightTriple,
     _box_invariant,
@@ -52,17 +52,17 @@ from .symfunc import (
     subtract_and_min_coefficient,
     to_schur_basis,
 )
-from .toeplitz import convolve, first_logconcavity_failure
 
 
-@dataclass
-class ConcavityReport:
+class ConcavityReport(Record):
     """Outcome of an exhaustive scan: instance count, violations, parameters, workers."""
 
+    __slots__ = ("checked", "violations", "params", "workers")
+    _defaults = {"workers": 1}
     checked: int
     violations: list[dict]
     params: dict
-    workers: int = 1  # the worker processes it ran on, outside the findings
+    workers: int  # the worker processes it ran on, outside the findings
 
     @property
     def clean(self) -> bool:
@@ -224,10 +224,10 @@ def _mean(x: Sequence[int], y: Sequence[int], p: int = 1, q: int = 1) -> tuple[i
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SquareComparison:
+class SquareComparison(Record):
     """Result of comparing s_mid^2 against s_1 * s_3 for skew shapes."""
 
+    __slots__ = ("passed", "min_coeff", "witness", "mid_outer", "mid_inner", "num_variables")
     passed: bool
     min_coeff: int
     witness: Partition | None
@@ -372,6 +372,8 @@ def _skew_pair_scan(worker, max_weight: int, jobs: int) -> ConcavityReport:
     _square's one slot square each midpoint once.  Violations come in
     _unordered_pairs order.
     """
+    if max_weight < 0:
+        raise ValueError(f"max_weight must be >= 0, got {max_weight}")
     shapes = skew_shapes_up_to(max_weight)
     rows = max(len(lam) for lam, _ in shapes)
     box = _Packing(2 * rows, 0, max_weight)
@@ -516,8 +518,8 @@ def fmt_triple(t: WeightTriple) -> str:
     return " ".join(map(fmt_weight, t))
 
 
-@dataclass
-class SaturationRow:
+class SaturationRow(Record):
+    __slots__ = ("k", "value", "saturation_ok", "power_bound_ok")
     k: int
     value: int
     saturation_ok: bool
@@ -759,6 +761,9 @@ class SequencePreconditionError(ValueError):
 
 
 def _validate_logconcave(seq: Sequence[int], name: str) -> None:
+    # only the convolution scanner reads toeplitz, so only it loads it
+    from .toeplitz import first_logconcavity_failure
+
     if any(x < 0 for x in seq):
         raise SequencePreconditionError(f"{name} has a negative entry")
     support = [i for i, x in enumerate(seq) if x > 0]
@@ -779,6 +784,8 @@ def convolution_logconcavity_check(a: Sequence[int], b: Sequence[int]) -> tuple[
     a bad input raises SequencePreconditionError, distinct from a failing
     check.  Returns (passed, first failing index or None).
     """
+    from .toeplitz import convolve, first_logconcavity_failure
+
     _validate_logconcave(a, "first sequence")
     _validate_logconcave(b, "second sequence")
     bad = first_logconcavity_failure(convolve(a, b))
@@ -864,6 +871,8 @@ def restriction_logconcavity_scan(n: int, k: int, weight_bound: int) -> Concavit
     most weight_bound, embedded as integer vectors of length n + k; all
     integral-midpoint pairs are checked.  Expected violations: none.
     """
+    if weight_bound < 0:
+        raise ValueError(f"weight_bound must be >= 0, got {weight_bound}")
     box = _Packing(n + k, 0, weight_bound)
     values = {}
     for lam in partitions_up_to(weight_bound, max_parts=n):

@@ -299,11 +299,8 @@ class LRCache:
                 for line in fh:
                     if not line.endswith("\n"):
                         break  # torn tail
-                    line = line.strip()
-                    if not line:
-                        continue
                     try:
-                        lam_s, mu_s, nu_s, n_s, val_s = line.split(";")
+                        lam_s, mu_s, nu_s, n_s, val_s = line.strip().split(";")
                         key = (
                             tuple(map(int, lam_s.split(","))),
                             tuple(map(int, mu_s.split(","))),

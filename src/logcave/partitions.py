@@ -9,10 +9,11 @@ send between processes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from typing import Iterator
+
+from ._records import Record
 
 Partition = tuple[int, ...]
 GLWeight = tuple[int, ...]
@@ -91,16 +92,16 @@ def fmt_weight(w) -> str:
     return ",".join(map(str, w))
 
 
-@dataclass(frozen=True)
-class SkewShape:
+class SkewShape(Record, frozen=True):
     """A skew Young diagram outer/inner with inner contained in outer."""
 
+    __slots__ = ("outer", "inner")
     outer: Partition
     inner: Partition
 
-    def __post_init__(self):
-        object.__setattr__(self, "outer", partition(self.outer))
-        object.__setattr__(self, "inner", partition(self.inner))
+    def __init__(self, outer, inner):
+        object.__setattr__(self, "outer", partition(outer))
+        object.__setattr__(self, "inner", partition(inner))
         if not contains(self.outer, self.inner):
             raise ValueError(f"inner {self.inner} not contained in outer {self.outer}")
 
@@ -119,8 +120,7 @@ class SkewShape:
         return f"{o}/{i}" if i else o
 
 
-@dataclass(frozen=True)
-class SemistandardTableau:
+class SemistandardTableau(Record, frozen=True):
     """A semistandard filling of a skew shape.
 
     rows[r] holds the entries of row r left to right, covering the columns
@@ -128,6 +128,7 @@ class SemistandardTableau:
     increase.
     """
 
+    __slots__ = ("shape", "rows")
     shape: SkewShape
     rows: tuple[tuple[int, ...], ...]
 

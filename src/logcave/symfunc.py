@@ -10,13 +10,13 @@ not on n; that keeps the exhaustive scans cheap even in many variables.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import product
 from math import factorial
 from typing import Iterator
 
+from ._records import Record
 from .partitions import (
     Partition,
     SkewShape,
@@ -27,22 +27,22 @@ from .partitions import (
 )
 
 
-@dataclass(frozen=True)
-class MonomialExpansion:
+class MonomialExpansion(Record, frozen=True):
     """A symmetric polynomial: orbit exponent tuple -> nonzero integer coefficient."""
 
+    __slots__ = ("num_variables", "terms")
     num_variables: int
-    terms: dict[Partition, int] = field(default_factory=dict)
+    terms: dict[Partition, int]
 
-    def __post_init__(self):
-        for k, v in self.terms.items():
-            if len(k) > self.num_variables:
-                raise ValueError(f"orbit {k} needs more than {self.num_variables} variables")
+    def __init__(self, num_variables: int, terms: dict[Partition, int] | None = None):
+        terms = {} if terms is None else terms
+        for k, v in terms.items():
+            if len(k) > num_variables:
+                raise ValueError(f"orbit {k} needs more than {num_variables} variables")
             if v == 0:
                 raise ValueError("zero coefficient stored")
-
-    def coefficient(self, exponents) -> int:
-        return self.terms.get(partition(sorted(exponents, reverse=True)), 0)
+        object.__setattr__(self, "num_variables", num_variables)
+        object.__setattr__(self, "terms", terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -61,11 +61,14 @@ class MonomialExpansion:
         )
 
 
-@dataclass(frozen=True)
-class SchurExpansion:
+class SchurExpansion(Record, frozen=True):
     """A virtual character: partition -> nonzero integer coefficient."""
 
-    terms: dict[Partition, int] = field(default_factory=dict)
+    __slots__ = ("terms",)
+    terms: dict[Partition, int]
+
+    def __init__(self, terms: dict[Partition, int] | None = None):
+        object.__setattr__(self, "terms", {} if terms is None else terms)
 
     def coefficient(self, lam: Partition) -> int:
         return self.terms.get(partition(lam), 0)

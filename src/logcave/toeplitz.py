@@ -9,10 +9,10 @@ caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
+from ._records import Record
 from .partitions import pad, partitions_up_to
 
 
@@ -36,15 +36,15 @@ def first_logconcavity_failure(seq: Sequence) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class FiniteSequence:
+class FiniteSequence(Record, frozen=True):
     """Finitely supported map index -> nonnegative rational value."""
 
-    support: dict[int, Fraction] = field(default_factory=dict)
+    __slots__ = ("support",)
+    support: dict[int, Fraction]
 
-    def __post_init__(self):
+    def __init__(self, support: Mapping[int, Fraction | int] | None = None):
         clean = {}
-        for k, v in self.support.items():
+        for k, v in (support or {}).items():
             v = Fraction(v)
             if v < 0:
                 raise ValueError(f"negative value x_{k} = {v}")

@@ -92,6 +92,14 @@ def test_slm_scan_small_clean():
     assert rep.clean
 
 
+@pytest.mark.parametrize("scan", [theorem1_scan, slm_scan])
+def test_skew_pair_scans_reject_a_negative_bound(scan):
+    with pytest.raises(ValueError, match=r"max_weight must be >= 0, got -1"):
+        scan(-1)
+    # bound 0 has the empty shape alone, one diagonal instance
+    assert scan(0).checked == 1
+
+
 def test_conjecture1_scan_counts_and_cleanliness():
     rep = conjecture1_scan(1, 1)
     # rank 1, entries in [-1,1]: triples are integers (a,b,c); count classes
@@ -291,6 +299,14 @@ def test_restriction_scan_clean():
     assert rep.clean and rep.checked > 3000
     with pytest.raises(ValueError, match="need k < n, got k=2, n=2"):
         restriction_logconcavity_scan(2, 2, 3)
+
+
+def test_restriction_scan_rejects_a_negative_bound():
+    with pytest.raises(ValueError, match=r"weight_bound must be >= 0, got -1"):
+        restriction_logconcavity_scan(3, 1, -1)
+    # with k >= n as well, the scan raises rather than report nothing
+    with pytest.raises(ValueError, match=r"weight_bound must be >= 0, got -2"):
+        restriction_logconcavity_scan(2, 2, -2)
 
 
 @pytest.mark.parametrize("p, q", [(1, 1), (1, 2), (2, 3)])

@@ -49,9 +49,17 @@ def _run_probe(probe: str) -> str:
 
 
 def test_cli_import_leaves_bodies_and_geometry_unloaded():
-    heavy = "('logcave.bodies', 'logcave.geometry', 'multiprocessing')"
+    # toeplitz and fractions load only in the subcommands that read them
+    heavy = ("logcave.bodies", "logcave.geometry", "logcave.toeplitz", "multiprocessing")
+    heavy += ("dataclasses", "inspect", "fractions")
     probe = f"import sys, logcave.cli; print(sorted(m for m in {heavy} if m in sys.modules))"
     assert _run_probe(probe) == "[]"
+
+
+def test_no_module_loads_dataclasses():
+    modules = ", ".join(f"logcave.{path.stem}" for path in sorted(SRC.glob("*.py")) if path.stem != "__init__")
+    probe = f"import sys, {modules}; print('dataclasses' in sys.modules)"
+    assert _run_probe(probe) == "False"
 
 
 def test_package_import_loads_no_submodule():
@@ -61,6 +69,7 @@ def test_package_import_loads_no_submodule():
 
 def test_bodies_import_leaves_the_multiplicity_modules_unloaded():
     heavy = tuple(f"logcave.{m}" for m in ("partitions", "symfunc", "lr", "concavity", "toeplitz"))
+    heavy += ("dataclasses",)
     probe = f"import sys, logcave.bodies; print(sorted(m for m in {heavy} if m in sys.modules))"
     assert _run_probe(probe) == "[]"
 

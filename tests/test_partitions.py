@@ -1,10 +1,11 @@
 from collections import Counter
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
 
 from logcave.partitions import (
+    SemistandardTableau,
     SkewShape,
     conjugate,
     contains,
@@ -112,6 +113,18 @@ def test_ssyt_enumeration_order_and_validity():
             assert all(row[i] <= row[i + 1] for i in range(len(row) - 1))
     assert seen == sorted(seen)
     assert len(seen) == len(set(seen))
+
+
+def test_tableau_content():
+    tableaux = list(enumerate_ssyt(SkewShape((2, 1), ()), 3))
+    contents = Counter(t.content(3) for t in tableaux)
+    # s_{2,1}(x1, x2, x3) = m_{2,1} + 2 m_{1,1,1}: each of the six arrangements
+    # of (2, 1, 0) once, and (1, 1, 1) twice
+    assert contents == Counter({c: 1 for c in set(permutations((2, 1, 0)))} | {(1, 1, 1): 2})
+    t = SemistandardTableau(SkewShape((3, 1), (1,)), ((1, 3), (2,)))
+    assert t.content(3) == (1, 1, 1)
+    assert t.content(4) == (1, 1, 1, 0)
+    assert SemistandardTableau(SkewShape((), ()), ()).content(2) == (0, 0)
 
 
 def test_ssyt_column_strictness():
