@@ -13,6 +13,7 @@ early.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -554,5 +555,18 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
 
+def entry() -> int:
+    """main() for a process that ends when it returns: the logcave script and python -m.
+
+    gc.freeze() moves every object left to the permanent generation, so the
+    collections at interpreter exit do not walk the memos and the report
+    once more.  main() leaves the collector alone, because in-process callers
+    go on running.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

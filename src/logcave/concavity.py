@@ -47,8 +47,8 @@ from .partitions import (
 from .symfunc import (
     MonomialExpansion,
     SchurExpansion,
+    kostka_table,
     multiply,
-    skew_schur,
     subtract_and_min_coefficient,
     to_schur_basis,
 )
@@ -236,7 +236,26 @@ class SquareComparison(Record):
     num_variables: int
 
 
+@lru_cache(maxsize=None)
+def _skew_class(outer: Partition, inner: Partition) -> tuple:
+    """A key two skew shapes share exactly when their skew Schur functions are equal.
+
+    The key is the content of the shape's Kostka table at its size, sorted.
+    A symmetric function of degree d is fixed by its expansion in d
+    variables, and in n >= d variables the expansion is this same table,
+    so the key is the monomial expansion in any such n.
+    """
+    return tuple(sorted(kostka_table(outer, inner, sum(outer) - sum(inner)).items()))
+
+
 def _square_minus_product(l1, m1, l3, m3):
+    """The pair's class, s_mid^2 - s_{l1/m1} s_{l3/m3}, and the pair's comparison.
+
+    The class is (the midpoint's _skew_class key, the two shapes' keys
+    sorted, n).  The difference depends on nothing else, so it comes from
+    _difference's memo; the comparison is the pair's own, with its own
+    midpoint shape.
+    """
     sh1, sh3 = SkewShape(l1, m1), SkewShape(l3, m3)
     # inner shapes have no more rows than their outer ones
     rows = max(len(sh1.outer), len(sh3.outer))
@@ -246,22 +265,43 @@ def _square_minus_product(l1, m1, l3, m3):
         raise ValueError("midpoint is not integral")
     sh2 = SkewShape(l2, m2)
     n = max(1, sh1.size + sh3.size)
-    right = multiply(skew_schur(sh1, n), skew_schur(sh3, n))
-    diff, min_coeff, witness = subtract_and_min_coefficient(_square(sh2, n), right)
-    return diff, SquareComparison(
+    factors = tuple(sorted((_skew_class(sh1.outer, sh1.inner), _skew_class(sh3.outer, sh3.inner))))
+    key = (_skew_class(sh2.outer, sh2.inner), factors, n)
+    diff, min_coeff, witness = _difference(*key)
+    return key, diff, SquareComparison(
         min_coeff >= 0, min_coeff, witness, sh2.outer, sh2.inner, n
     )
 
 
 @lru_cache(maxsize=1)
-def _square(shape: SkewShape, n: int) -> MonomialExpansion:
-    """s_shape**2 in n variables.
+def _square(mid: tuple, n: int) -> MonomialExpansion:
+    """s_mid**2 in n variables, mid a _skew_class key of degree at most n.
 
-    One slot: the skew-pair scan runs the pairs of one midpoint back to
-    back, so each midpoint is squared once.
+    One slot: the skew-pair scan runs the pairs of one midpoint function
+    back to back, so each is squared once.
     """
-    mid = skew_schur(shape, n)
-    return multiply(mid, mid)
+    s = MonomialExpansion(n, dict(mid))
+    return multiply(s, s)
+
+
+@lru_cache(maxsize=1)
+def _difference(
+    mid: tuple, factors: tuple, n: int
+) -> tuple[MonomialExpansion, int, Partition | None]:
+    """s_mid**2 - s_1 * s_3 in n variables, its least coefficient and a witness.
+
+    mid and factors = (s_1, s_3) are _skew_class keys.  One slot: the
+    skew-pair scan runs the pairs of one class back to back.
+    """
+    k1, k3 = factors
+    right = multiply(MonomialExpansion(n, dict(k1)), MonomialExpansion(n, dict(k3)))
+    return subtract_and_min_coefficient(_square(mid, n), right)
+
+
+@lru_cache(maxsize=1)
+def _schur_difference(mid: tuple, factors: tuple, n: int) -> SchurExpansion:
+    """_difference's polynomial in the Schur basis, one slot as _difference."""
+    return to_schur_basis(_difference(mid, factors, n)[0])
 
 
 def theorem1_verify(l1, m1, l3, m3) -> SquareComparison:
@@ -272,8 +312,7 @@ def theorem1_verify(l1, m1, l3, m3) -> SquareComparison:
     degree involves more distinct variables.  A failure here would be a
     bug: the nonnegativity is a theorem.
     """
-    _, result = _square_minus_product(l1, m1, l3, m3)
-    return result
+    return _square_minus_product(l1, m1, l3, m3)[2]
 
 
 def slm_schur_positivity(l1, m1, l3, m3) -> tuple[bool, SchurExpansion, SquareComparison]:
@@ -283,8 +322,9 @@ def slm_schur_positivity(l1, m1, l3, m3) -> tuple[bool, SchurExpansion, SquareCo
     Pylyavskyy, Amer. J. Math. 129, 2007), so a negative Schur coefficient
     would be a bug.
     """
-    diff, result = _square_minus_product(l1, m1, l3, m3)
-    expansion = to_schur_basis(diff)
+    key, _, result = _square_minus_product(l1, m1, l3, m3)
+    # the copy keeps the memo's own dict out of the caller's hands
+    expansion = SchurExpansion(dict(_schur_difference(*key).terms))
     return expansion.is_nonnegative(), expansion, result
 
 
@@ -335,9 +375,12 @@ def _each(worker, units: Sequence) -> list:
     return [worker(u) for u in units]
 
 
-# Below this many pairs a pool costs more than it saves: on 2 CPUs it lost at
-# every skew-pair bound up to 6 (572 pairs) and won from bound 7 (1,426) on.
-_POOL_MIN_PAIRS = 1000
+# Below this many pairs a pool costs more than it saves.  In 9-run
+# command-line batches on 2 CPUs, with each class of pairs computed once,
+# the pool lost at every bound up to 6 (572 pairs), won in about half the
+# runs at bound 7 (1,426), and won in the median of every batch from
+# bound 8 (4,300) on.
+_POOL_MIN_PAIRS = 3000
 
 
 def _run_groups(worker, groups: Sequence[Sequence], jobs: int) -> tuple[list[list], int]:
@@ -368,9 +411,12 @@ def _skew_pair_scan(worker, max_weight: int, jobs: int) -> ConcavityReport:
     and run one group per pool task.  Every monomial product row a pair of
     degree d reads is m_alpha * m_beta with |alpha| + |beta| = d, and so is
     every Schur peel table of slm, so the workers fill disjoint memos.
-    Within a group the pairs of one midpoint run back to back, which lets
-    _square's one slot square each midpoint once.  Violations come in
-    _unordered_pairs order.
+    The verdict depends only on the pair's class: the skew Schur functions
+    of its midpoint and of its two shapes (see _skew_class).  Within a
+    group the pairs of one class run back to back, and the classes of one
+    midpoint function too, so the one-slot memos _difference and
+    _schur_difference compute each class once and _square squares each
+    midpoint function once.  Violations come in _unordered_pairs order.
     """
     if max_weight < 0:
         raise ValueError(f"max_weight must be >= 0, got {max_weight}")
@@ -379,13 +425,21 @@ def _skew_pair_scan(worker, max_weight: int, jobs: int) -> ConcavityReport:
     box = _Packing(2 * rows, 0, max_weight)
     layout = {box.pack(pad(lam, rows) + pad(mu, rows)): (lam, mu) for lam, mu in shapes}
     size = {k: sum(lam) - sum(mu) for k, (lam, mu) in layout.items()}
+    # each shape's skew Schur function, numbered in order of first appearance
+    numbers: dict = {}
+    function = {k: numbers.setdefault(_skew_class(*sh), len(numbers)) for k, sh in layout.items()}
     # a diagonal pair compares multiply(x, x) with itself, so it always passes
     pairs = list(_unordered_pairs(box, list(layout)))
 
     def degree(i):
         return size[pairs[i][0]] + size[pairs[i][1]]
 
-    order = sorted(range(len(pairs)), key=lambda i: (-degree(i), sum(pairs[i]) // 2))
+    def pair_class(i):
+        a, b = pairs[i]
+        low, high = sorted((function[a], function[b]))
+        return -degree(i), function[(a + b) // 2], low, high
+
+    order = sorted(range(len(pairs)), key=pair_class)
     groups = groupby(order, key=degree)
     tasks = [[(layout[pairs[i][0]], layout[pairs[i][1]]) for i in g] for _, g in groups]
     done, workers = _run_groups(worker, tasks, jobs)

@@ -93,7 +93,8 @@ def kostka_table(outer: Partition, inner: Partition, max_entry: int) -> dict[Par
 
     A content has at most one part per cell, so a max_entry above the
     shape's size gives the same table: the memo returns the table at the
-    size itself.
+    size itself.  The first column holds len(outer) - len(inner) cells,
+    strictly increasing, so with fewer values than that the table is empty.
     """
     if not contains(outer, inner):
         raise ValueError(f"inner {inner} not contained in outer {outer}")
@@ -102,6 +103,8 @@ def kostka_table(outer: Partition, inner: Partition, max_entry: int) -> dict[Par
         return kostka_table(outer, inner, size)
     if max_entry <= 0:
         return {(): 1} if outer == inner else {}
+    if len(outer) - len(inner) > max_entry:
+        return {}
     table = Counter(kostka_table(outer, inner, max_entry - 1))
     # every part of alpha' is >= s, so the strip takes at most |outer/inner|/N cells
     max_strip = size // max_entry
@@ -209,31 +212,31 @@ def monomial_product_row(alpha: Partition, beta: Partition) -> dict[Partition, i
     return out
 
 
+@lru_cache(maxsize=None)
 def _contingency_tables(
     row_sums: tuple[int, ...], col_sums: tuple[int, ...]
-) -> Iterator[tuple[tuple[int, ...], ...]]:
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Nonnegative integer matrices with the given row and column sums."""
     if not row_sums:
-        yield ()
-        return
-    for first in _bounded_compositions(row_sums[0], col_sums):
-        rest = tuple(c - k for c, k in zip(col_sums, first))
-        for tail in _contingency_tables(row_sums[1:], rest):
-            yield (first,) + tail
+        return ((),)
+    return tuple(
+        (first,) + tail
+        for first in _bounded_compositions(row_sums[0], col_sums)
+        for tail in _contingency_tables(row_sums[1:], tuple(c - k for c, k in zip(col_sums, first)))
+    )
 
 
-def _bounded_compositions(
-    total: int, caps: tuple[int, ...]
-) -> Iterator[tuple[int, ...]]:
+@lru_cache(maxsize=None)
+def _bounded_compositions(total: int, caps: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Vectors k with 0 <= k[i] <= caps[i] summing to total."""
     if not caps:
-        if total == 0:
-            yield ()
-        return
+        return ((),) if total == 0 else ()
     room = sum(caps[1:])
-    for k in range(max(0, total - room), min(total, caps[0]) + 1):
-        for tail in _bounded_compositions(total - k, caps[1:]):
-            yield (k,) + tail
+    return tuple(
+        (k,) + tail
+        for k in range(max(0, total - room), min(total, caps[0]) + 1)
+        for tail in _bounded_compositions(total - k, caps[1:])
+    )
 
 
 def multiply(a: MonomialExpansion, b: MonomialExpansion) -> MonomialExpansion:

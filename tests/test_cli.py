@@ -1,4 +1,5 @@
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -16,6 +17,7 @@ from logcave.cli import (
     ParseError,
     build_parser,
     canonical_payload,
+    entry,
     format_partition,
     format_weight,
     main,
@@ -315,6 +317,21 @@ def test_cli_closed_pipe_is_exit_141_without_traceback():
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 141
     assert err == ""
+
+
+def test_only_the_process_entry_freezes_the_collector(tmp_path, monkeypatch):
+    """main() leaves the collector as it found it, for in-process callers;
+    entry(), which the logcave script and python -m run, freezes it."""
+    argv = ["verify", "weyl", "--rank", "2", "--bound", "2", "--out", str(tmp_path / "r.json")]
+    assert gc.get_freeze_count() == 0
+    assert main(argv) == 0
+    assert gc.get_freeze_count() == 0
+    monkeypatch.setattr(sys, "argv", ["logcave", *argv])
+    try:
+        assert entry() == 0
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
 
 
 def test_cli_usage_error_is_exit_2():

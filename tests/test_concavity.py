@@ -31,6 +31,7 @@ from logcave.concavity import (
     weyl_logconcavity_scan,
 )
 from logcave.partitions import (
+    SkewShape,
     contains,
     dominant_weights,
     dual_weight,
@@ -38,7 +39,13 @@ from logcave.partitions import (
     pad,
     partitions_up_to,
 )
-from logcave.symfunc import SchurExpansion
+from logcave.symfunc import (
+    SchurExpansion,
+    multiply,
+    skew_schur,
+    subtract_and_min_coefficient,
+    to_schur_basis,
+)
 from logcave.toeplitz import convolve
 
 
@@ -517,13 +524,13 @@ def test_skew_pair_scan_pools_from_its_pair_count(scan, recording_pool, monkeypa
     assert (rep.checked, rep.violations, rep.params) == (serial.checked, serial.violations, serial.params)
 
 
-def test_skew_pair_pool_floor_lies_between_bounds_6_and_7(recording_pool, monkeypatch):
-    """572 pairs at bound 6 run serially at --jobs 2, and 1,426 at bound 7 on the pool."""
+def test_skew_pair_pool_floor_lies_between_bounds_7_and_8(recording_pool, monkeypatch):
+    """1,426 pairs at bound 7 run serially at --jobs 2, and 4,300 at bound 8 on the pool."""
     monkeypatch.setattr(concavity, "_usable_cpus", lambda: 2)
-    rep = theorem1_scan(6, jobs=2)
-    assert (rep.checked - len(skew_shapes_up_to(6)), rep.workers) == (572, 1)
     rep = theorem1_scan(7, jobs=2)
-    assert (rep.checked - len(skew_shapes_up_to(7)), rep.workers) == (1426, 2)
+    assert (rep.checked - len(skew_shapes_up_to(7)), rep.workers) == (1426, 1)
+    rep = theorem1_scan(8, jobs=2)
+    assert (rep.checked - len(skew_shapes_up_to(8)), rep.workers) == (4300, 2)
     assert recording_pool.started == [2]
 
 
@@ -573,16 +580,91 @@ def test_skew_pair_pool_tasks_are_degree_pure_with_disjoint_rows(scan, recording
     assert sum(map(len, keys)) == len(set().union(*keys))
 
 
+def _function_key(shape):
+    """The shape's Kostka table at its size, sorted: equal exactly for equal skew Schur functions."""
+    lam, mu = shape
+    return tuple(sorted(symfunc.kostka_table(lam, mu, sum(lam) - sum(mu)).items()))
+
+
+def _clear_class_memos():
+    for memo in (concavity._skew_class, concavity._square, concavity._difference,
+                 concavity._schur_difference):
+        memo.cache_clear()
+
+
+def test_skew_class_keys_are_equal_exactly_for_equal_functions():
+    """449 shapes up to bound 7 have 88 skew Schur functions, told apart by
+    their Kostka tables at their size."""
+    _clear_class_memos()
+    shapes = skew_shapes_up_to(7)
+    keys = [concavity._skew_class(lam, mu) for lam, mu in shapes]
+    tables = [_function_key(shape) for shape in shapes]
+    assert len(shapes) == 449 and len(set(tables)) == 88
+    # each key goes with one table and each table with one key
+    assert len(set(keys)) == len(set(zip(keys, tables))) == len(set(tables))
+
+
+def test_class_memos_answer_in_the_variables_asked_for():
+    """A class met again in other variables is not read from the slot."""
+    _clear_class_memos()
+    ones, twos = SkewShape((1, 1), ()), SkewShape((2,), ())
+    mid, other = (concavity._skew_class(s.outer, s.inner) for s in (ones, twos))
+    for n in (2, 4, 3):
+        square = multiply(skew_schur(ones, n), skew_schur(ones, n))
+        product = multiply(skew_schur(ones, n), skew_schur(twos, n))
+        assert concavity._square(mid, n) == square
+        got = concavity._difference(mid, tuple(sorted((mid, other))), n)
+        assert got == subtract_and_min_coefficient(square, product)
+
+
+def test_skew_pair_classes_match_a_direct_computation_per_pair():
+    """Every off-diagonal pair at bound 6, in pair order and then in class
+    order, from cleared memos: the class memos give each pair what its own
+    skew Schur polynomials give."""
+    shapes = skew_shapes_up_to(6)
+    rows = max(len(lam) for lam, _ in shapes)
+    shape_of = {pad(lam, rows) + pad(mu, rows): (lam, mu) for lam, mu in shapes}
+    pairs = [(shape_of[a], shape_of[b]) for a, b in _midpoint_pairs(list(shape_of), 1, 1) if a != b]
+    assert len(pairs) == 572
+
+    def pair_class(pair):
+        (l1, m1), (l3, m3) = pair
+        mid = shape_of[concavity._mean(pad(l1, rows) + pad(m1, rows), pad(l3, rows) + pad(m3, rows))]
+        return _function_key(mid), sorted(map(_function_key, pair))
+
+    _clear_class_memos()
+    for (l1, m1), (l3, m3) in pairs + sorted(pairs, key=pair_class):
+        sh1, sh3 = SkewShape(l1, m1), SkewShape(l3, m3)
+        n = max(1, sh1.size + sh3.size)
+        mid = SkewShape(
+            concavity._mean(pad(l1, rows), pad(l3, rows)), concavity._mean(pad(m1, rows), pad(m3, rows))
+        )
+        square = multiply(skew_schur(mid, n), skew_schur(mid, n))
+        diff, min_coeff, witness = subtract_and_min_coefficient(
+            square, multiply(skew_schur(sh1, n), skew_schur(sh3, n))
+        )
+        expected = SquareComparison(min_coeff >= 0, min_coeff, witness, mid.outer, mid.inner, n)
+        _, got_diff, got = concavity._square_minus_product(l1, m1, l3, m3)
+        assert got_diff.terms == diff.terms and got == expected
+        assert theorem1_verify(l1, m1, l3, m3) == expected
+        ok, expansion, got = slm_schur_positivity(l1, m1, l3, m3)
+        assert expansion == to_schur_basis(diff) and got == expected
+        assert ok == expansion.is_nonnegative()
+
+
 def test_skew_pair_scan_squares_each_midpoint_once(monkeypatch):
-    """multiply(mid, mid) runs once per distinct (midpoint, n), one product
-    runs per pair, and the reports equal the pool's."""
+    """multiply(mid, mid) runs once per midpoint function, one product runs
+    per class of pairs, and the reports equal the pool's."""
     monkeypatch.setattr(concavity, "_POOL_MIN_PAIRS", 1)
     pooled = [theorem1_scan(6, jobs=4), slm_scan(6, jobs=4)]
     shapes = skew_shapes_up_to(6)
     rows = max(len(lam) for lam, _ in shapes)
-    points = [pad(lam, rows) + pad(mu, rows) for lam, mu in shapes]
-    pairs = [(a, b) for a, b in _midpoint_pairs(points, 1, 1) if a != b]
-    midpoints = {concavity._mean(a, b) for a, b in pairs}
+    shape_of = {pad(lam, rows) + pad(mu, rows): (lam, mu) for lam, mu in shapes}
+    pairs = [(a, b) for a, b in _midpoint_pairs(list(shape_of), 1, 1) if a != b]
+    function = {point: _function_key(shape) for point, shape in shape_of.items()}
+    midpoints = {function[concavity._mean(a, b)] for a, b in pairs}
+    classes = {(function[concavity._mean(a, b)], frozenset((function[a], function[b]))) for a, b in pairs}
+    assert (len(pairs), len(midpoints), len(classes)) == (572, 40, 148)
     real = concavity.multiply
     for scan, want in zip((theorem1_scan, slm_scan), pooled):
         calls = Counter()
@@ -591,10 +673,10 @@ def test_skew_pair_scan_squares_each_midpoint_once(monkeypatch):
             calls["square" if a is b else "product"] += 1
             return real(a, b)
 
-        concavity._square.cache_clear()
+        _clear_class_memos()
         monkeypatch.setattr(concavity, "multiply", counting)
         rep = scan(6, jobs=1)
-        assert calls == {"square": len(midpoints), "product": len(pairs)}
+        assert calls == {"square": len(midpoints), "product": len(classes)}
         assert (rep.checked, rep.violations, rep.params) == (want.checked, want.violations, want.params)
 
 
