@@ -277,7 +277,7 @@ def _square_minus_product(l1, m1, l3, m3):
 def _square(mid: tuple, n: int) -> MonomialExpansion:
     """s_mid**2 in n variables, mid a _skew_class key of degree at most n.
 
-    One slot: the skew-pair scan runs the pairs of one midpoint function
+    One slot: the skew-pair scan runs the classes of one midpoint function
     back to back, so each is squared once.
     """
     s = MonomialExpansion(n, dict(mid))
@@ -290,8 +290,9 @@ def _difference(
 ) -> tuple[MonomialExpansion, int, Partition | None]:
     """s_mid**2 - s_1 * s_3 in n variables, its least coefficient and a witness.
 
-    mid and factors = (s_1, s_3) are _skew_class keys.  One slot: the
-    skew-pair scan runs the pairs of one class back to back.
+    mid and factors = (s_1, s_3) are _skew_class keys.  One slot: slm's
+    class worker reads it again through _schur_difference, and a per-pair
+    caller meets the pairs of one class back to back.
     """
     k1, k3 = factors
     right = multiply(MonomialExpansion(n, dict(k1)), MonomialExpansion(n, dict(k3)))
@@ -337,31 +338,23 @@ def skew_shapes_up_to(max_weight: int) -> list[tuple[Partition, Partition]]:
     ]
 
 
-def _theorem1_unit(unit) -> dict | None:
-    (l1, m1), (l3, m3) = unit
-    r = theorem1_verify(l1, m1, l3, m3)
-    if r.passed:
+def _theorem1_class(cls) -> dict | None:
+    """The record fields of a theorem1 class (mid, factors, n) that fails, or None."""
+    _, min_coeff, witness = _difference(*cls)
+    if min_coeff >= 0:
         return None
-    return {
-        "shape1": str(SkewShape(l1, m1)),
-        "shape3": str(SkewShape(l3, m3)),
-        "min_coefficient": str(r.min_coeff),
-        "witness": fmt_weight(r.witness),
-    }
+    return {"min_coefficient": str(min_coeff), "witness": fmt_weight(witness)}
 
 
-def _slm_unit(unit) -> dict | None:
-    (l1, m1), (l3, m3) = unit
-    ok, expansion, _ = slm_schur_positivity(l1, m1, l3, m3)
-    if ok:
+def _slm_class(cls) -> dict | None:
+    """The record fields of an slm class whose Schur expansion has a negative
+    coefficient, at its least such partition, or None."""
+    terms = _schur_difference(*cls).terms
+    negative = [k for k, v in terms.items() if v < 0]
+    if not negative:
         return None
-    bad = min(k for k, v in expansion.terms.items() if v < 0)
-    return {
-        "shape1": str(SkewShape(l1, m1)),
-        "shape3": str(SkewShape(l3, m3)),
-        "partition": fmt_weight(bad),
-        "coefficient": str(expansion.terms[bad]),
-    }
+    bad = min(negative)
+    return {"partition": fmt_weight(bad), "coefficient": str(terms[bad])}
 
 
 def _usable_cpus() -> int:
@@ -375,26 +368,25 @@ def _each(worker, units: Sequence) -> list:
     return [worker(u) for u in units]
 
 
-# Below this many pairs a pool costs more than it saves.  In 9-run
-# command-line batches on 2 CPUs, with each class of pairs computed once,
-# the pool lost at every bound up to 6 (572 pairs), won in about half the
-# runs at bound 7 (1,426), and won in the median of every batch from
-# bound 8 (4,300) on.
-_POOL_MIN_PAIRS = 3000
+# Below this many classes of pairs a pool costs more than it saves.  In
+# 9-run command-line batches on 2 CPUs, with one worker call per class, the
+# pool won about half the runs of theorem1 at bound 7 (351 classes) and
+# most of them from bound 8 (1,001 classes) on, for theorem1 and slm alike.
+_POOL_MIN_CLASSES = 600
 
 
 def _run_groups(worker, groups: Sequence[Sequence], jobs: int) -> tuple[list[list], int]:
     """Apply worker to every unit of every group; returns the results and the worker count.
 
-    Fewer than _POOL_MIN_PAIRS units in all run serially; from there on a
-    pool runs one task per group on min(jobs, usable CPUs, groups)
+    Fewer than _POOL_MIN_CLASSES units in all run serially; from there on
+    a pool runs one task per group on min(jobs, usable CPUs, groups)
     workers, serially when that is one.  The pool hands out the groups one
     at a time in the order given, so the caller puts the largest first.
     Results come back group by group in order, so reports do not depend
     on the worker count.
     """
     workers = 1
-    if sum(map(len, groups)) >= _POOL_MIN_PAIRS:
+    if sum(map(len, groups)) >= _POOL_MIN_CLASSES:
         workers = min(jobs, _usable_cpus(), len(groups))
     if workers == 1:
         return [_each(worker, g) for g in groups], workers
@@ -405,18 +397,20 @@ def _run_groups(worker, groups: Sequence[Sequence], jobs: int) -> tuple[list[lis
 
 
 def _skew_pair_scan(worker, max_weight: int, jobs: int) -> ConcavityReport:
-    """Run worker over every unordered integral-midpoint pair of skew shapes.
+    """Run worker once per class of unordered integral-midpoint pairs of skew shapes.
 
-    The pairs are grouped by degree |l1/m1| + |l3/m3|, the largest first,
-    and run one group per pool task.  Every monomial product row a pair of
-    degree d reads is m_alpha * m_beta with |alpha| + |beta| = d, and so is
-    every Schur peel table of slm, so the workers fill disjoint memos.
     The verdict depends only on the pair's class: the skew Schur functions
-    of its midpoint and of its two shapes (see _skew_class).  Within a
-    group the pairs of one class run back to back, and the classes of one
-    midpoint function too, so the one-slot memos _difference and
-    _schur_difference compute each class once and _square squares each
-    midpoint function once.  Violations come in _unordered_pairs order.
+    of its midpoint and of its two shapes (see _skew_class), and n.  The
+    worker takes a class (mid key, sorted factor keys, n), with n =
+    max(1, degree) for the pair degree |l1/m1| + |l3/m3|, and returns the
+    fields a failing class adds to each of its pairs' records, or None.
+    The classes are grouped by degree, the largest first, and run one
+    group per pool task.  Every monomial product row a class of degree d
+    reads is m_alpha * m_beta with |alpha| + |beta| = d, and so is every
+    Schur peel table of slm, so the workers fill disjoint memos.  Within a
+    group the classes of one midpoint function run back to back, so the
+    one-slot _square squares each midpoint function once.  Violations come
+    in _unordered_pairs order, one per pair of a failing class.
     """
     if max_weight < 0:
         raise ValueError(f"max_weight must be >= 0, got {max_weight}")
@@ -428,26 +422,28 @@ def _skew_pair_scan(worker, max_weight: int, jobs: int) -> ConcavityReport:
     # each shape's skew Schur function, numbered in order of first appearance
     numbers: dict = {}
     function = {k: numbers.setdefault(_skew_class(*sh), len(numbers)) for k, sh in layout.items()}
+    keys = list(numbers)
     # a diagonal pair compares multiply(x, x) with itself, so it always passes
     pairs = list(_unordered_pairs(box, list(layout)))
-
-    def degree(i):
-        return size[pairs[i][0]] + size[pairs[i][1]]
-
-    def pair_class(i):
-        a, b = pairs[i]
-        low, high = sorted((function[a], function[b]))
-        return -degree(i), function[(a + b) // 2], low, high
-
-    order = sorted(range(len(pairs)), key=pair_class)
-    groups = groupby(order, key=degree)
-    tasks = [[(layout[pairs[i][0]], layout[pairs[i][1]]) for i in g] for _, g in groups]
+    pair_classes = [
+        (-size[a] - size[b], function[(a + b) // 2], *sorted((function[a], function[b])))
+        for a, b in pairs
+    ]
+    classes = sorted(set(pair_classes))
+    tasks = [
+        [(keys[mid], tuple(sorted((keys[low], keys[high]))), max(1, -d)) for d, mid, low, high in g]
+        for _, g in groupby(classes, key=itemgetter(0))
+    ]
     done, workers = _run_groups(worker, tasks, jobs)
-    # the groups concatenate to order: each result goes back to its pair's position
-    results = sorted(zip(order, chain.from_iterable(done)), key=itemgetter(0))
+    failing = {c: r for c, r in zip(classes, chain.from_iterable(done)) if r is not None}
+    violations = [
+        {"shape1": str(SkewShape(*layout[a])), "shape3": str(SkewShape(*layout[b])), **failing[c]}
+        for (a, b), c in zip(pairs, pair_classes)
+        if c in failing
+    ]
     return ConcavityReport(
         checked=_midpoint_count(box, list(layout), 1, 1),
-        violations=[r for _, r in results if r is not None],
+        violations=violations,
         params={"max_weight": max_weight, "pairs": "unordered"},
         workers=workers,
     )
@@ -460,7 +456,7 @@ def theorem1_scan(max_weight: int, jobs: int = 1) -> ConcavityReport:
     max_weight whose componentwise midpoint is integral.  Expected
     violations: none, ever.
     """
-    return _skew_pair_scan(_theorem1_unit, max_weight, jobs)
+    return _skew_pair_scan(_theorem1_class, max_weight, jobs)
 
 
 def slm_scan(max_weight: int, jobs: int = 1) -> ConcavityReport:
@@ -469,7 +465,7 @@ def slm_scan(max_weight: int, jobs: int = 1) -> ConcavityReport:
     Same pairs as theorem1_scan.  The positivity is a theorem (Lam,
     Postnikov and Pylyavskyy, 2007), so expected violations: none, ever.
     """
-    return _skew_pair_scan(_slm_unit, max_weight, jobs)
+    return _skew_pair_scan(_slm_class, max_weight, jobs)
 
 
 # ---------------------------------------------------------------------------

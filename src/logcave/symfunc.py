@@ -44,6 +44,14 @@ class MonomialExpansion(Record, frozen=True):
         object.__setattr__(self, "num_variables", num_variables)
         object.__setattr__(self, "terms", terms)
 
+    @classmethod
+    def _unchecked(cls, num_variables: int, terms: dict[Partition, int]) -> MonomialExpansion:
+        """The expansion of terms the caller knows to be nonzero and to fit."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "num_variables", num_variables)
+        object.__setattr__(self, "terms", terms)
+        return self
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -180,18 +188,21 @@ def monomial_product_row(alpha: Partition, beta: Partition) -> dict[Partition, i
     blocks = sorted(Counter(base).items(), reverse=True)
     columns = sorted(Counter(pad(beta, L)).items(), reverse=True)
     values = [m for m, _ in columns]
-    row: Counter[Partition] = Counter()
+    stab_base = 1
+    for _, size in blocks:
+        stab_base *= fact[size]
+    row: dict[Partition, int] = {}
     for table in _contingency_tables(
         tuple(size for _, size in blocks), tuple(n for _, n in columns)
     ):
-        ways = 1
-        content: Counter[int] = Counter()
-        for (a, size), counts in zip(blocks, table):
-            ways *= fact[size]
+        # prod_b size_b! / prod_m t[b][m]!, each division exact
+        ways = stab_base
+        content: dict[int, int] = {}
+        for (a, _), counts in zip(blocks, table):
             for m, k in zip(values, counts):
                 if k:
                     ways //= fact[k]
-                    content[a + m] += k
+                    content[a + m] = content.get(a + m, 0) + k
         stab = 1
         gamma: list[int] = []
         for v in sorted(content, reverse=True):
@@ -199,10 +210,8 @@ def monomial_product_row(alpha: Partition, beta: Partition) -> dict[Partition, i
             stab *= fact[k]
             if v:
                 gamma += [v] * k
-        row[tuple(gamma)] += ways * stab
-    stab_base = 1
-    for _, size in blocks:
-        stab_base *= fact[size]
+        key = tuple(gamma)
+        row[key] = row.get(key, 0) + ways * stab
     out = {}
     for gamma, total in row.items():
         q, r = divmod(total, stab_base)
@@ -240,23 +249,38 @@ def _bounded_compositions(total: int, caps: tuple[int, ...]) -> tuple[tuple[int,
 
 
 def multiply(a: MonomialExpansion, b: MonomialExpansion) -> MonomialExpansion:
-    """Exact product of two symmetric polynomials in the same variables."""
+    """Exact product of two symmetric polynomials in the same variables.
+
+    A square, multiply(a, a), reads each unordered pair of terms once: the
+    two orders of an off-diagonal pair read the same row, so it counts twice.
+    """
     if a.num_variables != b.num_variables:
         raise ValueError(
             f"variable count mismatch: {a.num_variables} != {b.num_variables}"
         )
     n = a.num_variables
+    if a is b:
+        terms = list(a.terms.items())
+        pairs = (
+            (alpha, beta, ca * cb if i == j else 2 * ca * cb)
+            for i, (alpha, ca) in enumerate(terms)
+            for j, (beta, cb) in enumerate(terms[i:], i)
+        )
+    else:
+        pairs = (
+            (alpha, beta, ca * cb)
+            for alpha, ca in a.terms.items()
+            for beta, cb in b.terms.items()
+        )
     out: dict[Partition, int] = {}
     get = out.get
-    for alpha, ca in a.terms.items():
-        for beta, cb in b.terms.items():
-            c = ca * cb
-            # every orbit of the row has at most len(alpha)+len(beta) parts
-            fits = len(alpha) + len(beta) <= n
-            for gamma, m in monomial_product_row(alpha, beta).items():
-                if fits or len(gamma) <= n:
-                    out[gamma] = get(gamma, 0) + c * m
-    return MonomialExpansion(n, {k: v for k, v in out.items() if v})
+    for alpha, beta, c in pairs:
+        # every orbit of the row has at most len(alpha)+len(beta) parts
+        fits = len(alpha) + len(beta) <= n
+        for gamma, m in monomial_product_row(alpha, beta).items():
+            if fits or len(gamma) <= n:
+                out[gamma] = get(gamma, 0) + c * m
+    return MonomialExpansion._unchecked(n, {k: v for k, v in out.items() if v})
 
 
 def subtract_and_min_coefficient(
@@ -278,7 +302,8 @@ def subtract_and_min_coefficient(
             terms[k] = nv
         else:
             terms.pop(k, None)
-    diff = MonomialExpansion(a.num_variables, terms)
+    # a's and b's orbits fit, and a zero difference was popped
+    diff = MonomialExpansion._unchecked(a.num_variables, terms)
     min_coeff, orbit = diff.min_coefficient()
     witness = orbit if min_coeff < 0 else None
     return diff, min_coeff, witness

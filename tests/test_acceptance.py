@@ -256,7 +256,7 @@ def test_criterion_10_valuation_bodies():
 
 
 def test_criterion_11_determinism_across_worker_counts(tmp_path, monkeypatch):
-    monkeypatch.setattr("logcave.concavity._POOL_MIN_PAIRS", 1)  # a real pool at these sizes
+    monkeypatch.setattr("logcave.concavity._POOL_MIN_CLASSES", 1)  # a real pool at these sizes
     scans = [
         ["verify", "theorem1", "--bound", "5"],
         ["verify", "slm", "--bound", "4"],

@@ -244,7 +244,7 @@ def _payload(doc):
 
 
 def test_verify_reports_identical_across_worker_counts(tmp_path, monkeypatch):
-    monkeypatch.setattr("logcave.concavity._POOL_MIN_PAIRS", 1)  # a real pool at this size
+    monkeypatch.setattr("logcave.concavity._POOL_MIN_CLASSES", 1)  # a real pool at this size
     docs = []
     for jobs in ("1", "8"):
         out = tmp_path / f"t{jobs}.json"
@@ -268,7 +268,7 @@ def test_manifest_records_the_workers_the_scan_used(tmp_path, monkeypatch):
     doc = json.loads(out.read_text())
     assert doc["manifest"]["jobs"] == 1 and doc["manifest"]["argv"] == argv
     serial = _payload(doc)
-    monkeypatch.setattr("logcave.concavity._POOL_MIN_PAIRS", 1)
+    monkeypatch.setattr("logcave.concavity._POOL_MIN_CLASSES", 1)
     monkeypatch.setattr("logcave.concavity._usable_cpus", lambda: 2)
     assert main(argv) == 0
     doc = json.loads(out.read_text())

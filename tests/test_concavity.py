@@ -88,7 +88,7 @@ def test_theorem1_scan_small_clean():
 
 
 def test_theorem1_scan_deterministic_across_jobs(monkeypatch):
-    monkeypatch.setattr(concavity, "_POOL_MIN_PAIRS", 1)  # a real pool at this size
+    monkeypatch.setattr(concavity, "_POOL_MIN_CLASSES", 1)  # a real pool at this size
     a = theorem1_scan(4, jobs=1)
     b = theorem1_scan(4, jobs=4)
     assert a.checked == b.checked and a.violations == b.violations
@@ -476,7 +476,7 @@ def recording_pool(monkeypatch):
 
 
 def test_skew_pair_pool_caps_workers_at_usable_cpus(recording_pool, monkeypatch):
-    monkeypatch.setattr(concavity, "_POOL_MIN_PAIRS", 1)
+    monkeypatch.setattr(concavity, "_POOL_MIN_CLASSES", 1)
     started = recording_pool.started
     serial = theorem1_scan(4)
     monkeypatch.delattr(concavity.os, "sched_getaffinity", raising=False)
@@ -499,22 +499,23 @@ def test_skew_pair_pool_caps_workers_at_usable_cpus(recording_pool, monkeypatch)
 
 
 @pytest.mark.parametrize("scan", [theorem1_scan, slm_scan])
-def test_skew_pair_scan_pools_from_its_pair_count(scan, recording_pool, monkeypatch):
-    """Below _POOL_MIN_PAIRS pairs --jobs 2 starts no pool and reports as
-    --jobs 1 does; from there on the pool runs min(jobs, usable CPUs,
-    degree groups) workers."""
+def test_skew_pair_scan_pools_from_its_class_count(scan, recording_pool, monkeypatch):
+    """Below _POOL_MIN_CLASSES classes of pairs --jobs 2 starts no pool and
+    reports as --jobs 1 does; from there on the pool runs min(jobs, usable
+    CPUs, degree groups) workers."""
     started = recording_pool.started
     monkeypatch.setattr(concavity, "_usable_cpus", lambda: 2)
     serial = scan(4)
-    pairs = serial.checked - len(skew_shapes_up_to(4))
-    assert serial.workers == 1 and pairs < concavity._POOL_MIN_PAIRS
+    classes = len({cls for _, cls in _pair_classes(4)})
+    assert serial.workers == 1 and classes < concavity._POOL_MIN_CLASSES
     assert scan(4, jobs=2) == serial
-    monkeypatch.setattr(concavity, "_POOL_MIN_PAIRS", pairs + 1)
+    monkeypatch.setattr(concavity, "_POOL_MIN_CLASSES", classes + 1)
     assert scan(4, jobs=2) == serial
     assert started == []
-    monkeypatch.setattr(concavity, "_POOL_MIN_PAIRS", pairs)
+    monkeypatch.setattr(concavity, "_POOL_MIN_CLASSES", classes)
     rep = scan(4, jobs=2)
     assert started == [2] and rep.workers == 2
+    assert sum(map(len, recording_pool.tasks[-1])) == classes
     assert (rep.checked, rep.violations, rep.params) == (serial.checked, serial.violations, serial.params)
     monkeypatch.setattr(concavity, "_usable_cpus", lambda: 64)
     assert scan(4, jobs=3).workers == 3
@@ -525,25 +526,35 @@ def test_skew_pair_scan_pools_from_its_pair_count(scan, recording_pool, monkeypa
 
 
 def test_skew_pair_pool_floor_lies_between_bounds_7_and_8(recording_pool, monkeypatch):
-    """1,426 pairs at bound 7 run serially at --jobs 2, and 4,300 at bound 8 on the pool."""
+    """1,426 pairs in 351 classes at bound 7 run serially at --jobs 2, and
+    4,300 pairs in 1,001 classes at bound 8 on the pool.  The worker is a
+    stand-in: only the class count decides."""
+    calls = []
+    monkeypatch.setattr(concavity, "_theorem1_class", calls.append)
     monkeypatch.setattr(concavity, "_usable_cpus", lambda: 2)
     rep = theorem1_scan(7, jobs=2)
-    assert (rep.checked - len(skew_shapes_up_to(7)), rep.workers) == (1426, 1)
+    assert (rep.checked - len(skew_shapes_up_to(7)), len(calls), rep.workers) == (1426, 351, 1)
     rep = theorem1_scan(8, jobs=2)
-    assert (rep.checked - len(skew_shapes_up_to(8)), rep.workers) == (4300, 2)
-    assert recording_pool.started == [2]
+    (tasks,) = recording_pool.tasks
+    assert (rep.checked - len(skew_shapes_up_to(8)), sum(map(len, tasks)), rep.workers) == (4300, 1001, 2)
+    assert recording_pool.started == [2] and len(calls) == 351 + 1001
 
 
-def _skew_degree(unit):
-    (l1, m1), (l3, m3) = unit
-    return sum(l1) - sum(m1) + sum(l3) - sum(m3)
+def _key_degree(key):
+    """The degree of a skew Schur function from its _skew_class key."""
+    return sum(key[0][0])
+
+
+def _skew_degree(cls):
+    """The pair degree of a class (mid key, factor keys, n): the factors' degrees summed."""
+    return sum(map(_key_degree, cls[1]))
 
 
 @pytest.mark.parametrize("scan", [theorem1_scan, slm_scan])
 def test_skew_pair_pool_tasks_are_degree_pure_with_disjoint_rows(scan, recording_pool, monkeypatch):
     """One pool task per degree, the largest first, and no monomial product
     row read by two tasks: the workers fill disjoint memos."""
-    monkeypatch.setattr(concavity, "_POOL_MIN_PAIRS", 1)
+    monkeypatch.setattr(concavity, "_POOL_MIN_CLASSES", 1)
     serial = scan(5)
     read = symfunc.monomial_product_row
     keys = []
@@ -576,7 +587,7 @@ def test_skew_pair_pool_tasks_are_degree_pure_with_disjoint_rows(scan, recording
         degrees.append(d)
         assert rows and all(sum(a) + sum(b) == d for a, b in rows)
     assert degrees == sorted(set(degrees), reverse=True)
-    assert sum(map(len, tasks)) == rep.checked - len(skew_shapes_up_to(5))
+    assert sum(map(len, tasks)) == len({cls for _, cls in _pair_classes(5)})
     assert sum(map(len, keys)) == len(set().union(*keys))
 
 
@@ -590,6 +601,23 @@ def _clear_class_memos():
     for memo in (concavity._skew_class, concavity._square, concavity._difference,
                  concavity._schur_difference):
         memo.cache_clear()
+
+
+def _pair_classes(bound):
+    """Each off-diagonal pair up to the bound, in _midpoint_pairs order, as
+    ((shape1, shape3), the class its scan hands the worker): (the midpoint's
+    function key, the two shapes' keys sorted, max(1, pair degree))."""
+    shapes = skew_shapes_up_to(bound)
+    rows = max(len(lam) for lam, _ in shapes)
+    shape_of = {pad(lam, rows) + pad(mu, rows): (lam, mu) for lam, mu in shapes}
+    out = []
+    for a, b in _midpoint_pairs(list(shape_of), 1, 1):
+        if a != b:
+            pair = shape_of[a], shape_of[b]
+            degree = sum(sum(lam) - sum(mu) for lam, mu in pair)
+            factors = tuple(sorted(map(_function_key, pair)))
+            out.append((pair, (_function_key(shape_of[concavity._mean(a, b)]), factors, max(1, degree))))
+    return out
 
 
 def test_skew_class_keys_are_equal_exactly_for_equal_functions():
@@ -655,7 +683,7 @@ def test_skew_pair_classes_match_a_direct_computation_per_pair():
 def test_skew_pair_scan_squares_each_midpoint_once(monkeypatch):
     """multiply(mid, mid) runs once per midpoint function, one product runs
     per class of pairs, and the reports equal the pool's."""
-    monkeypatch.setattr(concavity, "_POOL_MIN_PAIRS", 1)
+    monkeypatch.setattr(concavity, "_POOL_MIN_CLASSES", 1)
     pooled = [theorem1_scan(6, jobs=4), slm_scan(6, jobs=4)]
     shapes = skew_shapes_up_to(6)
     rows = max(len(lam) for lam, _ in shapes)
@@ -773,18 +801,23 @@ def test_midpoint_scanner_violation_records(monkeypatch):
     ]
 
 
-def _fake_theorem1_verify(l1, m1, l3, m3):
-    # fails when the second shape has two more boxes than the first: not
-    # symmetric, so a swapped pair changes the records
-    size1, size3 = sum(l1) - sum(m1), sum(l3) - sum(m3)
-    return SquareComparison(size1 + 2 != size3, -size3, l3, (), (), 0)
+def _fake_difference(mid, factors, n):
+    # fails when the factors' degrees are 2 and 4, with the degree-4 one's
+    # largest orbit as witness: symmetric in the factors, so the failing
+    # pairs come in both orientations
+    low, high = sorted(factors, key=_key_degree)
+    if (_key_degree(low), _key_degree(high)) != (2, 4):
+        return None, 0, None
+    return None, -len(mid), high[-1][0]
 
 
-def _fake_slm_schur_positivity(l1, m1, l3, m3):
-    # fails on equal outer and different inner shapes, with two negative
-    # coefficients of which the record reports the least partition
-    bad = l1 == l3 and m1 != m3
-    return not bad, SchurExpansion({(5,): 1, m1: -1, m3: -2} if bad else {}), None
+def _fake_schur_difference(mid, factors, n):
+    # fails when the factors are distinct functions of equal degree, with two
+    # negative coefficients of which the record reports the least partition
+    k1, k3 = factors
+    if k1 == k3 or _key_degree(k1) != _key_degree(k3):
+        return SchurExpansion({(n,): 1})
+    return SchurExpansion({(n + 1,): 1, (n,): -len(k3), (1,) * n: -len(k1)})
 
 
 def _theorem1_record(shape1, shape3, coefficient, witness):
@@ -797,47 +830,74 @@ def _slm_record(shape1, shape3, lam, coefficient):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_skew_pair_scanner_violation_records(jobs, monkeypatch):
-    """Count, record format and order of planted theorem1 and slm violations.
-
-    The records follow _midpoint_pairs over the shapes' vectors, each pair
-    in enumeration order, at one worker and on the pool alike.
-    """
-    monkeypatch.setattr(concavity, "_POOL_MIN_PAIRS", 1)
-    monkeypatch.setattr(concavity, "theorem1_verify", _fake_theorem1_verify)
-    monkeypatch.setattr(concavity, "slm_schur_positivity", _fake_slm_schur_positivity)
-    rep = theorem1_scan(3, jobs=jobs)
-    assert rep.checked == 32
+    """Count, record format and order of theorem1 and slm violations planted
+    by class: one record per pair of a failing class, each pair in
+    _midpoint_pairs order and orientation, at one worker and on the pool
+    alike."""
+    monkeypatch.setattr(concavity, "_POOL_MIN_CLASSES", 1)
+    monkeypatch.setattr(concavity, "_difference", _fake_difference)
+    monkeypatch.setattr(concavity, "_schur_difference", _fake_schur_difference)
+    rep = theorem1_scan(4, jobs=jobs)
+    assert rep.checked == 111
     assert rep.violations == [
-        _theorem1_record("0", "2", "-2", "2"),
-        _theorem1_record("2/2", "2", "-2", "2"),
-        _theorem1_record("2,1/2", "2,1", "-3", "2,1"),
-        _theorem1_record("1", "3", "-3", "3"),
-        _theorem1_record("3/2", "3", "-3", "3"),
-        _theorem1_record("1/1", "3/1", "-2", "3"),
-        _theorem1_record("3/3", "3/1", "-2", "3"),
+        _theorem1_record("2", "4", "-3", "4"),
+        _theorem1_record("2", "2,2", "-2", "2,2"),
+        _theorem1_record("4/2", "4", "-3", "4"),
+        _theorem1_record("4/2", "2,2", "-3", "2,2"),
+        _theorem1_record("4", "2,2/2", "-3", "4"),
+        _theorem1_record("2,2/2", "2,2", "-2", "2,2"),
+        _theorem1_record("2,1,1/2", "2,1,1", "-2", "2,1,1"),
+        _theorem1_record("1,1", "3,1", "-2", "3,1"),
+        _theorem1_record("3,1/2", "3,1", "-3", "3,1"),
     ]
-    rep = slm_scan(3, jobs=jobs)
-    assert rep.checked == 32
+    pairs = _pair_classes(4)
     assert rep.violations == [
-        _slm_record("2/2", "2", "", "-2"),
-        _slm_record("2,1/2", "2,1", "", "-2"),
-        _slm_record("3/2", "3", "", "-2"),
-        _slm_record("3/3", "3/1", "1", "-2"),
+        _theorem1_record(str(SkewShape(*p)), str(SkewShape(*q)), str(c), fmt_weight(w))
+        for (p, q), cls in pairs
+        for _, c, w in [_fake_difference(*cls)]
+        if c < 0
+    ]
+    rep = slm_scan(4, jobs=jobs)
+    assert rep.checked == 111
+    assert rep.violations == [
+        _slm_record("4", "2,2", "1,1,1,1,1,1,1,1", "-5"),
+        _slm_record("4/1", "2,2/1", "1,1,1,1,1,1", "-3"),
+        _slm_record("1,1", "3,1/2", "1,1,1,1", "-1"),
+    ]
+    assert rep.violations == [
+        _slm_record(str(SkewShape(*p)), str(SkewShape(*q)), fmt_weight(lam), str(c))
+        for (p, q), cls in pairs
+        for lam, c in sorted((lam, c) for lam, c in _fake_schur_difference(*cls).terms.items() if c < 0)[:1]
     ]
 
 
-def test_skew_pair_scan_counts_but_does_not_evaluate_the_diagonal(monkeypatch):
-    """A shape paired with itself always passes, so no worker sees it."""
-    units = []
+@pytest.mark.parametrize("scan, worker", [(theorem1_scan, "_theorem1_class"), (slm_scan, "_slm_class")])
+def test_skew_pair_scan_calls_its_class_worker_once_per_class(scan, worker, monkeypatch):
+    """148 classes of the 572 off-diagonal pairs at bound 6, one worker call
+    each, and no call of the per-pair API.  A shape paired with itself
+    always passes, so the classes met only on the diagonal get no call."""
+    real = getattr(concavity, worker)
+    calls = []
 
-    def recording(l1, m1, l3, m3):
-        units.append(((l1, m1), (l3, m3)))
-        return _fake_theorem1_verify(l1, m1, l3, m3)
+    def recording(cls):
+        calls.append(cls)
+        return real(cls)
 
-    monkeypatch.setattr(concavity, "theorem1_verify", recording)
-    rep = theorem1_scan(4)
-    assert units and all(a != b for a, b in units)
-    assert len(units) == rep.checked - len(skew_shapes_up_to(4))
+    def per_pair(*args):
+        raise AssertionError("the scan called the per-pair API")
+
+    monkeypatch.setattr(concavity, worker, recording)
+    for name in ("theorem1_verify", "slm_schur_positivity", "_square_minus_product"):
+        monkeypatch.setattr(concavity, name, per_pair)
+    rep = scan(6)
+    shapes = skew_shapes_up_to(6)
+    pairs = _pair_classes(6)
+    classes = {cls for _, cls in pairs}
+    assert rep.clean and rep.checked == len(pairs) + len(shapes) == 572 + len(shapes)
+    assert len(calls) == len(set(calls)) == len(classes) == 148
+    assert set(calls) == classes
+    diagonal = {(_function_key(s), (_function_key(s),) * 2, max(1, 2 * (sum(s[0]) - sum(s[1])))) for s in shapes}
+    assert diagonal - classes and not (diagonal - classes) & set(calls)
 
 
 def _fake_saturation_invariant(t):

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from logcave.partitions import (
     SemistandardTableau,
     SkewShape,
+    arrangement_count,
     conjugate,
     contains,
     count_ssyt,
@@ -196,3 +197,14 @@ def test_subdiagrams_is_the_ordered_product_filter():
             partition(t) for t in _decreasing_filter([range(c, -1, -1) for c in lam])
         ]
         assert list(subdiagrams(lam)) == expected, lam
+
+
+def test_arrangement_count_counts_distinct_rearrangements():
+    """The orbit sizes up to weight 5 in 0 to 6 slots, against the distinct
+    permutations of the padded tuple; 0 where alpha has more parts than
+    slots, the documented result that evaluate_ones never asks for."""
+    for alpha in partitions_up_to(5):
+        for slots in range(7):
+            want = len(set(permutations(pad(alpha, slots)))) if len(alpha) <= slots else 0
+            assert arrangement_count(alpha, slots) == want, (alpha, slots)
+    assert arrangement_count((1, 1, 1), 2) == 0 and arrangement_count((), 0) == 1

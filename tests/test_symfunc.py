@@ -7,6 +7,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from logcave import symfunc
 from logcave.partitions import (
     SkewShape,
     iter_ssyt_rows,
@@ -170,6 +171,72 @@ def test_multiply_against_dense_oracle(n, data):
     a = skew_schur(SkewShape(o1, i1), n)
     b = skew_schur(SkewShape(o2, i2), n)
     assert dense(multiply(a, b)) == dense_mul(dense(a), dense(b))
+
+
+def _fit_and_nonzero(e):
+    return all(c and len(k) <= e.num_variables for k, c in e.terms.items())
+
+
+def _random_expansion(rng, n, max_degree, terms):
+    orbits = [lam for lam in partitions_up_to(max_degree) if len(lam) <= n]
+    chosen = rng.sample(orbits, min(terms, len(orbits)))
+    return MonomialExpansion(n, {lam: rng.choice((-3, -2, -1, 1, 2, 3)) for lam in chosen})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_multiply_square_reads_each_unordered_pair_of_terms_once(n, monkeypatch):
+    """multiply(a, a) equals the product with an equal copy of a and the
+    dense oracle, also for n below the degree, where orbits are dropped,
+    and reads one row per unordered pair of terms."""
+    rng = random.Random(n)
+    cases = [skew_schur(SkewShape(o, i), n) for o, i in [((2, 1), ()), ((3, 2), (1,)), ((2, 2, 1), (1,))]]
+    cases += [_random_expansion(rng, n, 4, 5) for _ in range(6)]
+    read = monomial_product_row
+    reads = []
+
+    def recording(alpha, beta):
+        reads.append((alpha, beta))
+        return read(alpha, beta)
+
+    monkeypatch.setattr(symfunc, "monomial_product_row", recording)
+    for a in cases:
+        copy = MonomialExpansion(n, dict(a.terms))
+        with_copy = multiply(a, copy)  # fills the memo both ways round
+        reads.clear()
+        square = multiply(a, a)
+        assert square == with_copy and _fit_and_nonzero(square)
+        assert dense(square) == dense_mul(dense(a), dense(a))
+        k = len(a.terms)
+        assert len(reads) == k * (k + 1) // 2
+        assert {frozenset(pair) for pair in reads} == {frozenset((x, y)) for x in a.terms for y in a.terms}
+
+
+def test_products_and_differences_store_no_zero_and_no_long_orbit():
+    """Terms that cancel are dropped and orbits longer than n are not
+    stored, by multiply, by its square path and by
+    subtract_and_min_coefficient, which build their results unchecked."""
+    for n in (2, 3):
+        # m_1 (m_2 - m_11) = m_3 - 3 m_111: m_21 cancels, m_111 needs 3 variables
+        a = MonomialExpansion(n, {(2,): 1, (1, 1): -1})
+        got = multiply(MonomialExpansion(n, {(1,): 1}), a)
+        assert got.terms == ({(3,): 1} if n == 2 else {(3,): 1, (1, 1, 1): -3})
+        # (m_2 - m_11)^2 = m_4 - 2 m_31 + 3 m_22 + 6 m_1111: m_211 cancels
+        assert multiply(a, a).terms == {(4,): 1, (3, 1): -2, (2, 2): 3}
+        diff, low, witness = subtract_and_min_coefficient(a, MonomialExpansion(n, {(2,): 1, (1, 1): 2}))
+        assert diff.terms == {(1, 1): -3} and (low, witness) == (-3, (1, 1))
+    rng = random.Random(7)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        a, b = (_random_expansion(rng, n, 3, 4) for _ in range(2))
+        for prod in (multiply(a, b), multiply(a, a)):
+            assert _fit_and_nonzero(prod)
+            diff, low, _ = subtract_and_min_coefficient(prod, multiply(b, a))
+            assert _fit_and_nonzero(diff) and low == min(diff.terms.values(), default=0)
+            want = dense(prod)
+            for k, v in dense(multiply(b, a)).items():
+                want[k] = want.get(k, 0) - v
+            assert dense(diff) == {k: v for k, v in want.items() if v}
+        assert subtract_and_min_coefficient(multiply(a, b), multiply(b, a))[0].is_zero()
 
 
 def test_monomial_product_row_symmetry():
