@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 import random
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import chain, groupby
 from math import comb, gcd
 from operator import itemgetter, mul
@@ -49,6 +49,7 @@ from .symfunc import (
     SchurExpansion,
     kostka_table,
     multiply,
+    skew_schur,
     subtract_and_min_coefficient,
     to_schur_basis,
 )
@@ -248,13 +249,12 @@ def _skew_class(outer: Partition, inner: Partition) -> tuple:
     return tuple(sorted(kostka_table(outer, inner, sum(outer) - sum(inner)).items()))
 
 
-def _square_minus_product(l1, m1, l3, m3):
-    """The pair's class, s_mid^2 - s_{l1/m1} s_{l3/m3}, and the pair's comparison.
+def _square_minus_product(l1, m1, l3, m3) -> tuple[MonomialExpansion, SquareComparison]:
+    """The pair's s_mid^2 - s_{l1/m1} s_{l3/m3} and its comparison.
 
-    The class is (the midpoint's _skew_class key, the two shapes' keys
-    sorted, n).  The difference depends on nothing else, so it comes from
-    _difference's memo; the comparison is the pair's own, with its own
-    midpoint shape.
+    Both come from the skew Schur polynomials of the pair's own three
+    shapes in n = max(1, |l1/m1| + |l3/m3|) variables, with no class key,
+    so the scan's classes can be checked against them.
     """
     sh1, sh3 = SkewShape(l1, m1), SkewShape(l3, m3)
     # inner shapes have no more rows than their outer ones
@@ -265,44 +265,11 @@ def _square_minus_product(l1, m1, l3, m3):
         raise ValueError("midpoint is not integral")
     sh2 = SkewShape(l2, m2)
     n = max(1, sh1.size + sh3.size)
-    factors = tuple(sorted((_skew_class(sh1.outer, sh1.inner), _skew_class(sh3.outer, sh3.inner))))
-    key = (_skew_class(sh2.outer, sh2.inner), factors, n)
-    diff, min_coeff, witness = _difference(*key)
-    return key, diff, SquareComparison(
-        min_coeff >= 0, min_coeff, witness, sh2.outer, sh2.inner, n
+    s2 = skew_schur(sh2, n)
+    diff, min_coeff, witness = subtract_and_min_coefficient(
+        multiply(s2, s2), multiply(skew_schur(sh1, n), skew_schur(sh3, n))
     )
-
-
-@lru_cache(maxsize=1)
-def _square(mid: tuple, n: int) -> MonomialExpansion:
-    """s_mid**2 in n variables, mid a _skew_class key of degree at most n.
-
-    One slot: the skew-pair scan runs the classes of one midpoint function
-    back to back, so each is squared once.
-    """
-    s = MonomialExpansion(n, dict(mid))
-    return multiply(s, s)
-
-
-@lru_cache(maxsize=1)
-def _difference(
-    mid: tuple, factors: tuple, n: int
-) -> tuple[MonomialExpansion, int, Partition | None]:
-    """s_mid**2 - s_1 * s_3 in n variables, its least coefficient and a witness.
-
-    mid and factors = (s_1, s_3) are _skew_class keys.  One slot: slm's
-    class worker reads it again through _schur_difference, and a per-pair
-    caller meets the pairs of one class back to back.
-    """
-    k1, k3 = factors
-    right = multiply(MonomialExpansion(n, dict(k1)), MonomialExpansion(n, dict(k3)))
-    return subtract_and_min_coefficient(_square(mid, n), right)
-
-
-@lru_cache(maxsize=1)
-def _schur_difference(mid: tuple, factors: tuple, n: int) -> SchurExpansion:
-    """_difference's polynomial in the Schur basis, one slot as _difference."""
-    return to_schur_basis(_difference(mid, factors, n)[0])
+    return diff, SquareComparison(min_coeff >= 0, min_coeff, witness, sh2.outer, sh2.inner, n)
 
 
 def theorem1_verify(l1, m1, l3, m3) -> SquareComparison:
@@ -313,7 +280,7 @@ def theorem1_verify(l1, m1, l3, m3) -> SquareComparison:
     degree involves more distinct variables.  A failure here would be a
     bug: the nonnegativity is a theorem.
     """
-    return _square_minus_product(l1, m1, l3, m3)[2]
+    return _square_minus_product(l1, m1, l3, m3)[1]
 
 
 def slm_schur_positivity(l1, m1, l3, m3) -> tuple[bool, SchurExpansion, SquareComparison]:
@@ -323,9 +290,8 @@ def slm_schur_positivity(l1, m1, l3, m3) -> tuple[bool, SchurExpansion, SquareCo
     Pylyavskyy, Amer. J. Math. 129, 2007), so a negative Schur coefficient
     would be a bug.
     """
-    key, _, result = _square_minus_product(l1, m1, l3, m3)
-    # the copy keeps the memo's own dict out of the caller's hands
-    expansion = SchurExpansion(dict(_schur_difference(*key).terms))
+    diff, result = _square_minus_product(l1, m1, l3, m3)
+    expansion = to_schur_basis(diff)
     return expansion.is_nonnegative(), expansion, result
 
 
@@ -338,23 +304,39 @@ def skew_shapes_up_to(max_weight: int) -> list[tuple[Partition, Partition]]:
     ]
 
 
-def _theorem1_class(cls) -> dict | None:
-    """The record fields of a theorem1 class (mid, factors, n) that fails, or None."""
-    _, min_coeff, witness = _difference(*cls)
-    if min_coeff >= 0:
-        return None
-    return {"min_coefficient": str(min_coeff), "witness": fmt_weight(witness)}
+def _differences(group: Sequence) -> Iterator[tuple[MonomialExpansion, int, Partition | None]]:
+    """s_mid**2 - s_1 * s_3, its least coefficient and a witness, class by class.
+
+    group is a list of units (mid, n, [(k1, k3), ...]), one per midpoint
+    function, each pair (k1, k3) a class's factors; mid, k1 and k3 are
+    _skew_class keys, which are monomial expansions in n variables.  Each
+    midpoint is squared once.
+    """
+    for mid, n, factors in group:
+        s = MonomialExpansion(n, dict(mid))
+        square = multiply(s, s)
+        for k1, k3 in factors:
+            product = multiply(MonomialExpansion(n, dict(k1)), MonomialExpansion(n, dict(k3)))
+            yield subtract_and_min_coefficient(square, product)
 
 
-def _slm_class(cls) -> dict | None:
-    """The record fields of an slm class whose Schur expansion has a negative
-    coefficient, at its least such partition, or None."""
-    terms = _schur_difference(*cls).terms
-    negative = [k for k, v in terms.items() if v < 0]
-    if not negative:
-        return None
-    bad = min(negative)
-    return {"partition": fmt_weight(bad), "coefficient": str(terms[bad])}
+def _theorem1_group(group: Sequence) -> list[dict | None]:
+    """For each class of the group, the record fields if it fails, or None."""
+    return [
+        None if min_coeff >= 0 else {"min_coefficient": str(min_coeff), "witness": fmt_weight(witness)}
+        for _, min_coeff, witness in _differences(group)
+    ]
+
+
+def _slm_group(group: Sequence) -> list[dict | None]:
+    """For each class of the group, the record fields at the least partition
+    with a negative Schur coefficient, or None."""
+    out = []
+    for diff, _, _ in _differences(group):
+        terms = to_schur_basis(diff).terms
+        bad = min((k for k, v in terms.items() if v < 0), default=None)
+        out.append(None if bad is None else {"partition": fmt_weight(bad), "coefficient": str(terms[bad])})
+    return out
 
 
 def _usable_cpus() -> int:
@@ -364,53 +346,44 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _each(worker, units: Sequence) -> list:
-    return [worker(u) for u in units]
-
-
 # Below this many classes of pairs a pool costs more than it saves.  In
-# 9-run command-line batches on 2 CPUs, with one worker call per class, the
+# 9-run command-line batches on 2 CPUs, with each class computed once, the
 # pool won about half the runs of theorem1 at bound 7 (351 classes) and
 # most of them from bound 8 (1,001 classes) on, for theorem1 and slm alike.
 _POOL_MIN_CLASSES = 600
 
 
-def _run_groups(worker, groups: Sequence[Sequence], jobs: int) -> tuple[list[list], int]:
-    """Apply worker to every unit of every group; returns the results and the worker count.
+def _run_groups(worker, groups: Sequence, jobs: int) -> tuple[list, int]:
+    """worker mapped over groups; returns the results in order and the worker count.
 
-    Fewer than _POOL_MIN_CLASSES units in all run serially; from there on
-    a pool runs one task per group on min(jobs, usable CPUs, groups)
-    workers, serially when that is one.  The pool hands out the groups one
-    at a time in the order given, so the caller puts the largest first.
-    Results come back group by group in order, so reports do not depend
-    on the worker count.
+    A pool of min(jobs, usable CPUs, groups) workers runs one group per
+    task when that is above 1, handing out the groups one at a time in the
+    order given, so the caller puts the largest first.
     """
-    workers = 1
-    if sum(map(len, groups)) >= _POOL_MIN_CLASSES:
-        workers = min(jobs, _usable_cpus(), len(groups))
-    if workers == 1:
-        return [_each(worker, g) for g in groups], workers
+    workers = min(jobs, _usable_cpus(), len(groups))
+    if workers <= 1:
+        return list(map(worker, groups)), 1
     from multiprocessing import Pool  # only a scan that starts a pool pays for it
 
     with Pool(processes=workers) as pool:
-        return pool.map(partial(_each, worker), groups, chunksize=1), workers
+        return pool.map(worker, groups, chunksize=1), workers
 
 
 def _skew_pair_scan(worker, max_weight: int, jobs: int) -> ConcavityReport:
-    """Run worker once per class of unordered integral-midpoint pairs of skew shapes.
+    """Check every class of unordered integral-midpoint pairs of skew shapes once.
 
     The verdict depends only on the pair's class: the skew Schur functions
-    of its midpoint and of its two shapes (see _skew_class), and n.  The
-    worker takes a class (mid key, sorted factor keys, n), with n =
-    max(1, degree) for the pair degree |l1/m1| + |l3/m3|, and returns the
-    fields a failing class adds to each of its pairs' records, or None.
-    The classes are grouped by degree, the largest first, and run one
-    group per pool task.  Every monomial product row a class of degree d
-    reads is m_alpha * m_beta with |alpha| + |beta| = d, and so is every
-    Schur peel table of slm, so the workers fill disjoint memos.  Within a
-    group the classes of one midpoint function run back to back, so the
-    one-slot _square squares each midpoint function once.  Violations come
-    in _unordered_pairs order, one per pair of a failing class.
+    of its midpoint and of its two shapes (see _skew_class), and n =
+    max(1, |l1/m1| + |l3/m3|).  The classes are grouped by degree, the
+    largest first, and within a degree by midpoint function.  The worker
+    takes one degree group, a list of units as _differences reads them,
+    and returns for each class, in order, the fields a failing class adds
+    to each of its pairs' records, or None.  A pool runs one degree group
+    per task from _POOL_MIN_CLASSES classes on.  Every monomial product row
+    a class of degree d reads is m_alpha * m_beta with |alpha| + |beta| =
+    d, and so is every Schur peel table of slm, so the workers fill
+    disjoint memos.  Violations come in _unordered_pairs order, one per
+    pair of a failing class.
     """
     if max_weight < 0:
         raise ValueError(f"max_weight must be >= 0, got {max_weight}")
@@ -430,19 +403,22 @@ def _skew_pair_scan(worker, max_weight: int, jobs: int) -> ConcavityReport:
         for a, b in pairs
     ]
     classes = sorted(set(pair_classes))
-    tasks = [
-        [(keys[mid], tuple(sorted((keys[low], keys[high]))), max(1, -d)) for d, mid, low, high in g]
-        for _, g in groupby(classes, key=itemgetter(0))
+    groups = [
+        [
+            (keys[mid], max(1, -d), [tuple(sorted((keys[low], keys[high]))) for *_, low, high in unit])
+            for (d, mid), unit in groupby(group, key=itemgetter(0, 1))
+        ]
+        for _, group in groupby(classes, key=itemgetter(0))
     ]
-    done, workers = _run_groups(worker, tasks, jobs)
-    failing = {c: r for c, r in zip(classes, chain.from_iterable(done)) if r is not None}
+    done, workers = _run_groups(worker, groups, jobs if len(classes) >= _POOL_MIN_CLASSES else 1)
+    failing = {c: r for c, r in zip(classes, chain.from_iterable(done), strict=True) if r is not None}
     violations = [
         {"shape1": str(SkewShape(*layout[a])), "shape3": str(SkewShape(*layout[b])), **failing[c]}
         for (a, b), c in zip(pairs, pair_classes)
         if c in failing
     ]
     return ConcavityReport(
-        checked=_midpoint_count(box, list(layout), 1, 1),
+        checked=len(pairs) + len(layout),
         violations=violations,
         params={"max_weight": max_weight, "pairs": "unordered"},
         workers=workers,
@@ -456,7 +432,7 @@ def theorem1_scan(max_weight: int, jobs: int = 1) -> ConcavityReport:
     max_weight whose componentwise midpoint is integral.  Expected
     violations: none, ever.
     """
-    return _skew_pair_scan(_theorem1_class, max_weight, jobs)
+    return _skew_pair_scan(_theorem1_group, max_weight, jobs)
 
 
 def slm_scan(max_weight: int, jobs: int = 1) -> ConcavityReport:
@@ -465,7 +441,7 @@ def slm_scan(max_weight: int, jobs: int = 1) -> ConcavityReport:
     Same pairs as theorem1_scan.  The positivity is a theorem (Lam,
     Postnikov and Pylyavskyy, 2007), so expected violations: none, ever.
     """
-    return _skew_pair_scan(_slm_class, max_weight, jobs)
+    return _skew_pair_scan(_slm_group, max_weight, jobs)
 
 
 # ---------------------------------------------------------------------------

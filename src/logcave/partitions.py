@@ -206,10 +206,8 @@ def weyl_dimension(w: GLWeight) -> int:
     return q
 
 
-def partitions_of(n: int, max_parts: int | None = None, max_part: int | None = None) -> Iterator[Partition]:
+def partitions_of(n: int, max_parts: int | None = None) -> Iterator[Partition]:
     """All partitions of n, largest part first, in descending lex order."""
-    if max_part is None:
-        max_part = n
     if max_parts is None:
         max_parts = n
 
@@ -223,7 +221,7 @@ def partitions_of(n: int, max_parts: int | None = None, max_part: int | None = N
             for rest in gen(rem - first, first, slots - 1):
                 yield (first,) + rest
 
-    yield from gen(n, max_part, max_parts)
+    yield from gen(n, n, max_parts)
 
 
 def partitions_up_to(max_weight: int, max_parts: int | None = None) -> Iterator[Partition]:

@@ -515,7 +515,7 @@ def test_skew_pair_scan_pools_from_its_class_count(scan, recording_pool, monkeyp
     monkeypatch.setattr(concavity, "_POOL_MIN_CLASSES", classes)
     rep = scan(4, jobs=2)
     assert started == [2] and rep.workers == 2
-    assert sum(map(len, recording_pool.tasks[-1])) == classes
+    assert sum(map(_task_classes, recording_pool.tasks[-1])) == classes
     assert (rep.checked, rep.violations, rep.params) == (serial.checked, serial.violations, serial.params)
     monkeypatch.setattr(concavity, "_usable_cpus", lambda: 64)
     assert scan(4, jobs=3).workers == 3
@@ -526,18 +526,29 @@ def test_skew_pair_scan_pools_from_its_class_count(scan, recording_pool, monkeyp
 
 
 def test_skew_pair_pool_floor_lies_between_bounds_7_and_8(recording_pool, monkeypatch):
-    """1,426 pairs in 351 classes at bound 7 run serially at --jobs 2, and
-    4,300 pairs in 1,001 classes at bound 8 on the pool.  The worker is a
-    stand-in: only the class count decides."""
+    """1,426 pairs in 351 classes (72 midpoint units) at bound 7 run
+    serially at --jobs 2, and 4,300 pairs in 1,001 classes (135 units) at
+    bound 8 on the pool.  The worker is a stand-in: only the class count
+    decides."""
     calls = []
-    monkeypatch.setattr(concavity, "_theorem1_class", calls.append)
+
+    def stand_in(group):
+        calls.append(group)
+        return [None] * _task_classes(group)
+
+    def counts(bound, rep, groups):
+        units = sum(map(len, groups))
+        return rep.checked - len(skew_shapes_up_to(bound)), sum(map(_task_classes, groups)), units, rep.workers
+
+    monkeypatch.setattr(concavity, "_theorem1_group", stand_in)
     monkeypatch.setattr(concavity, "_usable_cpus", lambda: 2)
     rep = theorem1_scan(7, jobs=2)
-    assert (rep.checked - len(skew_shapes_up_to(7)), len(calls), rep.workers) == (1426, 351, 1)
+    assert counts(7, rep, calls) == (1426, 351, 72, 1)
+    serial = len(calls)
     rep = theorem1_scan(8, jobs=2)
     (tasks,) = recording_pool.tasks
-    assert (rep.checked - len(skew_shapes_up_to(8)), sum(map(len, tasks)), rep.workers) == (4300, 1001, 2)
-    assert recording_pool.started == [2] and len(calls) == 351 + 1001
+    assert counts(8, rep, tasks) == (4300, 1001, 135, 2)
+    assert recording_pool.started == [2] and calls[serial:] == tasks
 
 
 def _key_degree(key):
@@ -545,9 +556,14 @@ def _key_degree(key):
     return sum(key[0][0])
 
 
-def _skew_degree(cls):
-    """The pair degree of a class (mid key, factor keys, n): the factors' degrees summed."""
-    return sum(map(_key_degree, cls[1]))
+def _task_classes(group):
+    """The number of classes in a degree group of units (mid key, n, factor pairs)."""
+    return sum(len(factors) for _, _, factors in group)
+
+
+def _unit_classes(group):
+    """The classes of a degree group, in order, each as (mid key, factor keys, n)."""
+    return [(mid, pair, n) for mid, n, factors in group for pair in factors]
 
 
 @pytest.mark.parametrize("scan", [theorem1_scan, slm_scan])
@@ -583,11 +599,11 @@ def test_skew_pair_pool_tasks_are_degree_pure_with_disjoint_rows(scan, recording
     (tasks,) = recording_pool.tasks
     degrees = []
     for task, rows in zip(tasks, keys, strict=True):
-        (d,) = {_skew_degree(u) for u in task}
+        (d,) = {sum(map(_key_degree, pair)) for _, pair, _ in _unit_classes(task)}
         degrees.append(d)
         assert rows and all(sum(a) + sum(b) == d for a, b in rows)
     assert degrees == sorted(set(degrees), reverse=True)
-    assert sum(map(len, tasks)) == len({cls for _, cls in _pair_classes(5)})
+    assert sum(map(_task_classes, tasks)) == len({cls for _, cls in _pair_classes(5)})
     assert sum(map(len, keys)) == len(set().union(*keys))
 
 
@@ -595,12 +611,6 @@ def _function_key(shape):
     """The shape's Kostka table at its size, sorted: equal exactly for equal skew Schur functions."""
     lam, mu = shape
     return tuple(sorted(symfunc.kostka_table(lam, mu, sum(lam) - sum(mu)).items()))
-
-
-def _clear_class_memos():
-    for memo in (concavity._skew_class, concavity._square, concavity._difference,
-                 concavity._schur_difference):
-        memo.cache_clear()
 
 
 def _pair_classes(bound):
@@ -623,7 +633,7 @@ def _pair_classes(bound):
 def test_skew_class_keys_are_equal_exactly_for_equal_functions():
     """449 shapes up to bound 7 have 88 skew Schur functions, told apart by
     their Kostka tables at their size."""
-    _clear_class_memos()
+    concavity._skew_class.cache_clear()
     shapes = skew_shapes_up_to(7)
     keys = [concavity._skew_class(lam, mu) for lam, mu in shapes]
     tables = [_function_key(shape) for shape in shapes]
@@ -632,36 +642,72 @@ def test_skew_class_keys_are_equal_exactly_for_equal_functions():
     assert len(set(keys)) == len(set(zip(keys, tables))) == len(set(tables))
 
 
-def test_class_memos_answer_in_the_variables_asked_for():
-    """A class met again in other variables is not read from the slot."""
-    _clear_class_memos()
+def test_differences_answer_in_the_variables_asked_for():
+    """One midpoint function met in several numbers of variables is squared
+    in each unit's own."""
     ones, twos = SkewShape((1, 1), ()), SkewShape((2,), ())
     mid, other = (concavity._skew_class(s.outer, s.inner) for s in (ones, twos))
+    group = [(mid, n, [tuple(sorted((mid, other))), (mid, mid)]) for n in (2, 4, 3)]
+    want = []
     for n in (2, 4, 3):
         square = multiply(skew_schur(ones, n), skew_schur(ones, n))
-        product = multiply(skew_schur(ones, n), skew_schur(twos, n))
-        assert concavity._square(mid, n) == square
-        got = concavity._difference(mid, tuple(sorted((mid, other))), n)
-        assert got == subtract_and_min_coefficient(square, product)
+        for factor in (twos, ones):
+            product = multiply(skew_schur(ones, n), skew_schur(factor, n))
+            want.append(subtract_and_min_coefficient(square, product))
+    assert list(concavity._differences(group)) == want
 
 
-def test_skew_pair_classes_match_a_direct_computation_per_pair():
-    """Every off-diagonal pair at bound 6, in pair order and then in class
-    order, from cleared memos: the class memos give each pair what its own
-    skew Schur polynomials give."""
+def _scan_class_differences(bound):
+    """What _differences gives each class the skew-pair scan forms at the
+    bound, keyed (mid key, factor keys, n); the scan runs on one worker."""
+    out = {}
+
+    def record(group):
+        classes = _unit_classes(group)
+        out.update(zip(classes, concavity._differences(group), strict=True))
+        return [None] * len(classes)
+
+    concavity._skew_pair_scan(record, bound, 1)
+    return out
+
+
+def _pairs_against_classes(classes, bound, schur):
+    """The off-diagonal pairs up to the bound whose own difference, from
+    the per-pair API, is not their class's in classes (also in the Schur
+    basis when schur is set), and the number of pairs."""
+    peeled = {}
+    bad = []
+    pairs = _pair_classes(bound)
+    for ((l1, m1), (l3, m3)), cls in pairs:
+        diff, min_coeff, witness = classes[cls]
+        own, got = concavity._square_minus_product(l1, m1, l3, m3)
+        same = own == diff and (got.min_coeff, got.witness) == (min_coeff, witness)
+        if schur:
+            if cls not in peeled:
+                peeled[cls] = to_schur_basis(diff)
+            same = same and to_schur_basis(own) == peeled[cls]
+        if not same:
+            bad.append(((l1, m1), (l3, m3)))
+    return bad, len(pairs)
+
+
+def test_skew_pair_classes_match_a_direct_computation_per_pair(monkeypatch):
+    """Every off-diagonal pair at bound 6: the per-pair API gives what the
+    pair's own skew Schur polynomials give, reading no class key, and the
+    scan's class gives each pair the same difference, least coefficient,
+    witness and Schur expansion."""
+    classes = _scan_class_differences(6)
+    assert len(classes) == 148
+
+    def no_class_key(*args):
+        raise AssertionError("the per-pair API read a class key")
+
+    monkeypatch.setattr(concavity, "_skew_class", no_class_key)
     shapes = skew_shapes_up_to(6)
     rows = max(len(lam) for lam, _ in shapes)
-    shape_of = {pad(lam, rows) + pad(mu, rows): (lam, mu) for lam, mu in shapes}
-    pairs = [(shape_of[a], shape_of[b]) for a, b in _midpoint_pairs(list(shape_of), 1, 1) if a != b]
+    pairs = _pair_classes(6)
     assert len(pairs) == 572
-
-    def pair_class(pair):
-        (l1, m1), (l3, m3) = pair
-        mid = shape_of[concavity._mean(pad(l1, rows) + pad(m1, rows), pad(l3, rows) + pad(m3, rows))]
-        return _function_key(mid), sorted(map(_function_key, pair))
-
-    _clear_class_memos()
-    for (l1, m1), (l3, m3) in pairs + sorted(pairs, key=pair_class):
+    for ((l1, m1), (l3, m3)), _ in pairs:
         sh1, sh3 = SkewShape(l1, m1), SkewShape(l3, m3)
         n = max(1, sh1.size + sh3.size)
         mid = SkewShape(
@@ -672,17 +718,18 @@ def test_skew_pair_classes_match_a_direct_computation_per_pair():
             square, multiply(skew_schur(sh1, n), skew_schur(sh3, n))
         )
         expected = SquareComparison(min_coeff >= 0, min_coeff, witness, mid.outer, mid.inner, n)
-        _, got_diff, got = concavity._square_minus_product(l1, m1, l3, m3)
-        assert got_diff.terms == diff.terms and got == expected
+        assert concavity._square_minus_product(l1, m1, l3, m3) == (diff, expected)
         assert theorem1_verify(l1, m1, l3, m3) == expected
         ok, expansion, got = slm_schur_positivity(l1, m1, l3, m3)
         assert expansion == to_schur_basis(diff) and got == expected
         assert ok == expansion.is_nonnegative()
+    assert _pairs_against_classes(classes, 6, schur=True) == ([], 572)
 
 
 def test_skew_pair_scan_squares_each_midpoint_once(monkeypatch):
     """multiply(mid, mid) runs once per midpoint function, one product runs
-    per class of pairs, and the reports equal the pool's."""
+    per class of pairs, slm peels each class once, and the reports equal
+    the pool's."""
     monkeypatch.setattr(concavity, "_POOL_MIN_CLASSES", 1)
     pooled = [theorem1_scan(6, jobs=4), slm_scan(6, jobs=4)]
     shapes = skew_shapes_up_to(6)
@@ -693,18 +740,22 @@ def test_skew_pair_scan_squares_each_midpoint_once(monkeypatch):
     midpoints = {function[concavity._mean(a, b)] for a, b in pairs}
     classes = {(function[concavity._mean(a, b)], frozenset((function[a], function[b]))) for a, b in pairs}
     assert (len(pairs), len(midpoints), len(classes)) == (572, 40, 148)
-    real = concavity.multiply
-    for scan, want in zip((theorem1_scan, slm_scan), pooled):
+    real_multiply, real_peel = concavity.multiply, concavity.to_schur_basis
+    for scan, want, peels in zip((theorem1_scan, slm_scan), pooled, (0, len(classes))):
         calls = Counter()
 
         def counting(a, b):
             calls["square" if a is b else "product"] += 1
-            return real(a, b)
+            return real_multiply(a, b)
 
-        _clear_class_memos()
+        def peel(a):
+            calls["peel"] += 1
+            return real_peel(a)
+
         monkeypatch.setattr(concavity, "multiply", counting)
+        monkeypatch.setattr(concavity, "to_schur_basis", peel)
         rep = scan(6, jobs=1)
-        assert calls == {"square": len(midpoints), "product": len(classes)}
+        assert calls == Counter(square=len(midpoints), product=len(classes), peel=peels)
         assert (rep.checked, rep.violations, rep.params) == (want.checked, want.violations, want.params)
 
 
@@ -828,15 +879,25 @@ def _slm_record(shape1, shape3, lam, coefficient):
     return {"shape1": shape1, "shape3": shape3, "partition": lam, "coefficient": coefficient}
 
 
+def _planted_differences(fake):
+    """A stand-in for _differences that yields fake(mid, factors, n) per class."""
+
+    def differences(group):
+        for mid, factors, n in _unit_classes(group):
+            yield fake(mid, factors, n)
+
+    return differences
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_skew_pair_scanner_violation_records(jobs, monkeypatch):
     """Count, record format and order of theorem1 and slm violations planted
     by class: one record per pair of a failing class, each pair in
     _midpoint_pairs order and orientation, at one worker and on the pool
-    alike."""
+    alike.  slm's difference stands for its class, which the peel's
+    stand-in expands."""
     monkeypatch.setattr(concavity, "_POOL_MIN_CLASSES", 1)
-    monkeypatch.setattr(concavity, "_difference", _fake_difference)
-    monkeypatch.setattr(concavity, "_schur_difference", _fake_schur_difference)
+    monkeypatch.setattr(concavity, "_differences", _planted_differences(_fake_difference))
     rep = theorem1_scan(4, jobs=jobs)
     assert rep.checked == 111
     assert rep.violations == [
@@ -857,6 +918,8 @@ def test_skew_pair_scanner_violation_records(jobs, monkeypatch):
         for _, c, w in [_fake_difference(*cls)]
         if c < 0
     ]
+    monkeypatch.setattr(concavity, "_differences", _planted_differences(lambda *cls: (cls, 0, None)))
+    monkeypatch.setattr(concavity, "to_schur_basis", lambda cls: _fake_schur_difference(*cls))
     rep = slm_scan(4, jobs=jobs)
     assert rep.checked == 111
     assert rep.violations == [
@@ -869,24 +932,39 @@ def test_skew_pair_scanner_violation_records(jobs, monkeypatch):
         for (p, q), cls in pairs
         for lam, c in sorted((lam, c) for lam, c in _fake_schur_difference(*cls).terms.items() if c < 0)[:1]
     ]
+    # every class fails with itself as witness, so each pair's record names
+    # the class its result came from, in every degree group
+    monkeypatch.setattr(concavity, "_differences", _planted_differences(lambda *cls: (None, -1, cls)))
+    monkeypatch.setattr(concavity, "fmt_weight", repr)
+    rep = theorem1_scan(4, jobs=jobs)
+    assert rep.workers == jobs
+    assert [(r["shape1"], r["shape3"], r["witness"]) for r in rep.violations] == [
+        (str(SkewShape(*p)), str(SkewShape(*q)), repr(cls)) for (p, q), cls in pairs
+    ]
 
 
-@pytest.mark.parametrize("scan, worker", [(theorem1_scan, "_theorem1_class"), (slm_scan, "_slm_class")])
-def test_skew_pair_scan_calls_its_class_worker_once_per_class(scan, worker, monkeypatch):
-    """148 classes of the 572 off-diagonal pairs at bound 6, one worker call
-    each, and no call of the per-pair API.  A shape paired with itself
-    always passes, so the classes met only on the diagonal get no call."""
-    real = getattr(concavity, worker)
-    calls = []
+@pytest.mark.parametrize("scan, worker", [(theorem1_scan, "_theorem1_group"), (slm_scan, "_slm_group")])
+def test_skew_pair_scan_computes_each_class_once(scan, worker, monkeypatch):
+    """148 classes of the 572 off-diagonal pairs at bound 6, each computed
+    once, in one worker call per pair degree, and no call of the per-pair
+    API.  A shape paired with itself always passes, so the classes met
+    only on the diagonal are not computed."""
+    real_worker, real_differences = getattr(concavity, worker), concavity._differences
+    groups, calls = [], []
 
-    def recording(cls):
-        calls.append(cls)
-        return real(cls)
+    def recording_worker(group):
+        groups.append(group)
+        return real_worker(group)
+
+    def recording_differences(group):
+        calls.extend(_unit_classes(group))
+        return real_differences(group)
 
     def per_pair(*args):
         raise AssertionError("the scan called the per-pair API")
 
-    monkeypatch.setattr(concavity, worker, recording)
+    monkeypatch.setattr(concavity, worker, recording_worker)
+    monkeypatch.setattr(concavity, "_differences", recording_differences)
     for name in ("theorem1_verify", "slm_schur_positivity", "_square_minus_product"):
         monkeypatch.setattr(concavity, name, per_pair)
     rep = scan(6)
@@ -896,6 +974,7 @@ def test_skew_pair_scan_calls_its_class_worker_once_per_class(scan, worker, monk
     assert rep.clean and rep.checked == len(pairs) + len(shapes) == 572 + len(shapes)
     assert len(calls) == len(set(calls)) == len(classes) == 148
     assert set(calls) == classes
+    assert len(groups) == len({sum(map(_key_degree, pair)) for _, pair, _ in classes})
     diagonal = {(_function_key(s), (_function_key(s),) * 2, max(1, 2 * (sum(s[0]) - sum(s[1])))) for s in shapes}
     assert diagonal - classes and not (diagonal - classes) & set(calls)
 

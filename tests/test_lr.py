@@ -224,13 +224,16 @@ def test_tensor_product_with_positive_minimum_entries():
 
 
 def lr_route_decomposition(w1, w2):
-    """Oracle: V^w1 (x) V^w2 from one LR tableau count per partition that fits."""
+    """Oracle: V^w1 (x) V^w2 from one LR tableau count per partition that fits.
+
+    A lam with lam_1 > p1_1 + p2_1 needs more 1s in the first row of
+    lam/p1 than p2 has, so its count is 0 and it is skipped.
+    """
     n = len(w1)
     p1, s1 = shift_to_partition(w1)
     p2, s2 = shift_to_partition(w2)
-    first_cap = (p1[0] if p1 else 0) + (p2[0] if p2 else 0)
     out = {}
-    for lam in partitions_of(sum(p1) + sum(p2), max_parts=n, max_part=first_cap):
+    for lam in partitions_of(sum(p1) + sum(p2), max_parts=n):
         c = lr_skew_count(lam, p1, p2)
         if c:
             out[tuple(x + s1 + s2 for x in pad(lam, n))] = c
