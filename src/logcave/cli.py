@@ -544,7 +544,7 @@ def main(argv: list[str] | None = None) -> int:
         # fault.  stdout goes to devnull so the flush at exit stays quiet.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE, as a shell reports a command a pipe killed
-    except (ParseError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:

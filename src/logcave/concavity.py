@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 import random
-from functools import lru_cache
+from collections import Counter
 from itertools import chain, groupby
 from math import comb, gcd
 from operator import itemgetter, mul
@@ -237,7 +237,6 @@ class SquareComparison(Record):
     num_variables: int
 
 
-@lru_cache(maxsize=None)
 def _skew_class(outer: Partition, inner: Partition) -> tuple:
     """A key two skew shapes share exactly when their skew Schur functions are equal.
 
@@ -714,28 +713,20 @@ def alpha_matrix_check(t: WeightTriple, p: int, q: int) -> tuple[bool, int, int]
     return v2 >= v1, v2, v1
 
 
-def _circulant_count(box: _Packing, keys: Sequence[int], p: int, q: int) -> int:
-    """Number of triples in ws**3 with an integral circulant image, keys ws packed.
-
-    For coprime p, q the entry p*x + q*y = p(x - y) + (p+q)y of the image
-    is divisible by p+q exactly when x = y mod p+q, so the image of
-    (lam, mu, nu) is integral iff lam = mu = nu mod p+q entrywise.  The
-    count is the sum of n_r**3 over the classes r of ws, n_r their sizes.
-    """
-    return sum(len(c) ** 3 for c in box.classes(keys, p + q))
-
-
 def alpha_scan(rank_bound: int, entry_bound: int, pq_bound: int = 2) -> ConcavityReport:
     """Scan the circulant inequality over bounded triples and alpha = p/(p+q).
 
     Only primitive (p, q) with p, q >= 1 are enumerated (alpha in (0, 1);
     the endpoints are the identity and the rotation, both trivial).  The
-    instances are the triples in ws**3 with an integral image, counted
-    arithmetically by _circulant_count.  Instances with a vanishing
-    original invariant pass outright, so only the sum-zero slice is
-    visited, in ws**3 order, and invariants are looked up only there.  An
-    image is integral only when the three weights agree mod p+q (see
-    _circulant_count), which is tested first.
+    instances are the triples in ws**3 with an integral image.  For coprime
+    p, q the entry p*x + q*y = p(x - y) + (p+q)y of the image is divisible
+    by p+q exactly when x = y mod p+q, so the image of (lam, mu, nu) is
+    integral iff lam = mu = nu mod p+q entrywise, and the instances are
+    counted arithmetically as the sum of n_r**3 over the residue classes r
+    of ws, n_r their sizes.  Instances with a vanishing original invariant
+    pass outright, so only the sum-zero slice is visited, in ws**3 order,
+    and invariants are looked up only there, for the triples whose weights
+    agree mod p+q.
     """
     pq_pairs = _primitive_pq(pq_bound)
     violations = []
@@ -746,8 +737,8 @@ def alpha_scan(rank_bound: int, entry_bound: int, pq_bound: int = 2) -> Concavit
         keys = [box.pack(w) for w in ws]
         triples = list(_sum_zero_triples(ws, ws, ws))
         for p, q in pq_pairs:
-            checked += _circulant_count(box, keys, p, q)
             residue = dict(zip(ws, box.residues(keys, p + q)))
+            checked += sum(n**3 for n in Counter(residue.values()).values())
             for t in triples:
                 lam, mu, nu = t
                 if not residue[lam] == residue[mu] == residue[nu]:

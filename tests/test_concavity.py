@@ -633,7 +633,6 @@ def _pair_classes(bound):
 def test_skew_class_keys_are_equal_exactly_for_equal_functions():
     """449 shapes up to bound 7 have 88 skew Schur functions, told apart by
     their Kostka tables at their size."""
-    concavity._skew_class.cache_clear()
     shapes = skew_shapes_up_to(7)
     keys = [concavity._skew_class(lam, mu) for lam, mu in shapes]
     tables = [_function_key(shape) for shape in shapes]
@@ -1131,9 +1130,12 @@ def test_triple_scan_counts_match_ws3_oracle(rank, bound):
             assert concavity._midpoint_count(box, keys, p, q, 3) == _oracle_conj1_count(
                 sizes[p + q], p, q
             ), (p, q)
-            assert concavity._circulant_count(box, keys, p, q) == _oracle_alpha_count(
-                triples, p, q
-            ), (p, q)
+    # alpha_scan counts every rank up to its bound
+    assert concavity.alpha_scan(rank, bound, 7).checked == sum(
+        _oracle_alpha_count(_oracle_weight_triples(r, bound), p, q)
+        for r in range(1, rank + 1)
+        for p, q in concavity._primitive_pq(7)
+    )
     assert list(concavity._sum_zero_triples(ws, ws, ws)) == [
         t for t in triples if sum(map(sum, t)) == 0
     ]
