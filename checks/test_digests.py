@@ -57,6 +57,8 @@ LR_CACHE_HASHES = {
     ),
     "alpha --rank 3 --bound 2 --pq 5": "3ee1ad72f08e4f034364e161680d3c753837b60fe2df96a595e32a014172c722",
     "saturation --bound 5 --rank 4 --kmax 5": "d307283429f7282eaba338b78a1b3a7ab4d13a54c3da5ea9ed8acd88ab493380",
+    # 36,217 lines, ten times the benchmark's file
+    "conj1 --bound 3 --rank 3 --pq 3": "83deba17415a2f83fd548566fe3cfbfb5989b6fdb3341f46d920702190d8a890",
 }
 
 

@@ -21,8 +21,8 @@ def test_rank4_bound3_triple_invariants():
     """conj1 reads triple invariants from pair decompositions, while triple_invariant
     counts LR tableaux; this builds the whole rank-4 bound-3 value table both ways."""
     ws = list(dominant_weights(4, -3, 3))
-    routes = (lr._box_invariant, lr.triple_invariant)
-    box, tableaux = ([route(t) for t in concavity._sum_zero_triples(ws, ws, ws)] for route in routes)
+    triples = list(concavity._sum_zero_triples(ws, ws, ws))
+    box, tableaux = lr.slice_invariants(triples), [lr.triple_invariant(t) for t in triples]
     assert box == tableaux and (len(box), len(box) - box.count(0)) == (447360, 191971)
 
 
@@ -41,7 +41,8 @@ def test_pair_engine(p, q):
     one midpoint tuple per pair; this runs both over the conj1 rank-3 bound-3 support
     with scrambled values, which leave thousands of violation records."""
     ws = list(dominant_weights(3, -3, 3))
-    support = sorted(a + b + c for a, b, c in concavity._sum_zero_triples(ws, ws, ws) if lr._box_invariant((a, b, c)))
+    triples = list(concavity._sum_zero_triples(ws, ws, ws))
+    support = sorted(a + b + c for (a, b, c), v in zip(triples, lr.slice_invariants(triples)) if v)
     values = {x: 1 + sum(w * e for w, e in zip((7, 3, 5, 2, 11, 13, 1, 4, 6), x)) % 5 for x in support}
     routes = ((_oracle_midpoint_scan, ()), (_packed_midpoint_scan, (-3, 3)))
     # one route's records at a time, as digests: at (1, 1) they take ~150 MB

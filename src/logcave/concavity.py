@@ -25,9 +25,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 from ._records import Record
 from .lr import (
     WeightTriple,
-    _box_invariant,
     _check_triple,
     restriction_multiplicity,
+    slice_invariants,
     tensor_product_multiplicities,
     tensor_square_multiplicities,
     triple_invariant,
@@ -492,9 +492,10 @@ def conjecture1_scan(weight_bound: int, rank_bound: int, pq_bound: int = 2) -> C
     by convexity, so all values come from one table.
 
     The invariant vanishes off the sum-zero slice, so only slice triples
-    are evaluated, in ws**3 order (which fixes the LR cache file's lines),
-    each read from the decomposition of its pair (a, b), and a triple
-    (a, b, c) is the point a + b + c of the pair engine.
+    are evaluated: one slice_invariants fill, in ws**3 order (which fixes
+    the LR cache file's lines), reads each from the decomposition of its
+    pair (a, b).  A triple (a, b, c) is the point a + b + c of the pair
+    engine.
     Instances where F(A) or F(B) vanishes pass outright (the right side is
     zero and F(C)**(p+q) >= 0 exactly), so only pairs from the nonzero
     support are compared.  All instances are counted, arithmetically from
@@ -508,8 +509,9 @@ def conjecture1_scan(weight_bound: int, rank_bound: int, pq_bound: int = 2) -> C
         wkeys = [wbox.pack(w) for w in ws]
         box = _Packing(3 * rank, -weight_bound, weight_bound)
         values: dict[int, int] = {}
-        for a, b, c in _sum_zero_triples(ws, ws, ws):
-            v = _box_invariant((a, b, c))
+        # the triples are generated twice rather than held in memory
+        fill = slice_invariants(_sum_zero_triples(ws, ws, ws))
+        for (a, b, c), v in zip(_sum_zero_triples(ws, ws, ws), fill):
             if v:
                 values[box.pack(a + b + c)] = v
         # keys sort as their vectors do: ascending order orients every

@@ -15,7 +15,8 @@ from __future__ import annotations
 import os
 import threading
 from functools import lru_cache
-from typing import Callable, Iterator
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .partitions import (
     GLWeight,
@@ -150,28 +151,55 @@ def triple_invariant(t: WeightTriple) -> int:
     return _through_cache((lam, mu, nu, n), lambda: _lr_count(dual_weight(lam), mu, nu))
 
 
-def _box_invariant(t: WeightTriple) -> int:
-    """triple_invariant(t) read from the decomposition of V^lam (x) V^mu.
+class _Memo(dict):
+    """A dict that fills in a missing key k with fn(k), for memos local to one call."""
 
-    t must be a sum-zero triple of dominant weights of one rank, as
-    conjecture1_scan takes them from its box; nothing is checked.  The
-    invariant is the multiplicity of V^{dual nu} in V^lam (x) V^mu, so one
-    memoised decomposition serves every nu of a pair.  With a cache file
-    the value goes through it under triple_invariant's key, so the file
-    gets the same lines, and the decomposition is built only on a miss.
+    def __init__(self, fn: Callable):
+        super().__init__()
+        self._fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self._fn(key)
+        return value
+
+
+def slice_invariants(triples: Iterable[WeightTriple]) -> list[int]:
+    """triple_invariant of each triple, in input order, read from pair decompositions.
+
+    The triples must be distinct sum-zero triples of dominant weights of
+    one rank, as conjecture1_scan takes them from its box; nothing is
+    checked.  With a cache file, stored values are read from its memory,
+    and the others are computed and appended under triple_invariant's key
+    in one batch, in input order, so the file gets the lines
+    triple_invariant would write.
     """
-    lam, mu, nu = t
-    return _through_cache((lam, mu, nu, len(lam)), lambda: _pair_row(lam, mu).get(nu, 0))
+    cache = _default_cache()
+    if cache is None:
+        return _read_decompositions(triples)
+    keys = [(lam, mu, nu, len(lam)) for lam, mu, nu in triples]
+    return cache.get_or_compute_all(keys, _read_decompositions)
 
 
-@lru_cache(maxsize=1)
-def _pair_row(lam: GLWeight, mu: GLWeight) -> dict[GLWeight, int]:
-    """nu -> the multiplicity of V^{dual nu} in V^lam (x) V^mu.
+def _read_decompositions(triples: Iterable[tuple]) -> list[int]:
+    """The invariant of each (lam, mu, nu, ...): the multiplicity of V^{dual nu}
+    in V^lam (x) V^mu.
 
-    One row at a time: conjecture1_scan looks up the triples of a pair
-    (lam, mu) one after another.
+    Consecutive triples of one pair (lam, mu) share its decomposition, read
+    once from _brauer_klimyk on the pair's partitions.  Each nu is then one
+    lookup, at dual nu less the pair's det shift.
     """
-    return {dual_weight(w): c for w, c in tensor_product_multiplicities(lam, mu).items()}
+    splits = _Memo(shift_to_partition)
+    shifted_duals = _Memo(lambda key: tuple(-x - key[1] for x in reversed(key[0])))  # (nu, shift)
+    out = []
+    lam = mu = dec = None
+    for t in triples:
+        if t[0] != lam or t[1] != mu:
+            lam, mu = t[0], t[1]
+            (p1, s1), (p2, s2) = splits[lam], splits[mu]
+            dec = _brauer_klimyk(max(p1, p2), min(p1, p2), len(lam))
+            s = s1 + s2
+        out.append(dec.get(shifted_duals[t[2], s], 0))
+    return out
 
 
 def restriction_multiplicity(lam: Partition, mu: Partition, n: int, k: int) -> int:
@@ -276,17 +304,19 @@ class LRCache:
     """On-disk cache of triple invariants: an append-only file, loaded into memory.
 
     File lines are "lam;mu;nu;n;value" in the comma-separated weight
-    syntax.  The file is opened once, on the first append, and stays open
-    until close().  Writes happen under a lock and each entry is a single
-    buffered write followed by a flush; at worst two processes compute the
-    same key and append it twice, which is harmless.
+    syntax.  The file is read once, when the cache is made, and opened for
+    appends on the first batch of new entries; it stays open until close().
+    Each batch is one buffered write of its lines, in order, followed by a
+    flush, under a lock; at worst two processes compute the same key and
+    append it twice, which is harmless.
 
     A write cut short (a killed process, a full disk) leaves a last line
     without its newline, whose value may be a prefix of the true one.
-    Loading skips such a line, and each append first reads the file's last
-    byte through its handle: if that byte is not a newline, the append
+    Loading skips such a line, and each batch first reads the file's last
+    byte through its handle: if that byte is not a newline, the batch
     closes the line with "#\n".  The "#" keeps the fragment from ever
-    parsing, and the new entry starts on a fresh line.
+    parsing, and the batch starts on a fresh line.  Loading also skips a
+    line that does not parse, and one whose value is negative.
     """
 
     def __init__(self, path: str):
@@ -294,33 +324,61 @@ class LRCache:
         self._lock = threading.Lock()
         self._path = path
         self._fh = None
-        if os.path.exists(path):
-            with open(path, "r", encoding="ascii") as fh:
-                for line in fh:
-                    if not line.endswith("\n"):
-                        break  # torn tail
-                    try:
-                        lam_s, mu_s, nu_s, n_s, val_s = line.strip().split(";")
-                        key = (
-                            tuple(map(int, lam_s.split(","))),
-                            tuple(map(int, mu_s.split(","))),
-                            tuple(map(int, nu_s.split(","))),
-                            int(n_s),
-                        )
-                        self._memory[key] = int(val_s)
-                    except ValueError:
-                        continue  # foreign or truncated line
+        if not os.path.exists(path):
+            return
+        # each distinct weight string is parsed once
+        weights = _Memo(lambda s: tuple(map(int, s.split(","))))
+        with open(path, "r", encoding="ascii", errors="replace") as fh:
+            for line in fh:
+                if not line.endswith("\n"):
+                    break  # torn tail
+                try:
+                    lam_s, mu_s, nu_s, n_s, val_s = line.split(";")
+                    key = (weights[lam_s], weights[mu_s], weights[nu_s], int(n_s))
+                    value = int(val_s)
+                except ValueError:
+                    continue  # foreign or truncated line
+                if value >= 0:  # a multiplicity; anything else is foreign
+                    self._memory[key] = value
 
     def get_or_compute(self, key: tuple, compute: Callable[[], int]) -> int:
         with self._lock:
             if key in self._memory:
                 return self._memory[key]
         value = compute()
+        self.append([key], [value])
+        return value
+
+    def get_or_compute_all(
+        self, keys: Sequence[tuple], compute: Callable[[list[tuple]], list[int]]
+    ) -> list[int]:
+        """The value of each key, in order: stored ones from memory, the
+        others from one compute(missing keys), appended as one batch.
+        A key repeated among the missing ones is computed and appended twice."""
         with self._lock:
-            self._memory[key] = value
-            lam, mu, nu, n = key
-            fields = [fmt_weight(w) for w in (lam, mu, nu)]
-            line = ";".join([*fields, str(n), str(value)])
+            memory = self._memory
+            missing = [k for k in keys if k not in memory]
+        if missing:
+            self.append(missing, compute(missing))
+        with self._lock:
+            return [memory[k] for k in keys]
+
+    def append(self, keys: Sequence[tuple], values: Sequence[int]) -> None:
+        """Store the values under their keys and append their lines, in order.
+
+        The batch is written with one torn-tail check and one flush, in
+        writes of up to 4,096 lines so that a large batch is never held
+        whole as text.  An empty batch opens nothing and writes nothing.
+        """
+        if not keys:
+            return
+        names = _Memo(fmt_weight)
+        lines = (
+            f"{names[lam]};{names[mu]};{names[nu]};{n};{value}\n"
+            for (lam, mu, nu, n), value in zip(keys, values)
+        )
+        with self._lock:
+            self._memory.update(zip(keys, values))
             if self._fh is None:
                 self._fh = open(self._path, "a+b")
             fh = self._fh
@@ -328,10 +386,10 @@ class LRCache:
             if fh.seek(0, os.SEEK_END) > 0:
                 fh.seek(-1, os.SEEK_END)
                 if fh.read(1) != b"\n":
-                    line = "#\n" + line
-            fh.write((line + "\n").encode("ascii"))
+                    fh.write(b"#\n")
+            while chunk := "".join(islice(lines, 4096)):
+                fh.write(chunk.encode("ascii"))
             fh.flush()
-        return value
 
     def close(self) -> None:
         """Close the file handle; a later append opens it again."""
@@ -375,6 +433,5 @@ def reset_default_cache() -> None:
     if _default_cache.cache_info().currsize and (cache := _default_cache()) is not None:
         cache.close()
     _default_cache.cache_clear()
-    _pair_row.cache_clear()
     _brauer_klimyk.cache_clear()
     _weights.cache_clear()

@@ -783,6 +783,10 @@ def _fake_triple_invariant(t):
     return 7 + t[0][0] + 2 * t[2][-1]
 
 
+def _fake_slice_invariants(triples):
+    return [_fake_triple_invariant(t) for t in triples]
+
+
 def _weyl_record(a, b, da, db):
     return {"rank": 3, "a": a, "b": b, "c": "3,2,1", "values": [da, db, "0"]}
 
@@ -806,7 +810,7 @@ def test_midpoint_scanner_violation_records(monkeypatch):
         concavity, "restriction_multiplicity", _fake_restriction_multiplicity
     )
     monkeypatch.setattr(concavity, "triple_invariant", _fake_triple_invariant)
-    monkeypatch.setattr(concavity, "_box_invariant", _fake_triple_invariant)
+    monkeypatch.setattr(concavity, "slice_invariants", _fake_slice_invariants)
 
     rep = weyl_logconcavity_scan(3, 4)
     assert rep.checked == 164
@@ -1147,7 +1151,7 @@ def test_triple_scans_match_ws3_oracle_scans(fake, monkeypatch):
     so unfaked this compares the two routes on whole reports."""
     if fake:
         monkeypatch.setattr(concavity, "triple_invariant", _fake_triple_invariant)
-        monkeypatch.setattr(concavity, "_box_invariant", _fake_triple_invariant)
+        monkeypatch.setattr(concavity, "slice_invariants", _fake_slice_invariants)
     for bound, rank, pq in ((2, 2, 7), (1, 4, 4)):
         rep = conjecture1_scan(bound, rank, pq)
         assert (rep.checked, rep.violations) == _oracle_conjecture1_scan(bound, rank, pq)

@@ -274,7 +274,8 @@ def test_brauer_klimyk_matches_lr_route_on_signed_weights(data):
 def test_box_invariant_matches_triple_invariant_on_every_slice_triple(
     rank, bound, cached, tmp_path, monkeypatch
 ):
-    """Pair decompositions against LR tableau counts, one value per slice triple."""
+    """The slice_invariants fill, which reads pair decompositions, against LR tableau
+    counts, one value per slice triple."""
     ws = list(dominant_weights(rank, -bound, bound))
     triples = list(_sum_zero_triples(ws, ws, ws))
     monkeypatch.delenv("LOGCAVE_CACHE_DIR", raising=False)
@@ -284,7 +285,7 @@ def test_box_invariant_matches_triple_invariant_on_every_slice_triple(
         monkeypatch.setenv("LOGCAVE_CACHE_DIR", str(tmp_path))
     lrmod.reset_default_cache()
     try:
-        assert {t: lrmod._box_invariant(t) for t in triples} == expected
+        assert dict(zip(triples, lrmod.slice_invariants(triples))) == expected
     finally:
         lrmod.reset_default_cache()
     assert sum(map(bool, expected.values())) > len(triples) // 3
@@ -458,6 +459,96 @@ def test_cache_closes_a_tail_torn_between_two_appends(tmp_path):
     cache.close()
     assert path.read_text() == "1;0;-1;1;1\n2;0;-2;1;#\n3;0;-3;1;1\n"
     assert len(LRCache(str(path))) == 2
+
+
+def test_cache_batch_after_a_torn_tail_starts_on_a_fresh_line(tmp_path):
+    path = tmp_path / "lr_cache.txt"
+    path.write_text("1;0;-1;1;1\n2;0;-2;1;")
+    cache = LRCache(str(path))
+    keys = [((v,), (0,), (-v,), 1) for v in (3, 4, 5)]
+    cache.append(keys, [1, 1, 1])
+    cache.close()
+    assert path.read_text() == "1;0;-1;1;1\n2;0;-2;1;#\n3;0;-3;1;1\n4;0;-4;1;1\n5;0;-5;1;1\n"
+    assert LRCache(str(path))._memory == dict.fromkeys([((1,), (0,), (-1,), 1), *keys], 1)
+
+
+def test_cache_empty_batch_opens_nothing(tmp_path, monkeypatch):
+    path = tmp_path / "lr_cache.txt"
+    path.write_text("1;0;-1;1;1\n")
+    opened = []
+
+    def counted_open(*args, **kwargs):
+        opened.append(args)
+        return open(*args, **kwargs)
+
+    cache = LRCache(str(path))
+    monkeypatch.setattr(lrmod, "open", counted_open, raising=False)
+    cache.append([], [])
+    assert cache.get_or_compute_all([((1,), (0,), (-1,), 1)], lambda keys: [-999] * len(keys)) == [1]
+    assert opened == [] and cache._fh is None
+    assert path.read_text() == "1;0;-1;1;1\n"
+
+
+def test_two_caches_on_one_file_append_batches_in_turn(tmp_path):
+    path = str(tmp_path / "lr_cache.txt")
+    first, second = LRCache(path), LRCache(path)
+    keys = [((i,), (j,), (-i - j,), 1) for i in range(4) for j in range(5)]
+    for i, cache in enumerate([first, second] * 2):
+        cache.append(keys[5 * i : 5 * (i + 1)], [i] * 5)
+    first.close()
+    second.close()
+    expected = {key: i // 5 for i, key in enumerate(keys)}
+    assert LRCache(path)._memory == expected
+
+
+def test_cache_writes_a_large_batch_whole_and_in_order(tmp_path):
+    path = tmp_path / "lr_cache.txt"
+    cache = LRCache(str(path))
+    keys = [((i,), (j,), (-i - j,), 1) for i in range(100) for j in range(100)]
+    cache.append(keys, range(len(keys)))
+    cache.close()
+    assert path.read_text().splitlines() == [f"{i};{j};{-i - j};1;{100 * i + j}" for i in range(100) for j in range(100)]
+    assert LRCache(str(path))._memory == {key: v for v, key in enumerate(keys)}
+
+
+def test_cache_skips_a_negative_value(tmp_path, monkeypatch):
+    """Multiplicities are >= 0, so a line with a negative value is foreign."""
+    (tmp_path / "lr_cache.txt").write_text("2;0;-2;1;-5\n1;0;-1;1;1\n")
+    assert LRCache(str(tmp_path / "lr_cache.txt"))._memory == {((1,), (0,), (-1,), 1): 1}
+    monkeypatch.setenv("LOGCAVE_CACHE_DIR", str(tmp_path))
+    lrmod.reset_default_cache()
+    try:
+        assert triple_invariant(((2,), (0,), (-2,))) == 1
+        assert lrmod.slice_invariants([((2,), (0,), (-2,))]) == [1]
+    finally:
+        lrmod.reset_default_cache()
+
+
+def test_cache_skips_a_line_that_is_not_ascii(tmp_path):
+    (tmp_path / "lr_cache.txt").write_bytes("2;0;-2;1;٥\n1;0;-1;1;1\n".encode())
+    assert LRCache(str(tmp_path / "lr_cache.txt"))._memory == {((1,), (0,), (-1,), 1): 1}
+
+
+def test_slice_invariants_read_hits_and_append_misses_in_order(tmp_path, monkeypatch):
+    """Stored values come from the loaded memory; the misses are appended after them
+    in input order."""
+    ws = list(dominant_weights(2, -1, 1))
+    triples = list(_sum_zero_triples(ws, ws, ws))
+    stored = triples[3]
+    monkeypatch.delenv("LOGCAVE_CACHE_DIR", raising=False)
+    lrmod.reset_default_cache()
+    expected = [7 if t == stored else triple_invariant(t) for t in triples]
+    path = tmp_path / "lr_cache.txt"
+    path.write_text(";".join(map(lrmod.fmt_weight, stored)) + ";2;7\n")
+    monkeypatch.setenv("LOGCAVE_CACHE_DIR", str(tmp_path))
+    lrmod.reset_default_cache()
+    try:
+        got = lrmod.slice_invariants(triples)
+    finally:
+        lrmod.reset_default_cache()
+    assert got == expected
+    lines = path.read_text().splitlines()
+    assert lines[1:] == [";".join([*map(lrmod.fmt_weight, t), "2", str(v)]) for t, v in zip(triples, expected) if t != stored]
 
 
 def test_reset_default_cache_closes_the_file(tmp_path, monkeypatch):
