@@ -70,3 +70,14 @@ def test_lr_cache_file_bytes(scans, tmp_path):
     for scan in scans.split("; "):
         assert verify(tmp_path, scan, cache=True)[0] in (0, 1), scan
     assert hashlib.sha256((tmp_path / "lr_cache.txt").read_bytes()).hexdigest() == LR_CACHE_HASHES[scans]
+
+
+def test_lr_cache_warm_rerun_reads_every_value(tmp_path):
+    """A second run on the file the first wrote finds every value stored: it reports
+    the same digest, and the file keeps its pinned bytes, so it appended nothing."""
+    scan = "conj1 --bound 3 --rank 3 --pq 3"
+    cold_code, cold = verify(tmp_path, scan, cache=True)
+    warm_code, warm = verify(tmp_path, scan, cache=True)
+    assert cold_code in (0, 1) and warm_code == cold_code
+    assert warm["output_digest"] == cold["output_digest"]
+    assert hashlib.sha256((tmp_path / "lr_cache.txt").read_bytes()).hexdigest() == LR_CACHE_HASHES[scan]

@@ -144,11 +144,13 @@ def triple_invariant(t: WeightTriple) -> int:
     Fully symmetric in the three arguments; zero whenever the entries do
     not sum to zero (no torus invariants).
     """
-    n = _check_triple(t)
+    _check_triple(t)
     lam, mu, nu = t
     if sum(lam) + sum(mu) + sum(nu) != 0:
         return 0
-    return _through_cache((lam, mu, nu, n), lambda: _lr_count(dual_weight(lam), mu, nu))
+    compute = lambda: _lr_count(dual_weight(lam), mu, nu)
+    cache = _default_cache()
+    return compute() if cache is None else cache.get_or_compute((lam, mu, nu), compute)
 
 
 class _Memo(dict):
@@ -169,20 +171,18 @@ def slice_invariants(triples: Iterable[WeightTriple]) -> list[int]:
     The triples must be distinct sum-zero triples of dominant weights of
     one rank, as conjecture1_scan takes them from its box; nothing is
     checked.  With a cache file, stored values are read from its memory,
-    and the others are computed and appended under triple_invariant's key
-    in one batch, in input order, so the file gets the lines
-    triple_invariant would write.
+    and the others are computed and appended in one batch, in input order,
+    so the file gets the lines triple_invariant would write.
     """
     cache = _default_cache()
     if cache is None:
         return _read_decompositions(triples)
-    keys = [(lam, mu, nu, len(lam)) for lam, mu, nu in triples]
-    return cache.get_or_compute_all(keys, _read_decompositions)
+    return cache.get_or_compute_all(list(triples), _read_decompositions)
 
 
-def _read_decompositions(triples: Iterable[tuple]) -> list[int]:
-    """The invariant of each (lam, mu, nu, ...): the multiplicity of V^{dual nu}
-    in V^lam (x) V^mu.
+def _read_decompositions(triples: Iterable[WeightTriple]) -> list[int]:
+    """The invariant of each triple (lam, mu, nu): the multiplicity of
+    V^{dual nu} in V^lam (x) V^mu.
 
     Consecutive triples of one pair (lam, mu) share its decomposition, read
     once from _brauer_klimyk on the pair's partitions.  Each nu is then one
@@ -192,13 +192,13 @@ def _read_decompositions(triples: Iterable[tuple]) -> list[int]:
     shifted_duals = _Memo(lambda key: tuple(-x - key[1] for x in reversed(key[0])))  # (nu, shift)
     out = []
     lam = mu = dec = None
-    for t in triples:
-        if t[0] != lam or t[1] != mu:
-            lam, mu = t[0], t[1]
+    for a, b, nu in triples:
+        if a != lam or b != mu:
+            lam, mu = a, b
             (p1, s1), (p2, s2) = splits[lam], splits[mu]
             dec = _brauer_klimyk(max(p1, p2), min(p1, p2), len(lam))
             s = s1 + s2
-        out.append(dec.get(shifted_duals[t[2], s], 0))
+        out.append(dec.get(shifted_duals[nu, s], 0))
     return out
 
 
@@ -303,9 +303,11 @@ def tensor_square_multiplicities(w: GLWeight) -> dict[GLWeight, int]:
 class LRCache:
     """On-disk cache of triple invariants: an append-only file, loaded into memory.
 
-    File lines are "lam;mu;nu;n;value" in the comma-separated weight
-    syntax.  The file is read once, when the cache is made, and opened for
-    appends on the first batch of new entries; it stays open until close().
+    Values are keyed by the triple (lam, mu, nu).  File lines are
+    "lam;mu;nu;n;value" in the comma-separated weight syntax, with n the
+    rank, len(lam).  The file is read once, when the cache is made, and
+    opened for appends on the first batch of new entries; it stays open
+    until close().
     Each batch is one buffered write of its lines, in order, followed by a
     flush, under a lock; at worst two processes compute the same key and
     append it twice, which is harmless.
@@ -316,11 +318,12 @@ class LRCache:
     byte through its handle: if that byte is not a newline, the batch
     closes the line with "#\n".  The "#" keeps the fragment from ever
     parsing, and the batch starts on a fresh line.  Loading also skips a
-    line that does not parse, and one whose value is negative.
+    line that does not parse, one whose value is negative, and one whose
+    weights are not all of length n.
     """
 
     def __init__(self, path: str):
-        self._memory: dict[tuple, int] = {}
+        self._memory: dict[WeightTriple, int] = {}
         self._lock = threading.Lock()
         self._path = path
         self._fh = None
@@ -334,23 +337,22 @@ class LRCache:
                     break  # torn tail
                 try:
                     lam_s, mu_s, nu_s, n_s, val_s = line.split(";")
-                    key = (weights[lam_s], weights[mu_s], weights[nu_s], int(n_s))
-                    value = int(val_s)
+                    lam, mu, nu = weights[lam_s], weights[mu_s], weights[nu_s]
+                    n, value = int(n_s), int(val_s)
                 except ValueError:
                     continue  # foreign or truncated line
-                if value >= 0:  # a multiplicity; anything else is foreign
-                    self._memory[key] = value
+                # a multiplicity at the weights' rank; anything else is foreign
+                if value >= 0 and len(lam) == len(mu) == len(nu) == n:
+                    self._memory[lam, mu, nu] = value
 
-    def get_or_compute(self, key: tuple, compute: Callable[[], int]) -> int:
-        with self._lock:
-            if key in self._memory:
-                return self._memory[key]
-        value = compute()
-        self.append([key], [value])
-        return value
+    def get_or_compute(self, key: WeightTriple, compute: Callable[[], int]) -> int:
+        """The value of one key, through get_or_compute_all."""
+        return self.get_or_compute_all([key], lambda _: [compute()])[0]
 
     def get_or_compute_all(
-        self, keys: Sequence[tuple], compute: Callable[[list[tuple]], list[int]]
+        self,
+        keys: Sequence[WeightTriple],
+        compute: Callable[[list[WeightTriple]], list[int]],
     ) -> list[int]:
         """The value of each key, in order: stored ones from memory, the
         others from one compute(missing keys), appended as one batch.
@@ -363,7 +365,7 @@ class LRCache:
         with self._lock:
             return [memory[k] for k in keys]
 
-    def append(self, keys: Sequence[tuple], values: Sequence[int]) -> None:
+    def append(self, keys: Sequence[WeightTriple], values: Sequence[int]) -> None:
         """Store the values under their keys and append their lines, in order.
 
         The batch is written with one torn-tail check and one flush, in
@@ -374,8 +376,8 @@ class LRCache:
             return
         names = _Memo(fmt_weight)
         lines = (
-            f"{names[lam]};{names[mu]};{names[nu]};{n};{value}\n"
-            for (lam, mu, nu, n), value in zip(keys, values)
+            f"{names[lam]};{names[mu]};{names[nu]};{len(lam)};{value}\n"
+            for (lam, mu, nu), value in zip(keys, values)
         )
         with self._lock:
             self._memory.update(zip(keys, values))
@@ -411,14 +413,6 @@ def _default_cache() -> LRCache | None:
         return None
     os.makedirs(cache_dir, exist_ok=True)
     return LRCache(os.path.join(cache_dir, "lr_cache.txt"))
-
-
-def _through_cache(key: tuple, compute: Callable[[], int]) -> int:
-    """compute(), through the default cache under key when there is one."""
-    cache = _default_cache()
-    if cache is None:
-        return compute()
-    return cache.get_or_compute(key, compute)
 
 
 def reset_default_cache() -> None:

@@ -312,10 +312,10 @@ def test_cli_closed_pipe_is_exit_141_without_traceback():
     # the write always meets a closed pipe
     env = dict(os.environ, PYTHONPATH=str(SRC))
     argv = [sys.executable, "-m", "logcave.cli", "body", "--dim", "1", "--basis", "1; x", "--kmax", "2"]
-    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=60) == 141
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 141
     assert err == ""
 
 

@@ -271,7 +271,7 @@ def test_brauer_klimyk_matches_lr_route_on_signed_weights(data):
 
 @pytest.mark.parametrize("cached", [False, True])
 @pytest.mark.parametrize("rank, bound", [(3, 3), (4, 2)])
-def test_box_invariant_matches_triple_invariant_on_every_slice_triple(
+def test_slice_invariants_match_triple_invariant_on_every_slice_triple(
     rank, bound, cached, tmp_path, monkeypatch
 ):
     """The slice_invariants fill, which reads pair decompositions, against LR tableau
@@ -291,7 +291,7 @@ def test_box_invariant_matches_triple_invariant_on_every_slice_triple(
     assert sum(map(bool, expected.values())) > len(triples) // 3
     if cached:
         stored = LRCache(str(tmp_path / "lr_cache.txt"))
-        assert stored._memory == {(*t, rank): v for t, v in expected.items()}
+        assert stored._memory == expected
 
 
 def test_tensor_product_returns_a_fresh_dict():
@@ -335,7 +335,7 @@ def test_cache_round_trip(tmp_path, monkeypatch):
     assert v == 2
     # new cache instance reads the stored value instead of recomputing
     c2 = LRCache(path)
-    assert c2.get_or_compute((t[0], t[1], t[2], 3), lambda: -999) == v
+    assert c2.get_or_compute(t, lambda: -999) == v
     with open(path) as fh:
         line = fh.read().strip()
     assert line == "1,0,-1;1,0,-1;1,0,-1;3;2"
@@ -343,8 +343,7 @@ def test_cache_round_trip(tmp_path, monkeypatch):
 
 def test_cache_torn_tail_is_ignored_and_closed(tmp_path):
     path = os.path.join(tmp_path, "lr_cache.txt")
-    t = ((1, 0, -1), (1, 0, -1), (1, 0, -1))
-    key = (*t, 3)
+    key = ((1, 0, -1), (1, 0, -1), (1, 0, -1))
     whole = "2,0,0;0,0,-1;0,0,-1;3;5\n\n"  # a blank line loads nothing
     # "...;3;12" cut short after its first digit and before its newline
     with open(path, "w", encoding="ascii") as fh:
@@ -367,12 +366,12 @@ def test_cache_closed_fragment_without_recompute_stays_unloaded(tmp_path):
     with open(path, "w", encoding="ascii") as fh:
         fh.write("1,0,-1;1,0,-1;1,0,-1;3;1")
     c1 = LRCache(path)
-    c1.get_or_compute(((0,), (0,), (0,), 1), lambda: 1)
+    c1.get_or_compute(((0,), (0,), (0,)), lambda: 1)
     c1.close()
     c2 = LRCache(path)
     assert len(c2) == 1
     t = ((1, 0, -1), (1, 0, -1), (1, 0, -1))
-    assert c2.get_or_compute((*t, 3), lambda: 2) == 2
+    assert c2.get_or_compute(t, lambda: 2) == 2
     c2.close()
 
 
@@ -414,7 +413,7 @@ def test_cache_opens_its_file_once(tmp_path, monkeypatch):
     cache = LRCache(path)
     assert opened == []  # no file yet, and nothing is opened until an append
     for v in range(50):
-        assert cache.get_or_compute(((v,), (0,), (-v,), 1), lambda: v) == v
+        assert cache.get_or_compute(((v,), (0,), (-v,)), lambda: v) == v
     cache.close()
     assert opened == [(path, "a+b")]
     lines = (tmp_path / "lr_cache.txt").read_text().splitlines()
@@ -424,7 +423,7 @@ def test_cache_opens_its_file_once(tmp_path, monkeypatch):
 def test_cache_threads_share_one_handle_without_losing_a_line(tmp_path):
     path = tmp_path / "lr_cache.txt"
     cache = LRCache(str(path))
-    keys = [((i,), (j,), (-i - j,), 1) for i in range(8) for j in range(100)]
+    keys = [((i,), (j,), (-i - j,)) for i in range(8) for j in range(100)]
 
     def worker(i):
         for key in keys[100 * i : 100 * (i + 1)]:
@@ -451,11 +450,11 @@ def test_cache_threads_share_one_handle_without_losing_a_line(tmp_path):
 def test_cache_closes_a_tail_torn_between_two_appends(tmp_path):
     path = tmp_path / "lr_cache.txt"
     cache = LRCache(str(path))
-    cache.get_or_compute(((1,), (0,), (-1,), 1), lambda: 1)
+    cache.get_or_compute(((1,), (0,), (-1,)), lambda: 1)
     # a second writer dies mid-line while the first keeps its handle open
     with open(path, "a", encoding="ascii") as fh:
         fh.write("2;0;-2;1;")
-    cache.get_or_compute(((3,), (0,), (-3,), 1), lambda: 1)
+    cache.get_or_compute(((3,), (0,), (-3,)), lambda: 1)
     cache.close()
     assert path.read_text() == "1;0;-1;1;1\n2;0;-2;1;#\n3;0;-3;1;1\n"
     assert len(LRCache(str(path))) == 2
@@ -465,11 +464,11 @@ def test_cache_batch_after_a_torn_tail_starts_on_a_fresh_line(tmp_path):
     path = tmp_path / "lr_cache.txt"
     path.write_text("1;0;-1;1;1\n2;0;-2;1;")
     cache = LRCache(str(path))
-    keys = [((v,), (0,), (-v,), 1) for v in (3, 4, 5)]
+    keys = [((v,), (0,), (-v,)) for v in (3, 4, 5)]
     cache.append(keys, [1, 1, 1])
     cache.close()
     assert path.read_text() == "1;0;-1;1;1\n2;0;-2;1;#\n3;0;-3;1;1\n4;0;-4;1;1\n5;0;-5;1;1\n"
-    assert LRCache(str(path))._memory == dict.fromkeys([((1,), (0,), (-1,), 1), *keys], 1)
+    assert LRCache(str(path))._memory == dict.fromkeys([((1,), (0,), (-1,)), *keys], 1)
 
 
 def test_cache_empty_batch_opens_nothing(tmp_path, monkeypatch):
@@ -484,7 +483,7 @@ def test_cache_empty_batch_opens_nothing(tmp_path, monkeypatch):
     cache = LRCache(str(path))
     monkeypatch.setattr(lrmod, "open", counted_open, raising=False)
     cache.append([], [])
-    assert cache.get_or_compute_all([((1,), (0,), (-1,), 1)], lambda keys: [-999] * len(keys)) == [1]
+    assert cache.get_or_compute_all([((1,), (0,), (-1,))], lambda keys: [-999] * len(keys)) == [1]
     assert opened == [] and cache._fh is None
     assert path.read_text() == "1;0;-1;1;1\n"
 
@@ -492,7 +491,7 @@ def test_cache_empty_batch_opens_nothing(tmp_path, monkeypatch):
 def test_two_caches_on_one_file_append_batches_in_turn(tmp_path):
     path = str(tmp_path / "lr_cache.txt")
     first, second = LRCache(path), LRCache(path)
-    keys = [((i,), (j,), (-i - j,), 1) for i in range(4) for j in range(5)]
+    keys = [((i,), (j,), (-i - j,)) for i in range(4) for j in range(5)]
     for i, cache in enumerate([first, second] * 2):
         cache.append(keys[5 * i : 5 * (i + 1)], [i] * 5)
     first.close()
@@ -504,7 +503,7 @@ def test_two_caches_on_one_file_append_batches_in_turn(tmp_path):
 def test_cache_writes_a_large_batch_whole_and_in_order(tmp_path):
     path = tmp_path / "lr_cache.txt"
     cache = LRCache(str(path))
-    keys = [((i,), (j,), (-i - j,), 1) for i in range(100) for j in range(100)]
+    keys = [((i,), (j,), (-i - j,)) for i in range(100) for j in range(100)]
     cache.append(keys, range(len(keys)))
     cache.close()
     assert path.read_text().splitlines() == [f"{i};{j};{-i - j};1;{100 * i + j}" for i in range(100) for j in range(100)]
@@ -514,7 +513,7 @@ def test_cache_writes_a_large_batch_whole_and_in_order(tmp_path):
 def test_cache_skips_a_negative_value(tmp_path, monkeypatch):
     """Multiplicities are >= 0, so a line with a negative value is foreign."""
     (tmp_path / "lr_cache.txt").write_text("2;0;-2;1;-5\n1;0;-1;1;1\n")
-    assert LRCache(str(tmp_path / "lr_cache.txt"))._memory == {((1,), (0,), (-1,), 1): 1}
+    assert LRCache(str(tmp_path / "lr_cache.txt"))._memory == {((1,), (0,), (-1,)): 1}
     monkeypatch.setenv("LOGCAVE_CACHE_DIR", str(tmp_path))
     lrmod.reset_default_cache()
     try:
@@ -526,7 +525,20 @@ def test_cache_skips_a_negative_value(tmp_path, monkeypatch):
 
 def test_cache_skips_a_line_that_is_not_ascii(tmp_path):
     (tmp_path / "lr_cache.txt").write_bytes("2;0;-2;1;٥\n1;0;-1;1;1\n".encode())
-    assert LRCache(str(tmp_path / "lr_cache.txt"))._memory == {((1,), (0,), (-1,), 1): 1}
+    assert LRCache(str(tmp_path / "lr_cache.txt"))._memory == {((1,), (0,), (-1,)): 1}
+
+
+def test_cache_skips_a_line_whose_rank_field_is_not_the_weights_length(tmp_path, monkeypatch):
+    """The rank field must be the length of all three weights, so a line from
+    another rank never serves a value."""
+    (tmp_path / "lr_cache.txt").write_text("1;0;-1;2;7\n2;0;-2;1;1\n")
+    assert LRCache(str(tmp_path / "lr_cache.txt"))._memory == {((2,), (0,), (-2,)): 1}
+    monkeypatch.setenv("LOGCAVE_CACHE_DIR", str(tmp_path))
+    lrmod.reset_default_cache()
+    try:
+        assert triple_invariant(((1,), (0,), (-1,))) == 1
+    finally:
+        lrmod.reset_default_cache()
 
 
 def test_slice_invariants_read_hits_and_append_misses_in_order(tmp_path, monkeypatch):
