@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
+import importlib
 import json
 import os
 import re
@@ -189,6 +189,27 @@ def parse_sequence(text: str) -> FiniteSequence:
 # ---------------------------------------------------------------------------
 
 
+def _builtin_sha256():
+    """The interpreter's own SHA-256 constructor: _sha2's from CPython 3.12, _sha256's before.
+
+    hashlib's sha256 loads OpenSSL's libcrypto, megabytes of resident memory
+    for one digest of a few kilobytes, so it is only the fallback for builds
+    that lack both modules.  Either gives the same bytes.  The modules are
+    looked up by name because each exists on only some Python versions.
+    """
+    for name in ("_sha2", "_sha256"):
+        try:
+            return importlib.import_module(name).sha256
+        except ImportError:
+            pass
+    from hashlib import sha256
+
+    return sha256
+
+
+_sha256 = _builtin_sha256()
+
+
 def canonical_payload(digested: dict) -> bytes:
     """The deterministic portion of a report, {subcommand, params, checked,
     violations}, canonically serialized."""
@@ -206,7 +227,7 @@ def build_report(
 ) -> dict:
     """The digested payload plus runtime_ms and the manifest; jobs is the worker count used."""
     digested = dict(subcommand=subcommand, params=params, checked=checked, violations=violations)
-    digest = "sha256:" + hashlib.sha256(canonical_payload(digested)).hexdigest()
+    digest = "sha256:" + _sha256(canonical_payload(digested)).hexdigest()
     manifest = dict(argv=argv, jobs=jobs, artifact_version=__version__, output_digest=digest)
     return dict(digested, runtime_ms=runtime_ms, manifest=manifest)
 

@@ -25,7 +25,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 from ._records import Record
 from .lr import (
     WeightTriple,
+    _brauer_klimyk,
     _check_triple,
+    _pair_decomposition,
     restriction_multiplicity,
     slice_invariants,
     tensor_product_multiplicities,
@@ -41,6 +43,7 @@ from .partitions import (
     fmt_weight,
     pad,
     partitions_up_to,
+    shift_to_partition,
     subdiagrams,
     weyl_dimension,
 )
@@ -623,7 +626,8 @@ def saturation_scan_all(max_weight: int, rank: int, k_max: int) -> ConcavityRepo
 
 def _first_excess(left: dict, right: dict) -> GLWeight | None:
     """The least lam in sorted order with left[lam] > right[lam], or None."""
-    return next((lam for lam in sorted(left) if left[lam] > right.get(lam, 0)), None)
+    excess = [lam for lam, c in left.items() if c > right.get(lam, 0)]
+    return min(excess) if excess else None
 
 
 def logv_inclusion_check(mu: GLWeight, nu: GLWeight) -> tuple[bool, GLWeight | None]:
@@ -653,6 +657,11 @@ def logv_scan(rank_bound: int, entry_bound: int) -> ConcavityReport:
     class as (ws[i], ws[j]) with i < j.  The inclusion is a theorem (Lam,
     Postnikov and Pylyavskyy, Amer. J. Math. 129, 2007), so expected
     violations: none, ever; one would be a bug.
+
+    The midpoint's last entry is the mean of mu's and nu's, so a pair and
+    its square carry the same det shift: their partition-pair
+    decompositions compare as they are, and only a failing pair's
+    least excess is shifted back.
     """
     violations = []
     checked = 0
@@ -660,18 +669,22 @@ def logv_scan(rank_bound: int, entry_bound: int) -> ConcavityReport:
         ws = list(dominant_weights(rank, -entry_bound, entry_bound))
         box = _Packing(rank, -entry_bound, entry_bound)
         keys = [box.pack(w) for w in ws]
-        squares = {k: tensor_square_multiplicities(w) for k, w in zip(keys, ws)}
+        squares = {}
+        for k, w in zip(keys, ws):
+            p = shift_to_partition(w)[0]
+            squares[k] = _brauer_klimyk(p, p, rank)
         checked += _midpoint_count(box, keys, 1, 1)
         for ka, kb in _unordered_pairs(box, keys):
             mu, nu = box.unpack(ka), box.unpack(kb)
-            bad = _first_excess(tensor_product_multiplicities(mu, nu), squares[(ka + kb) // 2])
+            dec, shift = _pair_decomposition(mu, nu)
+            bad = _first_excess(dec, squares[(ka + kb) // 2])
             if bad is not None:
                 violations.append(
                     {
                         "rank": rank,
                         "mu": fmt_weight(mu),
                         "nu": fmt_weight(nu),
-                        "lam": fmt_weight(bad),
+                        "lam": fmt_weight(x + shift for x in bad),
                     }
                 )
     return ConcavityReport(

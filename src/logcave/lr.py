@@ -225,20 +225,28 @@ def restriction_multiplicity(lam: Partition, mu: Partition, n: int, k: int) -> i
 def tensor_product_multiplicities(w1: GLWeight, w2: GLWeight) -> dict[GLWeight, int]:
     """Full decomposition of V^w1 tensor V^w2 as a weight -> multiplicity map.
 
-    Both weights are shifted to partitions; their decomposition is computed
-    once per unordered pair and rank by the memoised _brauer_klimyk, and
-    the two det shifts are added back.  The returned dict is the caller's own.
+    Both weights are shifted to partitions by _pair_decomposition, and the
+    det shift is added back.  The returned dict is the caller's own.
     """
-    n = len(w1)
-    if len(w2) != n:
+    if len(w2) != len(w1):
         raise ValueError("rank mismatch")
     weight(w1)
     weight(w2)
+    dec, s = _pair_decomposition(w1, w2)
+    return {tuple(x + s for x in lam): c for lam, c in dec.items()}
+
+
+def _pair_decomposition(w1: GLWeight, w2: GLWeight) -> tuple[dict[tuple[int, ...], int], int]:
+    """(dec, s): V^w1 tensor V^w2 is the sum of c V^(lam + s) over dec's items (lam, c).
+
+    Nothing is checked: w1 and w2 must be dominant weights of one rank.
+    Each is split into a partition and its last entry, s is the sum of the
+    two, and dec is the memoised _brauer_klimyk of the unordered partition
+    pair, which the caller must not change.
+    """
     p1, s1 = shift_to_partition(w1)
     p2, s2 = shift_to_partition(w2)
-    dec = _brauer_klimyk(max(p1, p2), min(p1, p2), n)
-    s = s1 + s2
-    return {tuple(x + s for x in lam): c for lam, c in dec.items()}
+    return _brauer_klimyk(max(p1, p2), min(p1, p2), len(w1)), s1 + s2
 
 
 @lru_cache(maxsize=None)

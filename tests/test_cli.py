@@ -16,6 +16,7 @@ from logcave.cli import (
     _SCANNERS,
     ParseError,
     build_parser,
+    build_report,
     canonical_payload,
     entry,
     format_partition,
@@ -241,6 +242,40 @@ def test_cli_verify_report_and_csv(tmp_path):
 
 def _payload(doc):
     return canonical_payload({k: doc[k] for k in ("subcommand", "params", "checked", "violations")})
+
+
+_VIOLATION = {"rank": 2, "mu": "2,0", "nu": "0,0", "lam": "2,0"}
+
+
+@pytest.mark.parametrize("violations", [[], [_VIOLATION]])
+def test_output_digest_is_the_sha256_of_the_payload(violations):
+    argv = ["verify", "logv", "--rank", "2", "--bound", "2"]
+    doc = build_report("logv", {"rank_bound": 2, "entry_bound": 2}, 48, violations, 7, argv, 1)
+    expected = "sha256:" + hashlib.sha256(_payload(doc)).hexdigest()
+    assert doc["manifest"]["output_digest"] == expected
+
+
+def test_output_digest_uses_the_interpreters_own_sha256():
+    """Not hashlib's, which loads OpenSSL's libcrypto for one small digest."""
+    from logcave import cli
+
+    module = cli._sha256.__module__
+    assert module in sys.stdlib_module_names and module != "_hashlib"
+
+
+def test_output_digest_falls_back_to_hashlib():
+    """A build without _sha2 and _sha256 digests through hashlib, to the same string."""
+    probe = (
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from logcave import cli\n"
+        f"doc = cli.build_report('logv', {{}}, 48, [{_VIOLATION!r}], 7, [], 1)\n"
+        "print(cli._sha256.__module__, doc['manifest']['output_digest'])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    expected = build_report("logv", {}, 48, [_VIOLATION], 7, [], 1)["manifest"]["output_digest"]
+    assert out.stdout.split() == ["_hashlib", expected]
 
 
 def test_verify_reports_identical_across_worker_counts(tmp_path, monkeypatch):

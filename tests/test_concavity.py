@@ -1246,13 +1246,25 @@ def _oracle_saturation_scan_all(max_weight, rank, k_max):
     return checked, violations
 
 
-def _fake_tensor_product(mu, nu):
+_true_pair_decomposition = lrmod._pair_decomposition
+
+
+def _fake_pair_decomposition(mu, nu):
     # the true decomposition with its top constituent mu + nu doubled when
-    # the first entries differ by 2; the tensor squares stay true
-    out = lrmod.tensor_product_multiplicities(mu, nu)
+    # the first entries differ by 2, planted in the pair's shifted frame;
+    # the tensor squares stay true
+    dec, shift = _true_pair_decomposition(mu, nu)
     if abs(mu[0] - nu[0]) == 2:
-        out[tuple(x + y for x, y in zip(mu, nu))] += 1
-    return out
+        dec = dict(dec)
+        dec[tuple(x + y - shift for x, y in zip(mu, nu))] += 1
+    return dec, shift
+
+
+def _patch_pair_seam(monkeypatch, fake):
+    """Replace the pair decomposition logv_scan reads, and the one behind
+    tensor_product_multiplicities, which the oracle reads."""
+    monkeypatch.setattr(concavity, "_pair_decomposition", fake)
+    monkeypatch.setattr(lrmod, "_pair_decomposition", fake)
 
 
 def _logv_key(v):
@@ -1263,7 +1275,7 @@ def _logv_key(v):
 def test_logv_scan_matches_parity_loop_oracle(fake, monkeypatch):
     """Same instances and violations as the i <= j loop, in pair-engine order."""
     if fake:
-        monkeypatch.setattr(concavity, "tensor_product_multiplicities", _fake_tensor_product)
+        _patch_pair_seam(monkeypatch, _fake_pair_decomposition)
     for rank, bound in ((1, 3), (2, 2), (3, 1), (2, 3)):
         rep = logv_scan(rank, bound)
         checked, violations = _oracle_logv_scan(rank, bound)
@@ -1282,7 +1294,7 @@ def test_logv_scan_violation_records(monkeypatch):
     Within a rank the records follow _midpoint_pairs: residue classes of
     mu mod 2 in sorted order, then the i <= j order of the weights.
     """
-    monkeypatch.setattr(concavity, "tensor_product_multiplicities", _fake_tensor_product)
+    _patch_pair_seam(monkeypatch, _fake_pair_decomposition)
     rep = logv_scan(2, 2)
     assert rep.checked == 48
     assert rep.violations == [
@@ -1314,9 +1326,9 @@ def test_logv_scan_counts_but_does_not_evaluate_the_diagonal(monkeypatch):
 
     def recording(mu, nu):
         calls.append((mu, nu))
-        return lrmod.tensor_product_multiplicities(mu, nu)
+        return _true_pair_decomposition(mu, nu)
 
-    monkeypatch.setattr(concavity, "tensor_product_multiplicities", recording)
+    _patch_pair_seam(monkeypatch, recording)
     rep = logv_scan(3, bound)
     assert rep.checked == checked[3] and calls
     assert all(mu != nu for mu, nu in calls)

@@ -49,11 +49,20 @@ def _run_probe(probe: str) -> str:
 
 
 def test_cli_import_leaves_bodies_and_geometry_unloaded():
-    # toeplitz and fractions load only in the subcommands that read them
+    # toeplitz and fractions load only in the subcommands that read them;
+    # the report digest uses the interpreter's own SHA-256, not hashlib's
     heavy = ("logcave.bodies", "logcave.geometry", "logcave.toeplitz", "multiprocessing")
-    heavy += ("dataclasses", "inspect", "fractions")
+    heavy += ("dataclasses", "inspect", "fractions", "hashlib", "_hashlib")
     probe = f"import sys, logcave.cli; print(sorted(m for m in {heavy} if m in sys.modules))"
     assert _run_probe(probe) == "[]"
+
+
+def test_serial_verify_leaves_openssl_unloaded(tmp_path):
+    # a pooled scan still loads _hashlib, through the hmac module that
+    # multiprocessing's connections import; only a serial run is covered
+    argv = ["verify", "weyl", "--rank", "2", "--bound", "2", "--out", str(tmp_path / "r.json")]
+    probe = f"import sys; from logcave import cli; code = cli.main({argv!r}); print(code, '_hashlib' in sys.modules)"
+    assert _run_probe(probe) == "0 False"
 
 
 def test_no_module_loads_dataclasses():
