@@ -66,12 +66,6 @@ def format_weight(w: GLWeight) -> str:
     return fmt_weight(w) + f"@{len(w)}"
 
 
-def _variable_names(dim: int) -> list[str]:
-    if dim <= 3:
-        return ["x", "y", "z"][:dim]
-    return [f"x{i + 1}" for i in range(dim)]
-
-
 _TERM_RE = re.compile(
     r"""(?P<coeff>\d+(?:/\d+)?)?      # optional rational coefficient
         (?P<vars>(?:\*?[a-z]\w*(?:\^\d+)?)*)   # variable powers
@@ -83,7 +77,7 @@ _TERM_RE = re.compile(
 def parse_polynomial(text: str, dim: int) -> MultiPolynomial:
     """Parse "3*x^2*y - 1/2*y" into a polynomial in dim variables.
 
-    Variables are x, y, z for dim <= 3 and x1..xd beyond.  Raises
+    Variables are x, y, z, the first dim of them (dim <= 3).  Raises
     ParseError with the offending position on malformed input, counted in
     text as typed, spaces included.
     """
@@ -91,7 +85,7 @@ def parse_polynomial(text: str, dim: int) -> MultiPolynomial:
 
     from . import bodies
 
-    names = {name: i for i, name in enumerate(_variable_names(dim))}
+    names = {name: i for i, name in enumerate("xyz"[:dim])}
     body = text.replace(" ", "")
     # where[i] is the position in text of body[i]
     where = [i for i, ch in enumerate(text) if ch != " "]

@@ -25,7 +25,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 from ._records import Record
 from .lr import (
     WeightTriple,
-    _brauer_klimyk,
     _check_triple,
     _pair_decomposition,
     restriction_multiplicity,
@@ -658,10 +657,11 @@ def logv_scan(rank_bound: int, entry_bound: int) -> ConcavityReport:
     Postnikov and Pylyavskyy, Amer. J. Math. 129, 2007), so expected
     violations: none, ever; one would be a bug.
 
-    The midpoint's last entry is the mean of mu's and nu's, so a pair and
-    its square carry the same det shift: their partition-pair
-    decompositions compare as they are, and only a failing pair's
-    least excess is shifted back.
+    Each weight is split into partition and shift once per rank.  The
+    midpoint's last entry is the mean of mu's and nu's, so a pair and its
+    square carry the same det shift: their partition-pair decompositions
+    compare as they are, and only a failing pair's weights are unpacked
+    and its least excess shifted back.
     """
     violations = []
     checked = 0
@@ -669,21 +669,18 @@ def logv_scan(rank_bound: int, entry_bound: int) -> ConcavityReport:
         ws = list(dominant_weights(rank, -entry_bound, entry_bound))
         box = _Packing(rank, -entry_bound, entry_bound)
         keys = [box.pack(w) for w in ws]
-        squares = {}
-        for k, w in zip(keys, ws):
-            p = shift_to_partition(w)[0]
-            squares[k] = _brauer_klimyk(p, p, rank)
+        splits = {k: shift_to_partition(w) for k, w in zip(keys, ws)}
+        squares = {k: _pair_decomposition(sp, sp, rank)[0] for k, sp in splits.items()}
         checked += _midpoint_count(box, keys, 1, 1)
         for ka, kb in _unordered_pairs(box, keys):
-            mu, nu = box.unpack(ka), box.unpack(kb)
-            dec, shift = _pair_decomposition(mu, nu)
+            dec, shift = _pair_decomposition(splits[ka], splits[kb], rank)
             bad = _first_excess(dec, squares[(ka + kb) // 2])
             if bad is not None:
                 violations.append(
                     {
                         "rank": rank,
-                        "mu": fmt_weight(mu),
-                        "nu": fmt_weight(nu),
+                        "mu": fmt_weight(box.unpack(ka)),
+                        "nu": fmt_weight(box.unpack(kb)),
                         "lam": fmt_weight(x + shift for x in bad),
                     }
                 )

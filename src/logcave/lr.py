@@ -34,6 +34,7 @@ from .partitions import (
 from .symfunc import kostka_table, multiply, skew_schur, to_schur_basis
 
 WeightTriple = tuple[GLWeight, GLWeight, GLWeight]
+Split = tuple[Partition, int]  # a weight as shift_to_partition splits it
 
 
 def _check_triple(t: WeightTriple) -> int:
@@ -185,8 +186,8 @@ def _read_decompositions(triples: Iterable[WeightTriple]) -> list[int]:
     V^{dual nu} in V^lam (x) V^mu.
 
     Consecutive triples of one pair (lam, mu) share its decomposition, read
-    once from _brauer_klimyk on the pair's partitions.  Each nu is then one
-    lookup, at dual nu less the pair's det shift.
+    once from _pair_decomposition.  Each nu is then one lookup, at dual nu
+    less the pair's det shift.
     """
     splits = _Memo(shift_to_partition)
     shifted_duals = _Memo(lambda key: tuple(-x - key[1] for x in reversed(key[0])))  # (nu, shift)
@@ -195,9 +196,7 @@ def _read_decompositions(triples: Iterable[WeightTriple]) -> list[int]:
     for a, b, nu in triples:
         if a != lam or b != mu:
             lam, mu = a, b
-            (p1, s1), (p2, s2) = splits[lam], splits[mu]
-            dec = _brauer_klimyk(max(p1, p2), min(p1, p2), len(lam))
-            s = s1 + s2
+            dec, s = _pair_decomposition(splits[lam], splits[mu], len(lam))
         out.append(dec.get(shifted_duals[nu, s], 0))
     return out
 
@@ -225,28 +224,27 @@ def restriction_multiplicity(lam: Partition, mu: Partition, n: int, k: int) -> i
 def tensor_product_multiplicities(w1: GLWeight, w2: GLWeight) -> dict[GLWeight, int]:
     """Full decomposition of V^w1 tensor V^w2 as a weight -> multiplicity map.
 
-    Both weights are shifted to partitions by _pair_decomposition, and the
+    Both weights are shifted to partitions for _pair_decomposition, and the
     det shift is added back.  The returned dict is the caller's own.
     """
     if len(w2) != len(w1):
         raise ValueError("rank mismatch")
     weight(w1)
     weight(w2)
-    dec, s = _pair_decomposition(w1, w2)
+    dec, s = _pair_decomposition(shift_to_partition(w1), shift_to_partition(w2), len(w1))
     return {tuple(x + s for x in lam): c for lam, c in dec.items()}
 
 
-def _pair_decomposition(w1: GLWeight, w2: GLWeight) -> tuple[dict[tuple[int, ...], int], int]:
+def _pair_decomposition(a: Split, b: Split, n: int) -> tuple[dict[tuple[int, ...], int], int]:
     """(dec, s): V^w1 tensor V^w2 is the sum of c V^(lam + s) over dec's items (lam, c).
 
-    Nothing is checked: w1 and w2 must be dominant weights of one rank.
-    Each is split into a partition and its last entry, s is the sum of the
-    two, and dec is the memoised _brauer_klimyk of the unordered partition
-    pair, which the caller must not change.
+    a and b are the shift_to_partition splits of dominant weights w1, w2
+    of rank n; nothing is checked.  s is the sum of the two shifts, and
+    dec is the memoised _brauer_klimyk of the unordered partition pair,
+    which the caller must not change.
     """
-    p1, s1 = shift_to_partition(w1)
-    p2, s2 = shift_to_partition(w2)
-    return _brauer_klimyk(max(p1, p2), min(p1, p2), len(w1)), s1 + s2
+    (p1, s1), (p2, s2) = a, b
+    return _brauer_klimyk(max(p1, p2), min(p1, p2), n), s1 + s2
 
 
 @lru_cache(maxsize=None)

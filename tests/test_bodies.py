@@ -557,3 +557,23 @@ def test_pair_bodies_are_built_once_and_never_stale(monkeypatch):
         got = bodies._pair_bodies(a, b, k)
         assert len(calls) == 3 and calls[:2] == [(a, k), (b, k)]
         assert got == cold(a, b, k)
+
+
+_LINE = MultiPolynomial(1, {(1,): 1})
+_SPAN = PolynomialSubspace(1, [constant_one(1), _LINE])
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (lambda: MultiPolynomial(2, {(1,): 1}), r"exponent \(1,\) does not have 2 entries"),
+        (lambda: MultiPolynomial(1, {(-1,): 1}), r"negative exponent in \(-1,\)"),
+        (lambda: _LINE * MultiPolynomial(2, {(0, 1): 1}), r"^dimension mismatch$"),
+        (lambda: PolynomialSubspace(2, [_LINE]), r"dimension mismatch in basis"),
+        (lambda: power_subspace(_SPAN, 0), r"k must be >= 1"),
+        (lambda: body_approximation(_SPAN, 0), r"k_max must be >= 1"),
+    ],
+)
+def test_bodies_reject_bad_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

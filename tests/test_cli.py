@@ -488,3 +488,11 @@ def test_every_scanner_runs_at_its_option_minimums(scanner, tmp_path):
     doc = json.loads(out.read_text())
     assert doc["checked"] >= 1
     assert "wall_time_ms" not in doc["manifest"]
+
+
+def test_cli_body_reports_a_degenerate_volume(tmp_path):
+    # 1 and x span a segment in the plane: no area, but a report all the same
+    out = tmp_path / "body.json"
+    argv = ["body", "--dim", "2", "--basis", "1; x", "--kmax", "3", "--out", str(out)]
+    assert main(argv) == 0
+    assert json.loads(out.read_text())["volume"] == "degenerate: vertices span less than dimension 2"

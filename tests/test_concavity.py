@@ -38,6 +38,7 @@ from logcave.partitions import (
     fmt_weight,
     pad,
     partitions_up_to,
+    shift_to_partition,
 )
 from logcave.symfunc import (
     SchurExpansion,
@@ -1249,11 +1250,18 @@ def _oracle_saturation_scan_all(max_weight, rank, k_max):
 _true_pair_decomposition = lrmod._pair_decomposition
 
 
-def _fake_pair_decomposition(mu, nu):
+def _split_weight(split, n):
+    """The weight of rank n that shift_to_partition splits into split."""
+    p, s = split
+    return tuple(x + s for x in pad(p, n))
+
+
+def _fake_pair_decomposition(a, b, n):
     # the true decomposition with its top constituent mu + nu doubled when
     # the first entries differ by 2, planted in the pair's shifted frame;
     # the tensor squares stay true
-    dec, shift = _true_pair_decomposition(mu, nu)
+    dec, shift = _true_pair_decomposition(a, b, n)
+    mu, nu = _split_weight(a, n), _split_weight(b, n)
     if abs(mu[0] - nu[0]) == 2:
         dec = dict(dec)
         dec[tuple(x + y - shift for x, y in zip(mu, nu))] += 1
@@ -1319,23 +1327,56 @@ def test_logv_scan_violation_records(monkeypatch):
 
 
 def test_logv_scan_counts_but_does_not_evaluate_the_diagonal(monkeypatch):
-    """V^mu (x) V^mu is the tensor square of mu, so no (mu, mu) pair is decomposed."""
+    """V^mu (x) V^mu is the tensor square of mu, so no (mu, mu) pair is decomposed.
+
+    Each weight's square goes through the seam once, as its (a, a) call;
+    every other call is an off-diagonal pair.
+    """
     bound = 2
     checked = [logv_scan(rank, bound).checked for rank in range(4)]
     calls = []
 
-    def recording(mu, nu):
-        calls.append((mu, nu))
-        return _true_pair_decomposition(mu, nu)
+    def recording(a, b, n):
+        calls.append((a, b, n))
+        return _true_pair_decomposition(a, b, n)
 
     _patch_pair_seam(monkeypatch, recording)
     rep = logv_scan(3, bound)
     assert rep.checked == checked[3] and calls
-    assert all(mu != nu for mu, nu in calls)
     for rank in (1, 2, 3):
         ws = list(dominant_weights(rank, -bound, bound))
-        evaluated = sum(len(mu) == rank for mu, _ in calls)
+        squares = sorted(a for a, b, n in calls if n == rank and a == b)
+        assert squares == sorted(shift_to_partition(w) for w in ws), rank
+        evaluated = sum(n == rank and a != b for a, b, n in calls)
         assert evaluated == checked[rank] - checked[rank - 1] - len(ws), rank
+
+
+def test_logv_scan_splits_each_weight_once_per_rank(monkeypatch):
+    splits = Counter()
+
+    def recording(w):
+        splits[w] += 1
+        return shift_to_partition(w)
+
+    # the pair decompositions take splits, so lr splits no weight of its own
+    monkeypatch.setattr(concavity, "shift_to_partition", recording)
+    monkeypatch.setattr(lrmod, "shift_to_partition", recording)
+    assert logv_scan(3, 2).clean
+    ws = [w for rank in (1, 2, 3) for w in dominant_weights(rank, -2, 2)]
+    assert splits == Counter(ws)
+
+
+def test_logv_scan_unpacks_no_key_when_clean(monkeypatch):
+    calls = []
+    unpack = concavity._Packing.unpack
+
+    def recording(self, key):
+        calls.append(key)
+        return unpack(self, key)
+
+    monkeypatch.setattr(concavity._Packing, "unpack", recording)
+    assert logv_scan(3, 2).clean
+    assert calls == []
 
 
 @pytest.mark.parametrize("fake", [False, True])
@@ -1358,3 +1399,23 @@ def test_saturation_scan_writes_lr_cache_in_cube_order(tmp_path, monkeypatch):
 
     scan = cache_bytes("scan", lambda: saturation_scan_all(3, 3, 3))
     assert scan and scan == cache_bytes("oracle", lambda: _oracle_saturation_scan_all(3, 3, 3))
+
+
+_SMALL_TRIPLE = ((1, 0, -1), (1, 0, -1), (1, 0, -1))
+
+
+@pytest.mark.parametrize(
+    "call,error,match",
+    [
+        (lambda: saturation_scan(_SMALL_TRIPLE, 0), ValueError, "k_max must be >= 1"),
+        (lambda: alpha_matrix_check(_SMALL_TRIPLE, -1, 1), ValueError, r"need p, q >= 0"),
+        (
+            lambda: convolution_logconcavity_check([1, -1], [1]),
+            SequencePreconditionError,
+            "first sequence has a negative entry",
+        ),
+    ],
+)
+def test_concavity_rejects_bad_input(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

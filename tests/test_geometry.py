@@ -408,3 +408,20 @@ def test_root_comparisons_match_floats():
             x = float(a) ** (1 / d) - float(b) ** (1 / d) - float(c) ** (1 / d)
             if abs(x) > 1e-9:
                 assert sign == (1 if x > 0 else -1), (a, b, c, d)
+
+
+@pytest.mark.parametrize(
+    "call,error,match",
+    [
+        (lambda: hull_volume([]), DegenerateBodyError, "empty vertex set"),
+        (
+            lambda: hull_volume([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]),
+            NotImplementedError,
+            "ambient dimension <= 3",
+        ),
+        (lambda: compare_root_sum(F(-1), F(0), F(0), 2), ValueError, "nonnegative inputs"),
+    ],
+)
+def test_geometry_rejects_bad_input(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

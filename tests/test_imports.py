@@ -49,8 +49,13 @@ def _run_probe(probe: str) -> str:
 
 
 def test_cli_import_leaves_bodies_and_geometry_unloaded():
-    # toeplitz and fractions load only in the subcommands that read them;
-    # the report digest uses the interpreter's own SHA-256, not hashlib's
+    # verify never touches valuation bodies, so its start-up must not load
+    # (and, without bytecode caches, compile) bodies or geometry;
+    # multiprocessing loads only when a scan starts a worker pool, and
+    # toeplitz and fractions only in the subcommands that read them; no
+    # module imports dataclasses, which would bring inspect with it; the
+    # report digest uses the interpreter's own SHA-256, so neither hashlib
+    # nor OpenSSL's _hashlib loads
     heavy = ("logcave.bodies", "logcave.geometry", "logcave.toeplitz", "multiprocessing")
     heavy += ("dataclasses", "inspect", "fractions", "hashlib", "_hashlib")
     probe = f"import sys, logcave.cli; print(sorted(m for m in {heavy} if m in sys.modules))"
@@ -77,6 +82,8 @@ def test_package_import_loads_no_submodule():
 
 
 def test_bodies_import_leaves_the_multiplicity_modules_unloaded():
+    # the package resolves its names on first use, so a valuation-body user
+    # loads bodies and geometry and none of the multiplicity stack
     heavy = tuple(f"logcave.{m}" for m in ("partitions", "symfunc", "lr", "concavity", "toeplitz"))
     heavy += ("dataclasses",)
     probe = f"import sys, logcave.bodies; print(sorted(m for m in {heavy} if m in sys.modules))"

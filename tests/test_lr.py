@@ -573,3 +573,16 @@ def test_reset_default_cache_closes_the_file(tmp_path, monkeypatch):
     finally:
         lrmod.reset_default_cache()
     assert handle.closed
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (lambda: restriction_multiplicity((1, 1, 1), (), 2, 1), r"\(1, 1, 1\) has more than 2 parts"),
+        (lambda: restriction_multiplicity((2, 1), (1, 1), 3, 1), r"\(1, 1\) has more than 1 parts"),
+        (lambda: tensor_product_multiplicities((1, 0), (1,)), "rank mismatch"),
+    ],
+)
+def test_lr_rejects_bad_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -208,3 +208,9 @@ def test_arrangement_count_counts_distinct_rearrangements():
             want = len(set(permutations(pad(alpha, slots)))) if len(alpha) <= slots else 0
             assert arrangement_count(alpha, slots) == want, (alpha, slots)
     assert arrangement_count((1, 1, 1), 2) == 0 and arrangement_count((), 0) == 1
+
+
+@pytest.mark.parametrize("call,match", [(lambda: weight(()), "needs rank >= 1")])
+def test_partitions_reject_bad_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

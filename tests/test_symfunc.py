@@ -468,3 +468,20 @@ def test_toeplitz_identity_rational_sequences_scale():
         assert toeplitz_schur_coefficient(x, lam, n) * 36 == toeplitz_schur_coefficient(
             scaled, lam, n
         )
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (lambda: MonomialExpansion(1, {(1, 1): 1}), r"orbit \(1, 1\) needs more than 1 variables"),
+        (lambda: MonomialExpansion(2, {(1,): 0}), "zero coefficient stored"),
+        (lambda: skew_schur(SkewShape((1,), ()), -1), "number of variables must be >= 0"),
+        (
+            lambda: subtract_and_min_coefficient(MonomialExpansion(1), MonomialExpansion(2)),
+            "variable count mismatch: 1 != 2",
+        ),
+    ],
+)
+def test_symfunc_rejects_bad_input(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -226,3 +226,17 @@ def test_toeplitz_minors_match_tableau_counts_at_weight_9_and_10():
                     assert minor == skew_schur(SkewShape(lam, mu), n).evaluate_ones(), (lam, mu, n)
                     checked += 1
     assert checked >= 1000
+
+
+@pytest.mark.parametrize(
+    "fn,args",
+    [
+        (toeplitz_schur_coefficient, ({0: 1}, (), 0)),
+        (character_positivity_check, (FiniteSequence({0: 1}), 0, 2)),
+    ],
+)
+def test_toeplitz_rejects_too_few_variables(fn, args):
+    with pytest.raises(ValueError, match="n must be >= 1") as info:
+        fn(*args)
+    # character_positivity_check would meet the same error one call deeper
+    assert info.traceback[-1].name == fn.__name__
