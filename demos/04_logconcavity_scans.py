@@ -1,9 +1,12 @@
 """Exhaustive log-concavity scans at desk scale.
 
 Each scan enumerates every bounded instance (p+q)C = pA + qB and checks
-F(C)^(p+q) >= F(A)^p F(B)^q in exact integers.  The dimension and
-restriction scans verify theorems; the triple-invariant scans collect
-evidence for open questions.
+F(C)^(p+q) >= F(A)^p F(B)^q in exact integers.  The skew-pair, dimension
+and tensor-square (logv) scans check theorems, so a violation would be a
+bug.  The triple-invariant scan tests a conjecture that Chindris, Derksen
+and Weyman refuted, and the power bound under stretching is open, so a
+violation of either would be a finding; saturation itself is a theorem.
+`logcave verify --help` lists the status of every scanner.
 """
 
 from logcave.concavity import (

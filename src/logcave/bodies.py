@@ -351,16 +351,20 @@ def minkowski_inclusion_check(
 ) -> tuple[bool, tuple[Fraction, ...] | None]:
     """Vertex sums of the two level-k_max hulls against the product's hull.
 
-    Exact point-in-polytope tests on the integer hulls, which share one
-    scale; returns the first escaping sum point, divided by the scale, on
+    Exact tests on the integer hulls, which share one scale.  A sum outside
+    the product's hull would be a vertex of the hull of both, so one hull
+    of all the sums decides; only on failure are the sums tested one by
+    one.  Returns the first escaping sum point, divided by the scale, on
     failure (possible for unconverged approximations of general
     subspaces; for monomial subspaces the hulls are Newton polytopes and
     the inclusion is exact at every level).
     """
     b1, b2, b12 = _pair_bodies(s1, s2, k_max)
-    for p in minkowski_sum(b1.hull, b2.hull):
-        if not in_convex_hull(p, b12.hull):
-            return False, tuple(Fraction(x, b12.scale) for x in p)
+    sums = minkowski_sum(b1.hull, b2.hull)
+    if hull_vertices(b12.hull + sums) != b12.hull:
+        for p in sums:
+            if not in_convex_hull(p, b12.hull):
+                return False, tuple(Fraction(x, b12.scale) for x in p)
     return True, None
 
 

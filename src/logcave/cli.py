@@ -23,7 +23,8 @@ import time
 from typing import TYPE_CHECKING
 
 from . import __version__, concavity
-from .lr import lr_coefficient, restriction_multiplicity
+from ._records import Record
+from .lr import CACHE_FILE, lr_coefficient, restriction_multiplicity
 from .partitions import GLWeight, Partition, SkewShape, fmt_weight, pad, partition
 from .symfunc import skew_schur, to_schur_basis
 
@@ -361,46 +362,58 @@ def _cmd_body(args) -> int:
     return 0
 
 
-# Each scanner: how to run it on the parsed arguments, and the least value
-# of each option it reads at which its domain is nonempty; below it a scan
-# would check nothing and still report clean.  The lookups stay late-bound
-# so that a replaced concavity function is the one that runs.
+# One row per verify scanner: its runner, late-bound so that a replaced
+# concavity function is the one that runs; each option's least value at which
+# the domain is nonempty (below it a scan would check nothing and report
+# clean); the status of each record kind, named after the scanner if it has
+# one; an extra option check or None; and whether it uses the LR cache file.
+class _Scanner(Record):
+    __slots__ = ("run", "minimums", "status", "check", "lr_cache")
+    _defaults = {"check": None, "lr_cache": False}
+
+
+def _k_below_n(args) -> None:
+    if args.k >= args.n:
+        raise ParseError(f"verify {args.scanner}: --k must be < --n, got {args.k} >= {args.n}")
+
+
 _SCANNERS = {
-    "theorem1": (
+    "theorem1": _Scanner(
         lambda a: concavity.theorem1_scan(a.bound, jobs=a.jobs),
-        {"bound": 0},
+        {"bound": 0}, {"theorem1": "theorem"},
     ),
-    "slm": (
+    "slm": _Scanner(
         lambda a: concavity.slm_scan(a.bound, jobs=a.jobs),
-        {"bound": 0},
+        {"bound": 0}, {"slm": "theorem"},
     ),
-    "conj1": (
+    "conj1": _Scanner(
         lambda a: concavity.conjecture1_scan(a.bound, a.rank, a.pq),
-        {"bound": 0, "rank": 1, "pq": 2},
+        {"bound": 0, "rank": 1, "pq": 2}, {"conj1": "refuted conjecture"}, lr_cache=True,
     ),
-    "saturation": (
+    "saturation": _Scanner(
         lambda a: concavity.saturation_scan_all(a.bound, a.rank, a.kmax),
-        {"bound": 0, "rank": 1, "kmax": 1},
+        {"bound": 0, "rank": 1, "kmax": 1}, {"saturation": "theorem", "power_bound": "open"},
+        lr_cache=True,
     ),
-    "logv": (
+    "logv": _Scanner(
         lambda a: concavity.logv_scan(a.rank, a.bound),
-        {"bound": 0, "rank": 1},
+        {"bound": 0, "rank": 1}, {"logv": "theorem"},
     ),
-    "alpha": (
+    "alpha": _Scanner(
         lambda a: concavity.alpha_scan(a.rank, a.bound, a.pq),
-        {"bound": 0, "rank": 1, "pq": 2},
+        {"bound": 0, "rank": 1, "pq": 2}, {"alpha": "open"}, lr_cache=True,
     ),
-    "weyl": (
+    "weyl": _Scanner(
         lambda a: concavity.weyl_logconcavity_scan(a.rank, a.bound),
-        {"bound": 0, "rank": 1},
+        {"bound": 0, "rank": 1}, {"weyl": "theorem"},
     ),
-    "restriction": (
+    "restriction": _Scanner(
         lambda a: concavity.restriction_logconcavity_scan(a.n, a.k, a.bound),
-        {"bound": 0, "n": 1, "k": 0},
+        {"bound": 0, "n": 1, "k": 0}, {"restriction": "theorem"}, check=_k_below_n,
     ),
-    "convolution": (
+    "convolution": _Scanner(
         lambda a: concavity.convolution_random_suite(a.cases, a.bound, a.seed),
-        {"bound": 1, "cases": 1},
+        {"bound": 1, "cases": 1}, {"convolution": "theorem"},
     ),
 }
 
@@ -408,15 +421,15 @@ _SCANNERS = {
 def _check_scan_args(args) -> None:
     """Raise ParseError for an option value that would make the scan vacuous or
     invalid, or for a $LOGCAVE_CACHE_DIR the scan could not use."""
-    minimums = {"jobs": 1, **_SCANNERS[args.scanner][1]}
-    for option, least in minimums.items():
+    row = _SCANNERS[args.scanner]
+    for option, least in {"jobs": 1, **row.minimums}.items():
         value = getattr(args, option)
         if value < least:
             raise ParseError(
                 f"verify {args.scanner}: --{option} must be >= {least}, got {value}"
             )
-    if args.scanner == "restriction" and args.k >= args.n:
-        raise ParseError(f"verify restriction: --k must be < --n, got {args.k} >= {args.n}")
+    if row.check:
+        row.check(args)
     if args.out:
         # the CSV summary too, so that neither file is written unless both can be
         for path in (args.out, _csv_path(args.out)):
@@ -426,9 +439,8 @@ def _check_scan_args(args) -> None:
                     f"directory, and {path} is not one"
                 )
     cache_dir = os.environ.get("LOGCAVE_CACHE_DIR")
-    if cache_dir and args.scanner in ("conj1", "saturation", "alpha"):
-        # these scans keep their triple invariants in the LR cache file, and
-        # making its directory is the first thing they would do
+    if cache_dir and row.lr_cache:
+        # making the cache's directory and reading its file come first in the scan
         try:
             os.makedirs(cache_dir, exist_ok=True)
         except OSError as exc:
@@ -436,6 +448,12 @@ def _check_scan_args(args) -> None:
                 f"verify {args.scanner}: LOGCAVE_CACHE_DIR={cache_dir} cannot hold the "
                 f"LR cache ({exc.strerror})"
             ) from None
+        path = os.path.join(cache_dir, CACHE_FILE)
+        try:
+            if os.path.exists(path):
+                open(path, "rb").close()
+        except OSError as exc:
+            raise ParseError(f"verify {args.scanner}: cannot read {path} ({exc.strerror})") from None
 
 
 def run_scan(args) -> tuple[dict, int]:
@@ -448,7 +466,7 @@ def run_scan(args) -> tuple[dict, int]:
     _check_scan_args(args)
     t0 = time.monotonic()
     try:
-        rep = _SCANNERS[name][0](args)
+        rep = _SCANNERS[name].run(args)
     except ValueError as exc:
         raise RuntimeError(f"verify {name} failed on accepted options") from exc
     runtime_ms = int((time.monotonic() - t0) * 1000)
@@ -527,7 +545,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_body)
 
     p = sub.add_parser("verify", help="run a verifier scan")
-    p.add_argument("scanner", choices=list(_SCANNERS))
+    statuses = []
+    for name, row in _SCANNERS.items():
+        kinds = [s if len(row.status) == 1 else f"{kind}: {s}" for kind, s in row.status.items()]
+        statuses.append(f"{name} ({'; '.join(kinds)})")
+    scanner_help = "a violation of a theorem is a bug, any other a finding: " + ", ".join(statuses)
+    p.add_argument("scanner", choices=list(_SCANNERS), help=scanner_help)
     p.add_argument("--bound", type=int, default=4, help="weight/entry/length bound")
     p.add_argument("--rank", type=int, default=2)
     p.add_argument("--pq", type=int, default=2, help="bound on p+q for midpoints")

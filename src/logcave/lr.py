@@ -35,6 +35,7 @@ from .symfunc import kostka_table, multiply, skew_schur, to_schur_basis
 
 WeightTriple = tuple[GLWeight, GLWeight, GLWeight]
 Split = tuple[Partition, int]  # a weight as shift_to_partition splits it
+CACHE_FILE = "lr_cache.txt"  # the default LRCache's file in $LOGCAVE_CACHE_DIR
 
 
 def _check_triple(t: WeightTriple) -> int:
@@ -418,7 +419,7 @@ def _default_cache() -> LRCache | None:
     if not cache_dir:
         return None
     os.makedirs(cache_dir, exist_ok=True)
-    return LRCache(os.path.join(cache_dir, "lr_cache.txt"))
+    return LRCache(os.path.join(cache_dir, CACHE_FILE))
 
 
 def reset_default_cache() -> None:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import comb, factorial, gcd
 from multiprocessing import cpu_count
 
-from logcave.cli import canonical_payload, main
+from logcave.cli import _SCANNERS, canonical_payload, main
 from logcave.concavity import (
     alpha_scan,
     conjecture1_scan,
@@ -262,7 +262,14 @@ def test_criterion_11_determinism_across_worker_counts(tmp_path, monkeypatch):
         ["verify", "slm", "--bound", "4"],
         ["verify", "weyl", "--rank", "3", "--bound", "4"],
         ["verify", "conj1", "--rank", "2", "--bound", "2"],
+        ["verify", "saturation", "--rank", "2", "--bound", "3", "--kmax", "3"],
+        ["verify", "logv", "--rank", "2", "--bound", "3"],
+        ["verify", "alpha", "--rank", "2", "--bound", "2", "--pq", "3"],
+        ["verify", "restriction", "--n", "4", "--k", "2", "--bound", "4"],
+        ["verify", "convolution", "--cases", "20", "--bound", "6", "--seed", "1"],
     ]
+    # one scan per scanner, so that a new scanner adds one here
+    assert {argv[1] for argv in scans} == set(_SCANNERS)
     for i, argv in enumerate(scans):
         payloads = []
         for jobs in ("1", "8"):
@@ -279,4 +286,4 @@ def test_criterion_11_determinism_across_worker_counts(tmp_path, monkeypatch):
                 )
             )
         assert payloads[0] == payloads[1], argv
-    report(11, True, "reports byte-identical at worker counts 1 and 8 for 4 scans")
+    report(11, True, f"reports byte-identical at worker counts 1 and 8 for {len(scans)} scans")

@@ -419,20 +419,24 @@ def test_integer_hull_over_scale_matches_lp_oracle(dim, k_max):
 
 
 @pytest.mark.parametrize(
-    "inside",
-    # nothing is inside, or only the product hull's own vertices are
-    [lambda p, hull: False, lambda p, hull: p in hull],
+    "product",
+    # a product body at the same k_max that real sums leave, and how many
+    # sums stay in it: every body holds the origin, so the sum of the two
+    # origins never escapes; s1's own body also holds its vertices plus
+    # s2's origin
+    [lambda s1: (monomial_subspace(2, []), 1), lambda s1: (s1, 3)],
 )
-def test_minkowski_inclusion_failure_returns_first_escaping_sum(inside, monkeypatch):
+def test_minkowski_inclusion_failure_returns_first_escaping_sum(product, monkeypatch):
     s1 = monomial_subspace(2, [(1, 0), (0, 2)])
     s2 = monomial_subspace(2, [(1, 1), (2, 0)])
-    b1, b2, b12 = (body_approximation(s, 3) for s in (s1, s2, subspace_product(s1, s2)))
-    product_hull = _over_scale(b12.hull, b12.scale)
-    sums = minkowski_sum(_over_scale(b1.hull, b1.scale), _over_scale(b2.hull, b2.scale))
-    expected = next(p for p in sums if not inside(p, product_hull))
-    monkeypatch.setattr(bodies, "in_convex_hull", inside)
+    smaller, inside = product(s1)
+    b1, b2, b12 = (body_approximation(s, 3) for s in (s1, s2, smaller))
+    sums = minkowski_sum(b1.hull, b2.hull)
+    escaping = [p for p in sums if not in_convex_hull(p, b12.hull)]
+    assert len(sums) - len(escaping) == inside
+    monkeypatch.setattr(bodies, "_pair_bodies", lambda *args: (b1, b2, b12))
     ok, bad = minkowski_inclusion_check(s1, s2, 3)
-    assert not ok and bad == expected
+    assert not ok and bad == tuple(F(x, b12.scale) for x in escaping[0])
     assert all(type(x) is F for x in bad)
 
 

@@ -1,8 +1,10 @@
 import argparse
+import copy
 import gc
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -432,10 +434,21 @@ def test_verify_rejects_an_unwritable_out_before_scanning(out, tmp_path, monkeyp
     assert err.startswith("error: ") and err.count("\n") == 1 and path in err
 
 
-def test_verify_reports_an_unwritable_csv_as_exit_2(tmp_path, capsys, monkeypatch):
+def _wrap_runner(monkeypatch, scanner: str) -> list:
+    """Install a copy of the scanner's row whose runner records each call; returns the calls."""
     calls = []
-    scan, minimums = _SCANNERS["weyl"]
-    monkeypatch.setitem(_SCANNERS, "weyl", (lambda a: calls.append(a) or scan(a), minimums))
+    row = copy.copy(_SCANNERS[scanner])
+    scan = row.run
+    row.run = lambda a: calls.append(a) or scan(a)
+    monkeypatch.setitem(_SCANNERS, scanner, row)
+    return calls
+
+
+_LR_CACHE_SCANNERS = [name for name, row in _SCANNERS.items() if row.lr_cache]
+
+
+def test_verify_reports_an_unwritable_csv_as_exit_2(tmp_path, capsys, monkeypatch):
+    calls = _wrap_runner(monkeypatch, "weyl")
     (tmp_path / "report.csv").mkdir()
     out = tmp_path / "report.json"
     assert main(["verify", "weyl", "--rank", "2", "--bound", "3", "--out", str(out)]) == 2
@@ -447,12 +460,10 @@ def test_verify_reports_an_unwritable_csv_as_exit_2(tmp_path, capsys, monkeypatc
     assert not out.exists()
 
 
-@pytest.mark.parametrize("scanner", ["conj1", "alpha", "saturation"])
+@pytest.mark.parametrize("scanner", _LR_CACHE_SCANNERS)
 @pytest.mark.parametrize("below", ["", "sub"])
 def test_verify_rejects_a_cache_dir_that_is_a_file(scanner, below, tmp_path, monkeypatch, capsys):
-    calls = []
-    scan, minimums = _SCANNERS[scanner]
-    monkeypatch.setitem(_SCANNERS, scanner, (lambda a: calls.append(a) or scan(a), minimums))
+    calls = _wrap_runner(monkeypatch, scanner)
     (tmp_path / "cache").write_text("not a directory\n")
     cache_dir = str(tmp_path / "cache" / below)
     monkeypatch.setenv("LOGCAVE_CACHE_DIR", cache_dir)
@@ -460,6 +471,25 @@ def test_verify_rejects_a_cache_dir_that_is_a_file(scanner, below, tmp_path, mon
     assert main(["verify", scanner, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and cache_dir in err
+    assert not calls
+    assert not out.exists() and not (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.parametrize("scanner", _LR_CACHE_SCANNERS)
+def test_verify_rejects_a_cache_file_it_cannot_read(scanner, tmp_path, monkeypatch, capsys):
+    from logcave import cli, lr
+
+    calls = _wrap_runner(monkeypatch, scanner)
+    monkeypatch.setenv("LOGCAVE_CACHE_DIR", str(tmp_path))
+    cache_file = tmp_path / lr.CACHE_FILE
+    # the check reads an existing file and never makes one
+    cli._check_scan_args(build_parser().parse_args(["verify", scanner]))
+    assert not cache_file.exists()
+    cache_file.mkdir()
+    out = tmp_path / "report.json"
+    assert main(["verify", scanner, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(cache_file) in err
     assert not calls
     assert not out.exists() and not (tmp_path / "report.csv").exists()
 
@@ -476,18 +506,47 @@ def test_scanner_table_matches_verify_choices():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     scanner = next(a for a in sub.choices["verify"]._actions if a.dest == "scanner")
     assert list(scanner.choices) == list(_SCANNERS)
+    # the help reads each scanner's status from its row
+    assert "conj1 (refuted conjecture)" in scanner.help
+    assert "saturation (saturation: theorem; power_bound: open)" in scanner.help
 
 
 @pytest.mark.parametrize("scanner", list(_SCANNERS))
-def test_every_scanner_runs_at_its_option_minimums(scanner, tmp_path):
+def test_every_scanner_runs_at_its_option_minimums(scanner, tmp_path, monkeypatch):
+    from logcave import lr
+
+    row = _SCANNERS[scanner]
     argv = ["verify", scanner]
-    for option, least in _SCANNERS[scanner][1].items():
+    for option, least in row.minimums.items():
         argv += [f"--{option}", str(least)]
     out = tmp_path / "report.json"
-    assert main(argv + ["--out", str(out)]) == 0
+    cache_dir = tmp_path / "cache"
+    monkeypatch.setenv("LOGCAVE_CACHE_DIR", str(cache_dir))
+    lr.reset_default_cache()
+    try:
+        assert main(argv + ["--out", str(out)]) == 0
+    finally:
+        lr.reset_default_cache()
     doc = json.loads(out.read_text())
     assert doc["checked"] >= 1
     assert "wall_time_ms" not in doc["manifest"]
+    # the row's lr_cache flag says which scans write the cache file
+    assert (cache_dir / lr.CACHE_FILE).exists() == row.lr_cache
+
+
+def test_readme_status_table_matches_the_scanner_table():
+    text = (SRC.parent / "README.md").read_text()
+    section = text.split("### Scanner status", 1)[1].split("\n### ", 1)[0]
+    readme = set()
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            # "| `scanner` |" or "| `scanner`, rows of kind `kind` |", then statement, status
+            cells = [c.strip() for c in line.strip("|").split("|")]
+            names = re.findall(r"`(\w+)`", cells[0])
+            readme.add((names[0], names[-1], cells[2]))
+    table = {(name, kind, s) for name, row in _SCANNERS.items() for kind, s in row.status.items()}
+    assert readme == table
+    assert {s for _, _, s in table} == {"theorem", "refuted conjecture", "open"}
 
 
 def test_cli_body_reports_a_degenerate_volume(tmp_path):
