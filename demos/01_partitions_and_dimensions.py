@@ -5,8 +5,14 @@ the product formula over pairs of entries, and a count of semistandard
 tableaux.  They agree, and both are blind to determinant twists.
 """
 
+import signal
+
 from logcave import SkewShape, conjugate, dual_weight, enumerate_ssyt, weyl_dimension
 from logcave.partitions import count_ssyt, pad
+
+# a reader that stops early (`| head`) ends the demo quietly, as it ends other tools
+if hasattr(signal, "SIGPIPE"):
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
 
 lam = (3, 1)
 print("partition:", lam)

@@ -6,7 +6,13 @@ polynomial dominates the product of the endpoints, coefficient by
 coefficient.
 """
 
+import signal
+
 from logcave import SkewShape, multiply, skew_schur, subtract_and_min_coefficient, to_schur_basis
+
+# a reader that stops early (`| head`) ends the demo quietly, as it ends other tools
+if hasattr(signal, "SIGPIPE"):
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
 
 s21 = skew_schur(SkewShape((2, 1), ()), 4)
 print("s_(2,1) in 4 variables, monomial orbits:", s21.terms)

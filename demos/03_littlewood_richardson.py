@@ -5,6 +5,7 @@ invariant is symmetric in its arguments and vanishes unless the entries
 sum to zero.
 """
 
+import signal
 from itertools import permutations
 
 from logcave import (
@@ -15,6 +16,10 @@ from logcave import (
     triple_invariant,
 )
 from logcave.partitions import dual_weight, weyl_dimension
+
+# a reader that stops early (`| head`) ends the demo quietly, as it ends other tools
+if hasattr(signal, "SIGPIPE"):
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
 
 lam, mu, nu = (3, 2, 1), (2, 1, 0), (2, 1, 0)
 print("c^(3,2,1)_(2,1),(2,1) by tableaux:  ", lr_coefficient(lam, mu, nu))

@@ -9,6 +9,8 @@ violation of either would be a finding; saturation itself is a theorem.
 `logcave verify --help` lists the status of every scanner.
 """
 
+import signal
+
 from logcave.concavity import (
     conjecture1_scan,
     convolution_logconcavity_check,
@@ -18,6 +20,10 @@ from logcave.concavity import (
     weyl_logconcavity_scan,
 )
 from logcave.partitions import dual_weight
+
+# a reader that stops early (`| head`) ends the demo quietly, as it ends other tools
+if hasattr(signal, "SIGPIPE"):
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
 
 for name, rep in [
     ("squared-midpoint skew pairs, |outer| <= 5", theorem1_scan(5)),

@@ -6,9 +6,14 @@ nonnegative; the 2x2 contiguous minors give the classical log-concavity
 condition on the sequence itself.
 """
 
+import signal
 from fractions import Fraction
 
 from logcave import FiniteSequence, character_positivity_check, toeplitz_minor, two_by_two_scan
+
+# a reader that stops early (`| head`) ends the demo quietly, as it ends other tools
+if hasattr(signal, "SIGPIPE"):
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
 
 binomials = FiniteSequence({0: 1, 1: 3, 2: 3, 3: 1})  # (1+z)^3
 print("binomial row (1,3,3,1):")

@@ -6,6 +6,7 @@ volume measures the growth of dim S^k.  Volumes of products obey the
 d-th root superadditivity, with equality for a subspace against itself.
 """
 
+import signal
 from fractions import Fraction
 
 from logcave.bodies import (
@@ -22,6 +23,10 @@ from logcave.bodies import (
     normalized_volume,
     power_subspace,
 )
+
+# a reader that stops early (`| head`) ends the demo quietly, as it ends other tools
+if hasattr(signal, "SIGPIPE"):
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
 
 
 def hull_over_scale(body):

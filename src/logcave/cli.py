@@ -22,9 +22,9 @@ import sys
 import time
 from typing import TYPE_CHECKING
 
-from . import __version__, concavity
+from . import __version__, concavity, lr
 from ._records import Record
-from .lr import CACHE_FILE, lr_coefficient, restriction_multiplicity
+from .lr import lr_coefficient, restriction_multiplicity
 from .partitions import GLWeight, Partition, SkewShape, fmt_weight, pad, partition
 from .symfunc import skew_schur, to_schur_basis
 
@@ -420,7 +420,8 @@ _SCANNERS = {
 
 def _check_scan_args(args) -> None:
     """Raise ParseError for an option value that would make the scan vacuous or
-    invalid, or for a $LOGCAVE_CACHE_DIR the scan could not use."""
+    invalid, or for a $LOGCAVE_CACHE_DIR the scan could not use.  A scan that
+    uses the LR cache gets it made here, by lr._default_cache()."""
     row = _SCANNERS[args.scanner]
     for option, least in {"jobs": 1, **row.minimums}.items():
         value = getattr(args, option)
@@ -438,22 +439,14 @@ def _check_scan_args(args) -> None:
                     f"verify {args.scanner}: --out must name a file in an existing "
                     f"directory, and {path} is not one"
                 )
-    cache_dir = os.environ.get("LOGCAVE_CACHE_DIR")
-    if cache_dir and row.lr_cache:
-        # making the cache's directory and reading its file come first in the scan
+    if row.lr_cache:
         try:
-            os.makedirs(cache_dir, exist_ok=True)
+            lr._default_cache()
         except OSError as exc:
             raise ParseError(
-                f"verify {args.scanner}: LOGCAVE_CACHE_DIR={cache_dir} cannot hold the "
-                f"LR cache ({exc.strerror})"
+                f"verify {args.scanner}: cannot use {exc.filename} for the LR cache "
+                f"({exc.strerror})"
             ) from None
-        path = os.path.join(cache_dir, CACHE_FILE)
-        try:
-            if os.path.exists(path):
-                open(path, "rb").close()
-        except OSError as exc:
-            raise ParseError(f"verify {args.scanner}: cannot read {path} ({exc.strerror})") from None
 
 
 def run_scan(args) -> tuple[dict, int]:
@@ -463,8 +456,8 @@ def run_scan(args) -> tuple[dict, int]:
     a scan whose options passed the checks is a fault, not an input error.
     """
     name = args.scanner
+    t0 = time.monotonic()  # before the check, which loads the LR cache
     _check_scan_args(args)
-    t0 = time.monotonic()
     try:
         rep = _SCANNERS[name].run(args)
     except ValueError as exc:

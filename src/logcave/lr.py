@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 import threading
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -151,20 +151,8 @@ def triple_invariant(t: WeightTriple) -> int:
     if sum(lam) + sum(mu) + sum(nu) != 0:
         return 0
     compute = lambda: _lr_count(dual_weight(lam), mu, nu)
-    cache = _default_cache()
-    return compute() if cache is None else cache.get_or_compute((lam, mu, nu), compute)
-
-
-class _Memo(dict):
-    """A dict that fills in a missing key k with fn(k), for memos local to one call."""
-
-    def __init__(self, fn: Callable):
-        super().__init__()
-        self._fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self._fn(key)
-        return value
+    disk = _default_cache()
+    return compute() if disk is None else disk.get_or_compute((lam, mu, nu), compute)
 
 
 def slice_invariants(triples: Iterable[WeightTriple]) -> list[int]:
@@ -176,10 +164,10 @@ def slice_invariants(triples: Iterable[WeightTriple]) -> list[int]:
     and the others are computed and appended in one batch, in input order,
     so the file gets the lines triple_invariant would write.
     """
-    cache = _default_cache()
-    if cache is None:
+    disk = _default_cache()
+    if disk is None:
         return _read_decompositions(triples)
-    return cache.get_or_compute_all(list(triples), _read_decompositions)
+    return disk.get_or_compute_all(list(triples), _read_decompositions)
 
 
 def _read_decompositions(triples: Iterable[WeightTriple]) -> list[int]:
@@ -190,15 +178,15 @@ def _read_decompositions(triples: Iterable[WeightTriple]) -> list[int]:
     once from _pair_decomposition.  Each nu is then one lookup, at dual nu
     less the pair's det shift.
     """
-    splits = _Memo(shift_to_partition)
-    shifted_duals = _Memo(lambda key: tuple(-x - key[1] for x in reversed(key[0])))  # (nu, shift)
+    splits = cache(shift_to_partition)
+    shifted_duals = cache(lambda nu, shift: tuple(-x - shift for x in reversed(nu)))
     out = []
     lam = mu = dec = None
     for a, b, nu in triples:
         if a != lam or b != mu:
             lam, mu = a, b
-            dec, s = _pair_decomposition(splits[lam], splits[mu], len(lam))
-        out.append(dec.get(shifted_duals[nu, s], 0))
+            dec, s = _pair_decomposition(splits(lam), splits(mu), len(lam))
+        out.append(dec.get(shifted_duals(nu, s), 0))
     return out
 
 
@@ -209,6 +197,8 @@ def restriction_multiplicity(lam: Partition, mu: Partition, n: int, k: int) -> i
     skew Schur polynomial s_{lam/mu} at n-k ones; zero when mu is not
     contained in lam.
     """
+    if k < 0:
+        raise ValueError(f"need k >= 0, got k={k}")
     if k >= n:
         raise ValueError(f"need k < n, got k={k}, n={n}")
     lam = partition(lam)
@@ -337,14 +327,14 @@ class LRCache:
         if not os.path.exists(path):
             return
         # each distinct weight string is parsed once
-        weights = _Memo(lambda s: tuple(map(int, s.split(","))))
+        weights = cache(lambda s: tuple(map(int, s.split(","))))
         with open(path, "r", encoding="ascii", errors="replace") as fh:
             for line in fh:
                 if not line.endswith("\n"):
                     break  # torn tail
                 try:
                     lam_s, mu_s, nu_s, n_s, val_s = line.split(";")
-                    lam, mu, nu = weights[lam_s], weights[mu_s], weights[nu_s]
+                    lam, mu, nu = weights(lam_s), weights(mu_s), weights(nu_s)
                     n, value = int(n_s), int(val_s)
                 except ValueError:
                     continue  # foreign or truncated line
@@ -381,9 +371,9 @@ class LRCache:
         """
         if not keys:
             return
-        names = _Memo(fmt_weight)
+        names = cache(fmt_weight)
         lines = (
-            f"{names[lam]};{names[mu]};{names[nu]};{len(lam)};{value}\n"
+            f"{names(lam)};{names(mu)};{names(nu)};{len(lam)};{value}\n"
             for (lam, mu, nu), value in zip(keys, values)
         )
         with self._lock:
@@ -414,7 +404,9 @@ class LRCache:
 @lru_cache(maxsize=None)
 def _default_cache() -> LRCache | None:
     """The cache file under $LOGCAVE_CACHE_DIR; None when it is unset, and
-    lr_skew_count's memo is then the only one."""
+    lr_skew_count's memo is then the only one.  An OSError from making the
+    directory or reading the file propagates and memoises nothing; verify's
+    option check makes the cache first and reports one as an input error."""
     cache_dir = os.environ.get("LOGCAVE_CACHE_DIR")
     if not cache_dir:
         return None

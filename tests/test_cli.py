@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from logcave import bodies
+from logcave import bodies, lr
 from logcave.bodies import PolynomialSubspace
 from logcave.cli import (
     _SCANNERS,
@@ -31,6 +31,15 @@ from logcave.cli import (
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.fixture(autouse=True)
+def _fresh_lr_cache():
+    # verify's option check makes the memoised LR cache: none passes between tests
+    lr.reset_default_cache()
+    yield
+    lr.reset_default_cache()
+
 
 def test_parse_partition():
     assert parse_partition("3,1") == (3, 1)
@@ -477,7 +486,7 @@ def test_verify_rejects_a_cache_dir_that_is_a_file(scanner, below, tmp_path, mon
 
 @pytest.mark.parametrize("scanner", _LR_CACHE_SCANNERS)
 def test_verify_rejects_a_cache_file_it_cannot_read(scanner, tmp_path, monkeypatch, capsys):
-    from logcave import cli, lr
+    from logcave import cli
 
     calls = _wrap_runner(monkeypatch, scanner)
     monkeypatch.setenv("LOGCAVE_CACHE_DIR", str(tmp_path))
@@ -485,6 +494,7 @@ def test_verify_rejects_a_cache_file_it_cannot_read(scanner, tmp_path, monkeypat
     # the check reads an existing file and never makes one
     cli._check_scan_args(build_parser().parse_args(["verify", scanner]))
     assert not cache_file.exists()
+    lr.reset_default_cache()
     cache_file.mkdir()
     out = tmp_path / "report.json"
     assert main(["verify", scanner, "--out", str(out)]) == 2
@@ -492,6 +502,34 @@ def test_verify_rejects_a_cache_file_it_cannot_read(scanner, tmp_path, monkeypat
     assert err.startswith("error: ") and err.count("\n") == 1 and str(cache_file) in err
     assert not calls
     assert not out.exists() and not (tmp_path / "report.csv").exists()
+
+
+def test_verify_scans_with_the_cache_its_check_made(tmp_path, monkeypatch):
+    made = []
+
+    class RecordedCache(lr.LRCache):
+        def __init__(self, path):
+            super().__init__(path)
+            made.append(self)
+
+    monkeypatch.setattr(lr, "LRCache", RecordedCache)
+    seen = []
+    row = copy.copy(_SCANNERS["alpha"])
+    scan = row.run
+    # the caches made before the scan, and the one the scan looks up
+    row.run = lambda a: seen.append((list(made), lr._default_cache())) or scan(a)
+    monkeypatch.setitem(_SCANNERS, "alpha", row)
+    argv = ["verify", "alpha", "--rank", "2", "--bound", "2", "--out", str(tmp_path / "r.json")]
+    monkeypatch.setenv("LOGCAVE_CACHE_DIR", str(tmp_path / "a"))
+    assert main(argv) == 0
+    [cache] = made
+    assert seen == [([cache], cache)]
+    assert (tmp_path / "a" / lr.CACHE_FILE).exists()
+    # until a reset, the check and the scan both keep the cache made first
+    monkeypatch.setenv("LOGCAVE_CACHE_DIR", str(tmp_path / "b"))
+    assert main(argv) == 0
+    assert not (tmp_path / "b").exists()
+    assert made == [cache] and seen[1] == ([cache], cache)
 
 
 def test_cli_schur_unwritable_out_is_exit_2(tmp_path, capsys):
@@ -513,8 +551,6 @@ def test_scanner_table_matches_verify_choices():
 
 @pytest.mark.parametrize("scanner", list(_SCANNERS))
 def test_every_scanner_runs_at_its_option_minimums(scanner, tmp_path, monkeypatch):
-    from logcave import lr
-
     row = _SCANNERS[scanner]
     argv = ["verify", scanner]
     for option, least in row.minimums.items():
@@ -522,11 +558,7 @@ def test_every_scanner_runs_at_its_option_minimums(scanner, tmp_path, monkeypatc
     out = tmp_path / "report.json"
     cache_dir = tmp_path / "cache"
     monkeypatch.setenv("LOGCAVE_CACHE_DIR", str(cache_dir))
-    lr.reset_default_cache()
-    try:
-        assert main(argv + ["--out", str(out)]) == 0
-    finally:
-        lr.reset_default_cache()
+    assert main(argv + ["--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["checked"] >= 1
     assert "wall_time_ms" not in doc["manifest"]

@@ -580,6 +580,7 @@ def test_reset_default_cache_closes_the_file(tmp_path, monkeypatch):
     [
         (lambda: restriction_multiplicity((1, 1, 1), (), 2, 1), r"\(1, 1, 1\) has more than 2 parts"),
         (lambda: restriction_multiplicity((2, 1), (1, 1), 3, 1), r"\(1, 1\) has more than 1 parts"),
+        (lambda: restriction_multiplicity((2,), (), 2, -1), r"need k >= 0, got k=-1$"),
         (lambda: tensor_product_multiplicities((1, 0), (1,)), "rank mismatch"),
     ],
 )
