@@ -363,10 +363,10 @@ def _cmd_body(args) -> int:
 
 
 # One row per verify scanner: its runner, late-bound so that a replaced
-# concavity function is the one that runs; each option's least value at which
-# the domain is nonempty (below it a scan would check nothing and report
-# clean); the status of each record kind, named after the scanner if it has
-# one; an extra option check or None; and whether it uses the LR cache file.
+# concavity function is the one that runs; the options it reads, the only ones
+# its parser takes besides --jobs and --out, each with the least value at which
+# its domain is nonempty, or None; each record kind's status, named after the
+# scanner if it has one; an extra option check or None; and its LR cache use.
 class _Scanner(Record):
     __slots__ = ("run", "minimums", "status", "check", "lr_cache")
     _defaults = {"check": None, "lr_cache": False}
@@ -413,9 +413,16 @@ _SCANNERS = {
     ),
     "convolution": _Scanner(
         lambda a: concavity.convolution_random_suite(a.cases, a.bound, a.seed),
-        {"bound": 1, "cases": 1}, {"convolution": "theorem"},
+        {"bound": 1, "cases": 1, "seed": None}, {"convolution": "theorem"},
     ),
 }
+
+# each verify option's default and help: a scanner's parser takes --jobs and those its row names
+_SCAN_OPTIONS = dict(
+    bound=(4, "weight/entry/length bound"), kmax=(3, "stretch bound"), n=(4, "ambient rank"),
+    pq=(2, "bound on p+q for midpoints"), rank=(2, "weight rank"), k=(2, "subgroup rank"),
+    cases=(200, "random cases"), seed=(0, "random seed"), jobs=(1, "cap on worker processes"),
+)
 
 
 def _check_scan_args(args) -> None:
@@ -425,10 +432,8 @@ def _check_scan_args(args) -> None:
     row = _SCANNERS[args.scanner]
     for option, least in {"jobs": 1, **row.minimums}.items():
         value = getattr(args, option)
-        if value < least:
-            raise ParseError(
-                f"verify {args.scanner}: --{option} must be >= {least}, got {value}"
-            )
+        if least is not None and value < least:
+            raise ParseError(f"verify {args.scanner}: --{option} must be >= {least}, got {value}")
     if row.check:
         row.check(args)
     if args.out:
@@ -538,22 +543,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_body)
 
     p = sub.add_parser("verify", help="run a verifier scan")
-    statuses = []
+    verdict = "a violation of a theorem is a bug, any other a finding"
+    scanners = p.add_subparsers(dest="scanner", required=True, metavar="scanner", help=verdict)
     for name, row in _SCANNERS.items():
         kinds = [s if len(row.status) == 1 else f"{kind}: {s}" for kind, s in row.status.items()]
-        statuses.append(f"{name} ({'; '.join(kinds)})")
-    scanner_help = "a violation of a theorem is a bug, any other a finding: " + ", ".join(statuses)
-    p.add_argument("scanner", choices=list(_SCANNERS), help=scanner_help)
-    p.add_argument("--bound", type=int, default=4, help="weight/entry/length bound")
-    p.add_argument("--rank", type=int, default=2)
-    p.add_argument("--pq", type=int, default=2, help="bound on p+q for midpoints")
-    p.add_argument("--kmax", type=int, default=3, help="stretch bound for saturation")
-    p.add_argument("--n", type=int, default=4, help="ambient rank for restriction")
-    p.add_argument("--k", type=int, default=2, help="subgroup rank for restriction")
-    p.add_argument("--cases", type=int, default=200, help="random cases for convolution")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--out")
+        # no abbreviations: saturation would read --k as --kmax
+        scan = scanners.add_parser(name, help="; ".join(kinds), allow_abbrev=False)
+        for option in [*row.minimums, "jobs"]:
+            default, text = _SCAN_OPTIONS[option]
+            scan.add_argument(f"--{option}", type=int, default=default, help=text)
+        scan.add_argument("--out")
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -397,17 +397,26 @@ class LRCache:
                 self._fh.close()
                 self._fh = None
 
+    __del__ = close  # a cache that is dropped closes its handle
+
     def __len__(self):
         return len(self._memory)
 
 
-@lru_cache(maxsize=None)
 def _default_cache() -> LRCache | None:
-    """The cache file under $LOGCAVE_CACHE_DIR; None when it is unset, and
-    lr_skew_count's memo is then the only one.  An OSError from making the
-    directory or reading the file propagates and memoises nothing; verify's
-    option check makes the cache first and reports one as an input error."""
-    cache_dir = os.environ.get("LOGCAVE_CACHE_DIR")
+    """The cache file under $LOGCAVE_CACHE_DIR as the variable is set now; None
+    when it is unset, and lr_skew_count's memo is then the only one.  An
+    OSError from making the directory or reading the file propagates and
+    memoises nothing; verify's option check makes the cache first and reports
+    one as an input error."""
+    return _cache_in(os.environ.get("LOGCAVE_CACHE_DIR", ""))
+
+
+@lru_cache(maxsize=1)
+def _cache_in(cache_dir: str) -> LRCache | None:
+    """The LR cache of one directory, "" for none.  It is memoised until the
+    variable names another directory: the cache it drops closes its handle,
+    and a return to the directory loads the file again."""
     if not cache_dir:
         return None
     os.makedirs(cache_dir, exist_ok=True)
@@ -415,16 +424,14 @@ def _default_cache() -> LRCache | None:
 
 
 def reset_default_cache() -> None:
-    """Drop the module-level LR cache and empty the decomposition memos.
+    """Drop the module-level LR cache, closing its handle, and empty the
+    decomposition memos.
 
-    The dropped cache's file handle is closed.  Used by tests, before a
-    cold-start measurement and after env changes.  The memos on
+    Used by tests and before a cold-start measurement.  The memos on
     arrangement_count, kostka_table, monomial_product_row and lr_skew_count
     stay: a cold start clears those four as well, as cold_start in
     perfbench/traced_run.py does.
     """
-    if _default_cache.cache_info().currsize and (cache := _default_cache()) is not None:
-        cache.close()
-    _default_cache.cache_clear()
+    _cache_in.cache_clear()
     _brauer_klimyk.cache_clear()
     _weights.cache_clear()

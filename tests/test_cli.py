@@ -2,11 +2,14 @@ import argparse
 import copy
 import gc
 import hashlib
+import itertools
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
+import weakref
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -143,6 +146,9 @@ def test_cli_toeplitz_exit_codes(capsys):
     assert main(["toeplitz", "--seq", "0:-1"]) == 2
     captured = capsys.readouterr()
     assert "negative value x_0 = -1" in captured.err and not captured.out
+    # a sequence that starts at a negative index is given with "=", or it reads as an option
+    assert main(["toeplitz", "--seq=-3:1,-2:1", "--check", "schur"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
 
 
 @pytest.mark.parametrize("basis", ["1; 3/0*x", "1; x - 1/0"])
@@ -505,31 +511,41 @@ def test_verify_rejects_a_cache_file_it_cannot_read(scanner, tmp_path, monkeypat
 
 
 def test_verify_scans_with_the_cache_its_check_made(tmp_path, monkeypatch):
-    made = []
+    made = []  # weak references, so that a dropped cache is freed
 
     class RecordedCache(lr.LRCache):
         def __init__(self, path):
             super().__init__(path)
-            made.append(self)
+            made.append(weakref.ref(self))
 
     monkeypatch.setattr(lr, "LRCache", RecordedCache)
     seen = []
-    row = copy.copy(_SCANNERS["alpha"])
-    scan = row.run
-    # the caches made before the scan, and the one the scan looks up
-    row.run = lambda a: seen.append((list(made), lr._default_cache())) or scan(a)
-    monkeypatch.setitem(_SCANNERS, "alpha", row)
-    argv = ["verify", "alpha", "--rank", "2", "--bound", "2", "--out", str(tmp_path / "r.json")]
+    for name in ("alpha", "saturation"):
+        row = copy.copy(_SCANNERS[name])
+
+        def run(a, scan=row.run):
+            # the caches made before the scan, and whether it looks up the last of them
+            seen.append((len(made), lr._default_cache() is made[-1]()))
+            return scan(a)
+
+        row.run = run
+        monkeypatch.setitem(_SCANNERS, name, row)
+    out = str(tmp_path / "r.json")
     monkeypatch.setenv("LOGCAVE_CACHE_DIR", str(tmp_path / "a"))
-    assert main(argv) == 0
-    [cache] = made
-    assert seen == [([cache], cache)]
-    assert (tmp_path / "a" / lr.CACHE_FILE).exists()
-    # until a reset, the check and the scan both keep the cache made first
+    assert main(["verify", "alpha", "--rank", "2", "--bound", "2", "--out", out]) == 0
+    assert seen == [(1, True)]
+    file_a = tmp_path / "a" / lr.CACHE_FILE
+    lines_a = file_a.read_bytes()
+    handle = made[0]()._fh
+    assert lines_a and not handle.closed
+    # the check and the scan follow the variable to a new directory
     monkeypatch.setenv("LOGCAVE_CACHE_DIR", str(tmp_path / "b"))
-    assert main(argv) == 0
-    assert not (tmp_path / "b").exists()
-    assert made == [cache] and seen[1] == ([cache], cache)
+    assert main(["verify", "saturation", "--out", out]) == 0
+    assert seen[1] == (2, True)
+    assert (tmp_path / "b" / lr.CACHE_FILE).read_bytes()
+    assert file_a.read_bytes() == lines_a
+    # the cache it dropped is freed, its handle closed
+    assert made[0]() is None and handle.closed
 
 
 def test_cli_schur_unwritable_out_is_exit_2(tmp_path, capsys):
@@ -540,13 +556,57 @@ def test_cli_schur_unwritable_out_is_exit_2(tmp_path, capsys):
     assert out in captured.err and not captured.out
 
 
+# the options of a scan's domain, each named by the rows of the scanners that read it
+_DOMAIN_OPTIONS = ["bound", "rank", "pq", "kmax", "n", "k", "cases", "seed"]
+_READ = [(name, o) for name, row in _SCANNERS.items() for o in row.minimums]
+_UNREAD = [
+    (name, o) for name, row in _SCANNERS.items() for o in _DOMAIN_OPTIONS if o not in row.minimums
+]
+
+
 def test_scanner_table_matches_verify_choices():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    scanner = next(a for a in sub.choices["verify"]._actions if a.dest == "scanner")
-    assert list(scanner.choices) == list(_SCANNERS)
+    verify = sub.choices["verify"]
+    scanners = next(a for a in verify._actions if isinstance(a, argparse._SubParsersAction))
+    assert scanners.dest == "scanner" and list(scanners.choices) == list(_SCANNERS)
     # the help reads each scanner's status from its row
-    assert "conj1 (refuted conjecture)" in scanner.help
-    assert "saturation (saturation: theorem; power_bound: open)" in scanner.help
+    helps = {a.dest: a.help for a in scanners._choices_actions}
+    assert helps["conj1"] == "refuted conjecture"
+    assert helps["saturation"] == "saturation: theorem; power_bound: open"
+    # each parser takes the options its row names, --jobs and --out: 30 scanner-option pairs
+    options = {
+        name: [a.dest for a in parser._actions if a.dest != "help"]
+        for name, parser in scanners.choices.items()
+    }
+    assert options == {name: [*row.minimums, "jobs", "out"] for name, row in _SCANNERS.items()}
+    assert len(_READ) + len(_SCANNERS) == 30 and len(_UNREAD) == 51
+    assert {o for _, o in _READ} == set(_DOMAIN_OPTIONS)
+
+
+@pytest.mark.parametrize("scanner, option", _UNREAD)
+def test_verify_rejects_an_option_its_scanner_does_not_read(scanner, option, monkeypatch, capsys):
+    calls = _wrap_runner(monkeypatch, scanner)
+    assert main(["verify", scanner, f"--{option}", "1"]) == 2
+    err = capsys.readouterr().err
+    assert f"--{option}" in err and "Traceback" not in err
+    assert not calls
+
+
+@pytest.mark.parametrize("scanner, option", _READ)
+def test_every_option_a_row_names_reaches_the_report(scanner, option, tmp_path, monkeypatch):
+    """A row names only options its runner reads: a value other than the default
+    changes the report's params.  The value is one below the default where the
+    option's floor allows, so that the scan stays small."""
+    monkeypatch.delenv("LOGCAVE_CACHE_DIR", raising=False)
+    default = getattr(build_parser().parse_args(["verify", scanner]), option)
+    least = _SCANNERS[scanner].minimums[option]
+    value = default - 1 if default - 1 >= (least or 0) else default + 1
+    params = []
+    for argv in (["verify", scanner], ["verify", scanner, f"--{option}", str(value)]):
+        out = tmp_path / "report.json"
+        assert main(argv + ["--out", str(out)]) in (0, 1)
+        params.append(json.loads(out.read_text())["params"])
+    assert params[0] != params[1]
 
 
 @pytest.mark.parametrize("scanner", list(_SCANNERS))
@@ -554,7 +614,8 @@ def test_every_scanner_runs_at_its_option_minimums(scanner, tmp_path, monkeypatc
     row = _SCANNERS[scanner]
     argv = ["verify", scanner]
     for option, least in row.minimums.items():
-        argv += [f"--{option}", str(least)]
+        if least is not None:  # None: any value will do, and the default is kept
+            argv += [f"--{option}", str(least)]
     out = tmp_path / "report.json"
     cache_dir = tmp_path / "cache"
     monkeypatch.setenv("LOGCAVE_CACHE_DIR", str(cache_dir))
@@ -564,6 +625,24 @@ def test_every_scanner_runs_at_its_option_minimums(scanner, tmp_path, monkeypatc
     assert "wall_time_ms" not in doc["manifest"]
     # the row's lr_cache flag says which scans write the cache file
     assert (cache_dir / lr.CACHE_FILE).exists() == row.lr_cache
+
+
+def test_readme_command_lines_parse():
+    """Each `logcave` line of README parses, with every `a|b` alternative."""
+    text = (SRC.parent / "README.md").read_text().replace("\\\n", " ")
+    parser = build_parser()
+    verified = set()
+    for line in text.splitlines():
+        if not line.startswith("logcave "):
+            continue
+        for argv in itertools.product(*(w.split("|") for w in shlex.split(line)[1:])):
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README: logcave {' '.join(argv)} does not parse")
+            if argv[0] == "verify":
+                verified.add(argv[1])
+    assert verified == set(_SCANNERS)
 
 
 def test_readme_status_table_matches_the_scanner_table():
