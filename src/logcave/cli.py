@@ -67,20 +67,13 @@ def format_weight(w: GLWeight) -> str:
     return fmt_weight(w) + f"@{len(w)}"
 
 
-_TERM_RE = re.compile(
-    r"""(?P<coeff>\d+(?:/\d+)?)?      # optional rational coefficient
-        (?P<vars>(?:\*?[a-z]\w*(?:\^\d+)?)*)   # variable powers
-    """,
-    re.VERBOSE,
-)
-
-
 def parse_polynomial(text: str, dim: int) -> MultiPolynomial:
     """Parse "3*x^2*y - 1/2*y" into a polynomial in dim variables.
 
-    Variables are x, y, z, the first dim of them (dim <= 3).  Raises
-    ParseError with the offending position on malformed input, counted in
-    text as typed, spaces included.
+    Variables are x, y, z, the first dim of them (dim <= 3); a term is an
+    optional coefficient p or p/q, then variable powers with * optional
+    ("2x", "x^2y"); spaces are ignored.  Raises ParseError with the offending
+    position on malformed input, counted in text as typed, spaces included.
     """
     from fractions import Fraction
 
@@ -88,61 +81,34 @@ def parse_polynomial(text: str, dim: int) -> MultiPolynomial:
 
     names = {name: i for i, name in enumerate("xyz"[:dim])}
     body = text.replace(" ", "")
-    # where[i] is the position in text of body[i]
-    where = [i for i, ch in enumerate(text) if ch != " "]
     if not body:
         raise ParseError("empty polynomial")
-    # split into signed terms
+    # where[i] is the position in text of body[i]; a dangling last sign
+    # leaves an empty term one past the last character
+    where = [i for i, ch in enumerate(text) if ch != " "]
+    where.append(where[-1] + 1)
     terms: dict[tuple[int, ...], Fraction] = {}
-    pos = 0
-    sign = 1
-    if body[0] in "+-":
-        sign = -1 if body[0] == "-" else 1
-        pos = 1
-    while True:
-        nxt = len(body)
-        for i in range(pos, len(body)):
-            if body[i] in "+-" and body[i - 1] not in "*/^":
-                nxt = i
-                break
-        chunk = body[pos:nxt]
+    # a term runs to the next + or - that does not follow *, / or ^
+    for cut in re.finditer(r"(?!\Z)([+-]?)((?:[^+-]|(?<=[*/^])[+-])*)", body):
+        sign, chunk = cut.groups()
+        at = where[cut.start(2)]
         if not chunk:
-            # a dangling last sign leaves an empty term just past it
-            at = where[pos] if pos < len(body) else where[-1] + 1
             raise ParseError(f"position {at}: empty term")
-        coeff, exps = _parse_term(chunk, names, dim, where[pos])
+        term = re.fullmatch(r"(\d+(?:/\d+)?)?((?:\*?[a-z]\w*(?:\^\d+)?)*)", chunk)
+        if term is None:
+            raise ParseError(f"position {at}: cannot parse term {chunk!r}")
+        try:
+            coeff = Fraction(term[1] or 1)
+        except ZeroDivisionError:
+            raise ParseError(f"position {at}: zero denominator in {chunk!r}") from None
+        exps = [0] * dim
+        for name, power in re.findall(r"([a-z]\w*)(?:\^(\d+))?", term[2]):
+            if name not in names:
+                raise ParseError(f"position {at}: unknown variable {name!r} in {dim} dimensions")
+            exps[names[name]] += int(power or 1)
         key = tuple(exps)
-        v = terms.get(key, Fraction(0)) + sign * coeff
-        if v:
-            terms[key] = v
-        else:
-            terms.pop(key, None)
-        if nxt == len(body):
-            return bodies.MultiPolynomial(dim, terms)
-        sign = -1 if body[nxt] == "-" else 1
-        pos = nxt + 1
-
-
-def _parse_term(chunk: str, names: dict[str, int], dim: int, offset: int):
-    from fractions import Fraction
-
-    m = _TERM_RE.fullmatch(chunk)
-    if m is None or (not m.group("coeff") and not m.group("vars")):
-        raise ParseError(f"position {offset}: cannot parse term {chunk!r}")
-    try:
-        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
-    except ZeroDivisionError:
-        raise ParseError(f"position {offset}: zero denominator in {chunk!r}") from None
-    exps = [0] * dim
-    vars_part = m.group("vars")
-    for piece in filter(None, vars_part.split("*")):
-        name, _, power = piece.partition("^")
-        if name not in names:
-            raise ParseError(
-                f"position {offset}: unknown variable {name!r} in {dim} dimensions"
-            )
-        exps[names[name]] += int(power) if power else 1
-    return coeff, exps
+        terms[key] = terms.get(key, 0) + (-coeff if sign == "-" else coeff)
+    return bodies.MultiPolynomial(dim, terms)  # which drops cancelled terms
 
 
 def parse_shape(text: str) -> SkewShape:
@@ -497,8 +463,19 @@ def _open_out(path: str, **kwargs):
         raise ParseError(f"cannot write {path}: {exc.strerror}") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose sub-parsers, of its class, each reject an argument
+    they do not read, with their own usage line rather than the top level's."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="logcave",
         description="Exact multiplicity computations and log-concavity verifiers.",
     )

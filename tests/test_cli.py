@@ -14,6 +14,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from logcave import bodies, lr
 from logcave.bodies import PolynomialSubspace
@@ -98,6 +99,69 @@ def test_parse_polynomial():
     for text, where in (("1+", 2), ("x -", 3), ("x - ", 3), ("-", 1), ("1 + x -", 7)):
         with pytest.raises(ParseError, match=f"position {where}: empty term"):
             parse_polynomial(text, 1)
+    # * may be left out after a coefficient or a power
+    assert parse_polynomial("x^2y", 3).terms == {(2, 1, 0): F(1)}
+    assert parse_polynomial("2x", 3).terms == {(1, 0, 0): F(2)}
+    assert parse_polynomial("z^2x^2", 3).terms == {(2, 0, 2): F(1)}
+
+
+@pytest.mark.parametrize(
+    "text, where, kind",
+    [
+        ("1 +  + x", 5, "empty term"),
+        ("x +", 3, "empty term"),
+        ("1 - x^y", 4, "cannot parse term"),
+        ("1 + 3/0*x", 4, "zero denominator"),
+        ("2 - x*w", 4, "unknown variable"),
+    ],
+)
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_parse_polynomial_positions_count_leading_spaces(text, where, kind, k):
+    with pytest.raises(ParseError, match=f"^position {where + k}: {kind}"):
+        parse_polynomial(" " * k + text, 2)
+
+
+@st.composite
+def _rendered_terms(draw):
+    """(text, dim, terms): random terms rendered as text, and their sum taken term by term.
+
+    A coefficient is p or p/q or left out; a term has up to three variable
+    powers, a variable may repeat, and * is left out at random where the
+    grammar allows it; some terms are followed by one that cancels them, and
+    spaces go anywhere.
+    """
+    dim = draw(st.integers(1, 3))
+    rendered, terms = [], {}
+    for _ in range(draw(st.integers(1, 4))):
+        coeff = draw(st.none() | st.tuples(st.integers(0, 12), st.integers(1, 12) | st.none()))
+        factor = st.tuples(st.sampled_from("xyz"[:dim]), st.integers(0, 4) | st.none())
+        factors = draw(st.lists(factor, max_size=3))
+        if coeff is None and not factors:
+            coeff = (1, None)
+        value = F(1) if coeff is None else F(coeff[0], coeff[1] or 1)
+        first = draw(st.booleans())
+        for negative in [first, not first][: 1 + draw(st.booleans())]:
+            text = "" if coeff is None else "/".join(str(n) for n in coeff if n is not None)
+            exps = [0] * dim
+            for i, (name, exp) in enumerate(factors):
+                # "xy" is one unknown name: only a coefficient or a power may precede a bare name
+                if (i > 0 and factors[i - 1][1] is None) or (text and draw(st.booleans())):
+                    text += "*"
+                text += name + ("" if exp is None else f"^{exp}")
+                exps["xyz".index(name)] += 1 if exp is None else exp
+            sign = "-" if negative else "+" if rendered else draw(st.sampled_from(["+", ""]))
+            rendered.append(sign + text)
+            terms[tuple(exps)] = terms.get(tuple(exps), 0) + (-value if negative else value)
+    text = "".join(rendered)
+    spaces = draw(st.lists(st.integers(0, 2), min_size=len(text) + 1, max_size=len(text) + 1))
+    text = "".join(" " * n + ch for n, ch in zip(spaces, [*text, ""]))
+    return text, dim, {e: c for e, c in terms.items() if c}
+
+
+@given(_rendered_terms())
+def test_parse_polynomial_reads_rendered_terms(case):
+    text, dim, terms = case
+    assert parse_polynomial(text, dim).terms == terms
 
 
 def test_parse_sequence():
@@ -588,8 +652,28 @@ def test_verify_rejects_an_option_its_scanner_does_not_read(scanner, option, mon
     calls = _wrap_runner(monkeypatch, scanner)
     assert main(["verify", scanner, f"--{option}", "1"]) == 2
     err = capsys.readouterr().err
-    assert f"--{option}" in err and "Traceback" not in err
+    # the scanner's own parser reports it, with its usage line
+    assert err.startswith(f"usage: logcave verify {scanner} [-h]")
+    assert f"logcave verify {scanner}: error: unrecognized arguments: --{option} 1\n" in err
+    assert "Traceback" not in err
     assert not calls
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["schur", "--shape", "1", "--vars", "1", "--rank", "2"],
+        ["lr", "--lam", "1", "--mu", "1", "--nu", "0", "--rank", "2", "--vars", "3"],
+        ["restrict", "--lam", "1", "--mu", "1", "--n", "2", "--k", "1", "--vars", "3"],
+        ["toeplitz", "--seq", "0:1", "--vars", "3"],
+        ["body", "--dim", "1", "--basis", "1", "--vars", "3"],
+    ],
+)
+def test_an_option_is_rejected_by_the_parser_of_its_subcommand(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: logcave {argv[0]} [-h]")
+    assert f"logcave {argv[0]}: error: unrecognized arguments: {' '.join(argv[-2:])}" in err
 
 
 @pytest.mark.parametrize("scanner, option", _READ)
