@@ -72,8 +72,8 @@ def parse_polynomial(text: str, dim: int) -> MultiPolynomial:
 
     Variables are x, y, z, the first dim of them (dim <= 3); a term is an
     optional coefficient p or p/q, then variable powers with * optional
-    ("2x", "x^2y"); spaces are ignored.  Raises ParseError with the offending
-    position on malformed input, counted in text as typed, spaces included.
+    between them ("2x", "x^2y", not "*x"); spaces are ignored.  Raises
+    ParseError with the offending position in text as typed, spaces included.
     """
     from fractions import Fraction
 
@@ -94,7 +94,7 @@ def parse_polynomial(text: str, dim: int) -> MultiPolynomial:
         at = where[cut.start(2)]
         if not chunk:
             raise ParseError(f"position {at}: empty term")
-        term = re.fullmatch(r"(\d+(?:/\d+)?)?((?:\*?[a-z]\w*(?:\^\d+)?)*)", chunk)
+        term = re.fullmatch(r"(\d+(?:/\d+)?)?((?:(?:(?<=\w)\*)?[a-z]\w*(?:\^\d+)?)*)", chunk)
         if term is None:
             raise ParseError(f"position {at}: cannot parse term {chunk!r}")
         try:
@@ -276,8 +276,6 @@ def _cmd_toeplitz(args) -> int:
         ok, bad = toeplitz.two_by_two_scan(seq)
         doc = {"check": "2x2", "passed": ok, "failing_index": bad}
     else:
-        if args.bound < 0:  # no coefficient to test: a vacuous pass
-            raise ParseError(f"toeplitz: --bound must be >= 0 for --check schur, got {args.bound}")
         ok, bad = toeplitz.character_positivity_check(seq, args.rank, args.bound)
         doc = {
             "check": "schur",
@@ -295,9 +293,6 @@ def _cmd_body(args) -> int:
 
     from . import bodies
 
-    # exact hull volumes exist for ambient dimension 1..3 only
-    if not 1 <= args.dim <= 3:
-        raise ParseError(f"body: --dim must be 1, 2 or 3, got {args.dim}")
     polys = []
     for i, text in enumerate(args.basis.split(";"), 1):
         if text.strip():
@@ -392,14 +387,10 @@ _SCAN_OPTIONS = dict(
 
 
 def _check_scan_args(args) -> None:
-    """Raise ParseError for an option value that would make the scan vacuous or
-    invalid, or for a $LOGCAVE_CACHE_DIR the scan could not use.  A scan that
-    uses the LR cache gets it made here, by lr._default_cache()."""
+    """Raise ParseError for options that together make the scan invalid, for an
+    --out or a $LOGCAVE_CACHE_DIR the scan could not use.  A scan that uses the
+    LR cache gets it made here, by lr._default_cache()."""
     row = _SCANNERS[args.scanner]
-    for option, least in {"jobs": 1, **row.minimums}.items():
-        value = getattr(args, option)
-        if least is not None and value < least:
-            raise ParseError(f"verify {args.scanner}: --{option} must be >= {least}, got {value}")
     if row.check:
         row.check(args)
     if args.out:
@@ -474,6 +465,17 @@ class _Parser(argparse.ArgumentParser):
         return namespace, extra
 
 
+def _at_least(least: int):
+    """An argparse type: an integer that is least or more."""
+
+    def integer(text: str) -> int:  # argparse names it: "invalid integer value: 'x'"
+        if (value := int(text)) < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="logcave",
@@ -505,15 +507,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_restrict)
 
     p = sub.add_parser("toeplitz", help="totally positive sequence checks")
-    p.add_argument("--seq", required=True, help='finitely supported, e.g. "0:1,1:1"')
-    p.add_argument("--check", choices=["2x2", "schur"], default="2x2")
-    p.add_argument("--rank", type=int, default=2)
-    p.add_argument("--bound", type=int, default=6)
-    p.add_argument("--out")
+    checks = p.add_subparsers(dest="check", required=True, metavar="check")
+    two = checks.add_parser("2x2", help="x_n^2 >= x_{n-1} x_{n+1} over the support")
+    schur = checks.add_parser("schur", help="Schur coefficients >= 0 in --rank variables")
+    schur.add_argument("--rank", type=int, default=2, help="number of variables")
+    schur.add_argument("--bound", type=_at_least(0), default=6, help="weight bound")
+    for c in (two, schur):
+        c.add_argument("--seq", required=True, help='finitely supported, e.g. "0:1,1:1"')
+        c.add_argument("--out")
     p.set_defaults(func=_cmd_toeplitz)
 
     p = sub.add_parser("body", help="valuation body of a polynomial subspace")
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=int, choices=(1, 2, 3), required=True, help="ambient dimension")
     p.add_argument("--basis", required=True, help='semicolon-separated, e.g. "1; x; y"')
     p.add_argument("--kmax", type=int, default=4)
     p.add_argument("--out")
@@ -526,9 +531,10 @@ def build_parser() -> argparse.ArgumentParser:
         kinds = [s if len(row.status) == 1 else f"{kind}: {s}" for kind, s in row.status.items()]
         # no abbreviations: saturation would read --k as --kmax
         scan = scanners.add_parser(name, help="; ".join(kinds), allow_abbrev=False)
-        for option in [*row.minimums, "jobs"]:
+        for option, least in {**row.minimums, "jobs": 1}.items():
             default, text = _SCAN_OPTIONS[option]
-            scan.add_argument(f"--{option}", type=int, default=default, help=text)
+            floor = int if least is None else _at_least(least)
+            scan.add_argument(f"--{option}", type=floor, default=default, help=text)
         scan.add_argument("--out")
     p.set_defaults(func=_cmd_verify)
 

@@ -292,6 +292,15 @@ def test_normalized_volume_degenerate():
         normalized_volume(body_approximation(s, 2))
 
 
+def test_normalized_volume_of_an_empty_hull():
+    # body_approximation never builds one: 1 is in every subspace it takes
+    empty = bodies.BodyApprox(
+        level=1, scale=1, points=[], hull=[], lattice=[], stable=True, dims=[1]
+    )
+    with pytest.raises(DegenerateBodyError, match="empty body"):
+        normalized_volume(empty)
+
+
 def test_degree_estimate_examples():
     de = degree_estimate(degree_bounded_monomials(2, 1), 4)
     assert de.degree == 1 and de.stable

@@ -103,6 +103,11 @@ def test_parse_polynomial():
     assert parse_polynomial("x^2y", 3).terms == {(2, 1, 0): F(1)}
     assert parse_polynomial("2x", 3).terms == {(1, 0, 0): F(2)}
     assert parse_polynomial("z^2x^2", 3).terms == {(2, 0, 2): F(1)}
+    # but only after a coefficient or a factor: never first in a term
+    for text, where, term in (("*x", 0, "*x"), ("-*x^3y", 1, "*x^3y"), ("1 + *y", 4, "*y")):
+        message = f"position {where}: cannot parse term '{term}'"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_polynomial(text, 2)
 
 
 @pytest.mark.parametrize(
@@ -199,20 +204,24 @@ def test_cli_restrict(capsys):
 
 
 def test_cli_toeplitz_exit_codes(capsys):
-    assert main(["toeplitz", "--seq", "0:1,1:1", "--check", "2x2"]) == 0
-    capsys.readouterr()
-    assert main(["toeplitz", "--seq", "0:1,2:1", "--check", "schur", "--rank", "2", "--bound", "4"]) == 1
+    assert main(["toeplitz", "2x2", "--seq", "0:1,1:1"]) == 0
+    assert json.loads(capsys.readouterr().out)["check"] == "2x2"
+    assert main(["toeplitz", "schur", "--seq", "0:1,2:1", "--rank", "2", "--bound", "4"]) == 1
     doc = json.loads(capsys.readouterr().out)
-    assert doc["failing_weight"] == "1,1"
-    assert main(["toeplitz", "--seq", "0:1,0:2", "--check", "2x2"]) == 2
+    assert doc["check"] == "schur" and doc["failing_weight"] == "1,1"
+    assert main(["toeplitz", "2x2", "--seq", "0:1,0:2"]) == 2
     captured = capsys.readouterr()
     assert "repeated index 0" in captured.err and not captured.out
-    assert main(["toeplitz", "--seq", "0:-1"]) == 2
+    assert main(["toeplitz", "2x2", "--seq", "0:-1"]) == 2
     captured = capsys.readouterr()
     assert "negative value x_0 = -1" in captured.err and not captured.out
     # a sequence that starts at a negative index is given with "=", or it reads as an option
-    assert main(["toeplitz", "--seq=-3:1,-2:1", "--check", "schur"]) == 0
+    assert main(["toeplitz", "schur", "--seq=-3:1,-2:1"]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
+    # the check is named: there is no default
+    assert main(["toeplitz", "--seq", "0:1,1:1"]) == 2
+    err = capsys.readouterr().err
+    assert "argument check: invalid choice" in err and "2x2" in err and "schur" in err
 
 
 @pytest.mark.parametrize("basis", ["1; 3/0*x", "1; x - 1/0"])
@@ -230,6 +239,7 @@ def test_cli_body_rejects_zero_denominator(basis, capsys):
         ("3/0; x", "polynomial 1: position 0: zero denominator"),
         ("1;; x + w", "polynomial 3: position 5: unknown variable"),
         ("1; x +", "polynomial 2: position 4: empty term"),
+        ("1; *x", "polynomial 2: position 1: cannot parse term '*x'"),
     ],
 )
 def test_cli_body_names_the_failing_polynomial(basis, where, capsys):
@@ -244,9 +254,11 @@ def test_cli_toeplitz_schur_rejects_negative_bound(monkeypatch, capsys):
         raise AssertionError("check started")
 
     monkeypatch.setattr(toeplitz, "character_positivity_check", no_check)
-    argv = ["toeplitz", "--seq", "0:1,1:1", "--check", "schur", "--bound", "-1"]
+    argv = ["toeplitz", "schur", "--seq", "0:1,1:1", "--bound", "-1"]
     assert main(argv) == 2
-    assert "--bound must be >= 0" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage: logcave toeplitz schur [-h]")
+    assert "logcave toeplitz schur: error: argument --bound: must be >= 0, got -1\n" in err
 
 
 def test_cli_body(tmp_path):
@@ -299,9 +311,16 @@ def test_cli_body_degree_matches_degree_estimate(dim, basis, kmax, tmp_path):
 @pytest.mark.parametrize(
     "dim,basis", [("0", "1"), ("4", "1;x1;x2;x3;x4")]
 )
-def test_cli_body_rejects_unsupported_dimension(dim, basis, capsys):
+def test_cli_body_rejects_unsupported_dimension(dim, basis, monkeypatch, capsys):
+    def no_body(*args, **kwargs):
+        raise AssertionError("body started")
+
+    monkeypatch.setattr(bodies, "body_approximation", no_body)
     assert main(["body", "--dim", dim, "--basis", basis, "--kmax", "2"]) == 2
-    assert "--dim must be 1, 2 or 3" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage: logcave body [-h]")
+    choice = f"argument --dim: invalid choice: {dim} (choose from 1, 2, 3)"
+    assert f"logcave body: error: {choice}\n" in err
 
 
 def test_cli_error_exit_code(capsys):
@@ -482,7 +501,9 @@ def test_verify_rejects_vacuous_inputs_before_scanning(argv, option, monkeypatch
         monkeypatch.setattr(concavity, name, no_scan)
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert f"{option} must be >=" in err
+    # the scanner's own parser reports it, with its usage line
+    assert err.startswith(f"usage: logcave verify {argv[1]} [-h]")
+    assert f"logcave verify {argv[1]}: error: argument {option}: must be >= " in err
     assert "randrange" not in err
 
 
@@ -665,15 +686,64 @@ def test_verify_rejects_an_option_its_scanner_does_not_read(scanner, option, mon
         ["schur", "--shape", "1", "--vars", "1", "--rank", "2"],
         ["lr", "--lam", "1", "--mu", "1", "--nu", "0", "--rank", "2", "--vars", "3"],
         ["restrict", "--lam", "1", "--mu", "1", "--n", "2", "--k", "1", "--vars", "3"],
-        ["toeplitz", "--seq", "0:1", "--vars", "3"],
+        ["toeplitz", "2x2", "--seq", "0:1", "--vars", "3"],
+        ["toeplitz", "2x2", "--seq", "0:1", "--rank", "2"],
+        ["toeplitz", "2x2", "--seq", "0:1", "--bound", "-5"],
+        ["toeplitz", "schur", "--seq", "0:1", "--vars", "3"],
         ["body", "--dim", "1", "--basis", "1", "--vars", "3"],
     ],
 )
-def test_an_option_is_rejected_by_the_parser_of_its_subcommand(argv, capsys):
+def test_an_option_is_rejected_by_the_parser_of_its_subcommand(argv, monkeypatch, capsys):
+    from logcave import toeplitz
+
+    def no_check(*args, **kwargs):
+        raise AssertionError("check started")
+
+    monkeypatch.setattr(toeplitz, "two_by_two_scan", no_check)
+    monkeypatch.setattr(toeplitz, "character_positivity_check", no_check)
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"usage: logcave {argv[0]} [-h]")
-    assert f"logcave {argv[0]}: error: unrecognized arguments: {' '.join(argv[-2:])}" in err
+    # the words before the first option name the parser: "toeplitz 2x2" has its own
+    prog = " ".join(itertools.takewhile(lambda word: not word.startswith("-"), argv))
+    assert err.startswith(f"usage: logcave {prog} [-h]")
+    assert f"logcave {prog}: error: unrecognized arguments: {' '.join(argv[-2:])}\n" in err
+
+
+# each floor a verify parser puts on an option: the row's, and 1 for --jobs
+_FLOORS = [
+    (name, option, least)
+    for name, row in _SCANNERS.items()
+    for option, least in {**row.minimums, "jobs": 1}.items()
+    if least is not None
+]
+
+
+@pytest.mark.parametrize("scanner, option, least", _FLOORS)
+def test_the_parser_rejects_a_value_below_its_floor(
+    scanner, option, least, tmp_path, monkeypatch, capsys
+):
+    calls = _wrap_runner(monkeypatch, scanner)
+    monkeypatch.setenv("LOGCAVE_CACHE_DIR", str(tmp_path / "cache"))
+    assert main(["verify", scanner, f"--{option}", str(least - 1)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: logcave verify {scanner} [-h]")
+    message = f"argument --{option}: must be >= {least}, got {least - 1}"
+    assert f"logcave verify {scanner}: error: {message}\n" in err
+    # refused before the option check, which makes the LR cache, and before the scan
+    assert not calls and not (tmp_path / "cache").exists()
+    # a non-integer is refused by the same type
+    assert main(["verify", scanner, f"--{option}", "1.5"]) == 2
+    assert f"argument --{option}: invalid integer value: '1.5'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scanner", list(_SCANNERS))
+def test_every_default_passes_its_floor(scanner):
+    """argparse passes only a string default through an option's type, so no
+    floor sees an int default of _SCAN_OPTIONS: each is checked here."""
+    args = build_parser().parse_args(["verify", scanner])
+    for name, option, least in _FLOORS:
+        if name == scanner:
+            assert getattr(args, option) >= least, (scanner, option)
 
 
 @pytest.mark.parametrize("scanner, option", _READ)
@@ -712,7 +782,8 @@ def test_every_scanner_runs_at_its_option_minimums(scanner, tmp_path, monkeypatc
 
 
 def test_readme_command_lines_parse():
-    """Each `logcave` line of README parses, with every `a|b` alternative."""
+    """Each `logcave` line of README parses, with every `a|b` alternative, and
+    the lines show every verify scanner and every toeplitz check."""
     text = (SRC.parent / "README.md").read_text().replace("\\\n", " ")
     parser = build_parser()
     verified = set()
@@ -724,9 +795,10 @@ def test_readme_command_lines_parse():
                 parser.parse_args(argv)
             except SystemExit:
                 pytest.fail(f"README: logcave {' '.join(argv)} does not parse")
-            if argv[0] == "verify":
-                verified.add(argv[1])
-    assert verified == set(_SCANNERS)
+            if argv[0] in ("verify", "toeplitz"):
+                verified.add(argv[:2])
+    checks = {("toeplitz", "2x2"), ("toeplitz", "schur")}
+    assert verified == {("verify", name) for name in _SCANNERS} | checks
 
 
 def test_readme_status_table_matches_the_scanner_table():
